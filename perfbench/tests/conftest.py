@@ -1,0 +1,10 @@
+"""Puts the benchmark modules and the checkout's fedquad sources on sys.path.
+
+Run from the repository root: python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
