@@ -30,6 +30,8 @@ from .fixedpoint import (
 )
 from .funcvec import (
     Layout,
+    ResidualBlock,
+    SliceVector,
     SparseFunctionVector,
     all_gradient_slice_vectors,
     build_layout,
@@ -61,7 +63,9 @@ __all__ = [
     "IterationMetrics",
     "Layout",
     "ModelState",
+    "ResidualBlock",
     "ScaledResult",
+    "SliceVector",
     "SparseFunctionVector",
     "TrainingConfig",
     "TrainingResult",

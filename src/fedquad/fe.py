@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .funcvec import SparseFunctionVector
-from .tensor import sparse_inner_kron
+from .funcvec import ResidualBlock, SliceVector, SparseFunctionVector
+from .tensor import block_residual, sparse_inner_kron
 
 
 class FEError(Exception):
@@ -44,6 +44,21 @@ class DuplicateSlot(FEError):
 _instance_ids = itertools.count()
 
 
+class _Operands(NamedTuple):
+    """Decryption inputs shared by every key that sees the same ciphertexts.
+
+    Keyed by the identity of the slot-ordered ciphertexts; holding them
+    keeps those identities from being reused while the entry lives. An
+    entry is replaced whole, never edited, so concurrent decrypts can at
+    worst recompute it.
+    """
+
+    ciphertexts: tuple[Ciphertext, ...]
+    x: list[int]
+    block: ResidualBlock | None = None
+    residual: tuple | None = None
+
+
 class FEInstance:
     """One setup's worth of keys and counters; payloads never leave the module."""
 
@@ -60,6 +75,7 @@ class FEInstance:
         self._n_keygen = 0
         self._n_decrypt = 0
         self._tagged_slots: set[tuple[int, object]] = set()
+        self._operands: _Operands | None = None
 
     def __repr__(self) -> str:
         return (f"FEInstance(instance_id={self.instance_id}, "
@@ -116,7 +132,7 @@ class SecretKey:
     __slots__ = ("instance_id", "tag", "funcvec", "_instance")
 
     def __init__(self, instance: FEInstance, tag: object,
-                 funcvec: SparseFunctionVector) -> None:
+                 funcvec: SparseFunctionVector | SliceVector) -> None:
         self.instance_id = instance.instance_id
         self.tag = tag
         self.funcvec = funcvec
@@ -171,7 +187,7 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
 
 
 def keygen(instance: FEInstance, tag: object,
-           funcvec: SparseFunctionVector) -> SecretKey:
+           funcvec: SparseFunctionVector | SliceVector) -> SecretKey:
     """Bind a coefficient vector to the instance and tag."""
     expected = instance.total_length ** 2
     if funcvec.dimension != expected:
@@ -189,7 +205,10 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
 
     Checks run in order: every ciphertext must share the key's instance,
     then its tag, then the slots must cover 0..n_slots-1 exactly once.
-    Any violation raises; no partial value is ever returned.
+    Any violation raises; no partial value is ever returned. The
+    concatenated x, and for a block-structured key the block's residual,
+    are computed once per ciphertext set and reused by the instance's
+    other keys; each call still checks and counts on its own.
     """
     cts = list(ciphertexts)
     instance = sk._instance
@@ -212,10 +231,16 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     missing = [slot for slot in range(instance.n_slots) if slot not in by_slot]
     if missing:
         raise MissingSlot(f"no ciphertext for slots {missing}")
-    x: list[int] = []
-    for slot in range(instance.n_slots):
-        x.extend(by_slot[slot]._payload)
-    value = sparse_inner_kron(sk.funcvec, x)
+    ordered = tuple(by_slot[slot] for slot in range(instance.n_slots))
+    operands = instance._operands
+    if operands is None or any(a is not b for a, b in zip(operands.ciphertexts, ordered)):
+        operands = _Operands(ordered, [v for ct in ordered for v in ct._payload])
+    block = getattr(sk.funcvec, "block", None)
+    if block is not None and operands.block is not block:
+        operands = _Operands(operands.ciphertexts, operands.x, block,
+                             block_residual(block, operands.x))
+    instance._operands = operands
+    value = sparse_inner_kron(sk.funcvec, operands.x, residual=operands.residual)
     with instance._lock:
         instance._n_decrypt += 1
     return value

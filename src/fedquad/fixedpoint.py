@@ -66,9 +66,30 @@ def quantize(value: float, bits: int) -> int:
     return -q if value < 0 else q
 
 
+def _quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
+    """quantize applied to every entry of a float array, as int64.
+
+    The same float operations in the same order as quantize, so every
+    entry is bitwise equal to the scalar result.
+    """
+    with np.errstate(over="ignore"):
+        magnitude = np.ldexp(np.abs(values), bits)
+    within = magnitude < float(1 << QUANTIZE_GUARD_BITS)
+    if not within.all():
+        bad = values[~within][0]
+        if np.isnan(bad):
+            raise ValueError(f"cannot quantize NaN (at 2**{bits})")
+        raise OverflowError(
+            f"|{bad}| * 2**{bits} exceeds the 2**{QUANTIZE_GUARD_BITS} quantizer guard"
+        )
+    # copysign turns a negative value that rounds to zero into -0.0, which
+    # the int64 cast makes 0, as the scalar -q does.
+    return np.copysign(np.floor(magnitude + 0.5), values).astype(np.int64)
+
+
 def quantize_vector(values, bits: int) -> list[int]:
     """Quantize every entry of a 1-D array-like to a list of Python ints."""
-    return [quantize(v, bits) for v in np.asarray(values, dtype=float).ravel()]
+    return _quantize_array(np.asarray(values, dtype=float).ravel(), bits).tolist()
 
 
 def dequantize(result: ScaledResult) -> float:
@@ -79,8 +100,8 @@ def dequantize(result: ScaledResult) -> float:
 def snap_to_grid(values, bits: int) -> np.ndarray:
     """Project real values onto the 2**-bits grid (quantize then dequantize)."""
     arr = np.asarray(values, dtype=float)
-    flat = [dequantize(ScaledResult(quantize(v, bits), bits)) for v in arr.ravel()]
-    return np.array(flat, dtype=float).reshape(arr.shape)
+    # int64 / 2**bits is one correctly rounded division, as in dequantize.
+    return (_quantize_array(arr.ravel(), bits) / (1 << bits)).reshape(arr.shape)
 
 
 def overflow_bound(S: int, F: int, qx: int, qw: int,

@@ -8,13 +8,20 @@ such that
     <c, x (x) x> = ((y - sum_j X_j w_j)^T X_i)[p]
 
 exactly, in integer arithmetic. Only S*(F+1) of the L**2 coefficients are
-nonzero, so vectors are kept as sorted (index, value) entry lists.
+nonzero, and they are the same for every slice: one row block holding the
+F+1 column coefficients (minus each quantized weight, and the quantized
+constant 1 for the label column), shifted to the S rows of the slice's
+feature column. A SliceVector therefore stores that block once, shared by
+all F slices of one weight vector, plus its base row; its sorted
+(index, value) entries and dense form are derived on demand for the
+oracles. SparseFunctionVector keeps an explicit entry list for vectors
+built by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,15 +100,132 @@ class SparseFunctionVector:
 
     def to_dense(self) -> list[int]:
         """Dense coefficient list; test-oracle use only, size guarded."""
-        if self.dimension > DENSE_DIMENSION_LIMIT:
+        return _to_dense(self)
+
+
+def _to_dense(c) -> list[int]:
+    if c.dimension > DENSE_DIMENSION_LIMIT:
+        raise ValueError(
+            f"dense expansion is capped at dimension {DENSE_DIMENSION_LIMIT}, "
+            f"got {c.dimension}"
+        )
+    dense = [0] * c.dimension
+    for index, value in c.entries:
+        dense[index] = value
+    return dense
+
+
+@dataclass(frozen=True)
+class ResidualBlock:
+    """The row block of coefficients that every slice vector of one weight vector shares.
+
+    x is the column stack of the S-row matrix [X_0 | ... | X_{N-1} | y], so
+    column c starts at x[c*S]. Row s of the block holds coefficients[c] at
+    column position c*S + s, so its inner product with x is the quantized
+    residual of sample s. Zero coefficients are stored but are not entries.
+    """
+
+    rows: int
+    coefficients: tuple[int, ...]
+    nonzero_columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.rows < 1 or not self.coefficients:
             raise ValueError(
-                f"dense expansion is capped at dimension {DENSE_DIMENSION_LIMIT}, "
-                f"got {self.dimension}"
+                f"need rows >= 1 and at least one coefficient, got {self.rows} "
+                f"and {len(self.coefficients)}"
             )
-        dense = [0] * self.dimension
-        for index, value in self.entries:
-            dense[index] = value
-        return dense
+        object.__setattr__(self, "nonzero_columns", tuple(
+            c for c, value in enumerate(self.coefficients) if value != 0))
+
+    @property
+    def vector_length(self) -> int:
+        return self.rows * len(self.coefficients)
+
+    def entries(self, base_row: int) -> Iterator[tuple[int, int]]:
+        """Ascending (flat index, value) pairs of the block placed at base_row.
+
+        Flat index of (row s, column c) is (base_row + s)*L + c*S + s.
+        """
+        S = self.rows
+        L = self.vector_length
+        columns = [(c * S, self.coefficients[c]) for c in self.nonzero_columns]
+        for s in range(S):
+            origin = (base_row + s) * L + s
+            for start, value in columns:
+                yield origin + start, value
+
+
+class _SliceEntries:
+    """Lazy sorted entries of a SliceVector: len is O(1), iteration derives them."""
+
+    __slots__ = ("_vector",)
+
+    def __init__(self, vector: SliceVector) -> None:
+        self._vector = vector
+
+    def __len__(self) -> int:
+        return self._vector.nnz
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return self._vector.block.entries(self._vector.base_row)
+
+
+@dataclass(frozen=True)
+class SliceVector:
+    """A slice's coefficient vector: the shared block on rows base_row .. + S.
+
+    Every entry outside those rows of x (x) x is zero. Two slice vectors are
+    equal when their base rows and block coefficients are.
+    """
+
+    base_row: int
+    block: ResidualBlock
+
+    def __post_init__(self) -> None:
+        last = self.block.vector_length - self.block.rows
+        if not (0 <= self.base_row <= last):
+            raise ValueError(f"base row {self.base_row} outside 0..{last}")
+
+    @property
+    def dimension(self) -> int:
+        return self.block.vector_length ** 2
+
+    @property
+    def nnz(self) -> int:
+        return self.block.rows * len(self.block.nonzero_columns)
+
+    @property
+    def entries(self) -> _SliceEntries:
+        return _SliceEntries(self)
+
+    def to_dense(self) -> list[int]:
+        """Dense coefficient list; test-oracle use only, size guarded."""
+        return _to_dense(self)
+
+
+def residual_block(quantized_weights: Sequence[Sequence[int]],
+                   one_quantized: int,
+                   layout: Layout) -> ResidualBlock:
+    """The shared block: minus each quantized weight, then one_quantized for y.
+
+    Coefficient order is the column order of x: client ascending, feature
+    ascending, label last.
+    """
+    if len(quantized_weights) != layout.n_clients:
+        raise ValueError(
+            f"got weight segments for {len(quantized_weights)} clients, "
+            f"layout has {layout.n_clients}"
+        )
+    for j, segment in enumerate(quantized_weights):
+        if len(segment) != layout.features_per_client[j]:
+            raise ValueError(
+                f"client {j} weight segment has length {len(segment)}, "
+                f"expected {layout.features_per_client[j]}"
+            )
+    coefficients = [-int(w) for segment in quantized_weights for w in segment]
+    coefficients.append(int(one_quantized))
+    return ResidualBlock(rows=layout.batch_size, coefficients=tuple(coefficients))
 
 
 def residual_coefficients(quantized_weights: Sequence[Sequence[int]],
@@ -115,41 +239,19 @@ def residual_coefficients(quantized_weights: Sequence[Sequence[int]],
     row's inner product with x is the quantized residual of sample s.
     Relative index of (row s, column c) is s*L + c. Zero weights are dropped.
     """
-    if len(quantized_weights) != layout.n_clients:
-        raise ValueError(
-            f"got weight segments for {len(quantized_weights)} clients, "
-            f"layout has {layout.n_clients}"
-        )
-    for j, segment in enumerate(quantized_weights):
-        if len(segment) != layout.features_per_client[j]:
-            raise ValueError(
-                f"client {j} weight segment has length {len(segment)}, "
-                f"expected {layout.features_per_client[j]}"
-            )
-    S = layout.batch_size
-    L = layout.vector_length
-    entries = []
-    for s in range(S):
-        row_base = s * L
-        for j, segment in enumerate(quantized_weights):
-            for f, w in enumerate(segment):
-                if w != 0:
-                    entries.append((row_base + layout.offsets[j] + f * S + s, -int(w)))
-        if one_quantized != 0:
-            entries.append((row_base + layout.label_offset + s, int(one_quantized)))
-    return tuple(entries)
+    return tuple(residual_block(quantized_weights, one_quantized, layout).entries(0))
 
 
 def gradient_slice_vector(quantized_weights: Sequence[Sequence[int]],
                           one_quantized: int,
                           layout: Layout,
                           client: int,
-                          feature: int) -> SparseFunctionVector:
+                          feature: int) -> SliceVector:
     """The coefficient vector whose decryption is gradient slice (client, feature).
 
-    The shared residual entries land in the row block of client's feature
+    The shared residual block lands in the row block of client's feature
     column `feature` (rows off_client + feature*S .. + S), every other block
-    of x (x) x is zero. Flat index of a relative entry r is base_row*L + r.
+    of x (x) x is zero.
     """
     if not (0 <= client < layout.n_clients):
         raise ValueError(f"client index {client} out of range for {layout.n_clients}")
@@ -158,30 +260,22 @@ def gradient_slice_vector(quantized_weights: Sequence[Sequence[int]],
             f"feature index {feature} out of range for client {client} "
             f"with {layout.features_per_client[client]} features"
         )
-    L = layout.vector_length
-    base_row = layout.offsets[client] + feature * layout.batch_size
-    relative = residual_coefficients(quantized_weights, one_quantized, layout)
-    entries = tuple((base_row * L + rel, value) for rel, value in relative)
-    return SparseFunctionVector(dimension=L * L, entries=entries)
+    block = residual_block(quantized_weights, one_quantized, layout)
+    return SliceVector(layout.offsets[client] + feature * layout.batch_size, block)
 
 
 def all_gradient_slice_vectors(quantized_weights: Sequence[Sequence[int]],
                                one_quantized: int,
-                               layout: Layout) -> list[SparseFunctionVector]:
+                               layout: Layout) -> list[SliceVector]:
     """All F slice vectors, ordered (client ascending, feature ascending).
 
     The order matches the flat gradient layout: slice (i, p) sits at global
-    index sum(F_j for j < i) + p.
+    index k = sum(F_j for j < i) + p, and its rows start at
+    off_i + p*S = k*S. All F vectors share one block.
     """
-    relative = residual_coefficients(quantized_weights, one_quantized, layout)
-    L = layout.vector_length
-    vectors = []
-    for client in range(layout.n_clients):
-        for feature in range(layout.features_per_client[client]):
-            base_row = layout.offsets[client] + feature * layout.batch_size
-            entries = tuple((base_row * L + rel, value) for rel, value in relative)
-            vectors.append(SparseFunctionVector(dimension=L * L, entries=entries))
-    return vectors
+    block = residual_block(quantized_weights, one_quantized, layout)
+    S = layout.batch_size
+    return [SliceVector(k * S, block) for k in range(layout.feature_total)]
 
 
 def logistic_adjust(weights, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from .fixedpoint import (
     quantize_vector,
     snap_to_grid,
 )
-from .funcvec import SparseFunctionVector, all_gradient_slice_vectors, build_layout, logistic_adjust
+from .funcvec import SliceVector, all_gradient_slice_vectors, build_layout, logistic_adjust
 from .tensor import vec_columns
 
 OVERFLOW_LIMIT_BITS = 126
@@ -85,7 +85,7 @@ class ClientCiphertexts:
 
 @dataclass(frozen=True)
 class FuncVecRequest:
-    funcvecs: tuple[SparseFunctionVector, ...]
+    funcvecs: tuple[SliceVector, ...]
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,20 @@ class Message:
 
 
 class MessageBus:
-    """Ordered record of every message of a run."""
+    """Ordered header record of every message of a run.
+
+    Only the header is kept, so the log holds no FE object and its size
+    does not depend on S or F.
+    """
 
     def __init__(self) -> None:
-        self.messages: list[Message] = []
+        self.messages: list[dict] = []
 
     def send(self, message: Message) -> None:
-        self.messages.append(message)
+        self.messages.append(message.header())
 
     def header_log(self) -> list[dict]:
-        return [m.header() for m in self.messages]
+        return list(self.messages)
 
     def export_jsonl(self) -> str:
         """One JSON object per line, headers only."""

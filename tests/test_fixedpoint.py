@@ -49,6 +49,57 @@ class TestQuantize:
         assert quantize_vector(np.array([0.5, -0.5]), 1) == [1, -1]
 
 
+# Finite floats up to just past the guard at every bit count, plus exact
+# halves and signed zeros, which is where rounding could drift.
+_guard_floats = st.one_of(
+    st.floats(-2.0 ** 63, 2.0 ** 63, allow_nan=False),
+    st.integers(-(1 << 20), 1 << 20).map(lambda n: n / 2 + 0.0),
+    st.sampled_from([0.0, -0.0, 2.0 ** 61 - 0.5, -(2.0 ** 62), 2.0 ** 62]),
+)
+
+
+def _scalar_or_error(values, bits):
+    try:
+        return [quantize(v, bits) for v in values]
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+class TestVectorizedQuantize:
+    """quantize_vector and snap_to_grid against the scalar quantize loop."""
+
+    @given(st.lists(_guard_floats, max_size=12), st.integers(0, 24))
+    def test_quantize_vector_matches_scalar(self, values, bits):
+        expected = _scalar_or_error(values, bits)
+        if isinstance(expected, list):
+            got = quantize_vector(np.array(values, dtype=float), bits)
+            assert got == expected
+            assert all(type(q) is int for q in got)
+        else:
+            with pytest.raises(expected):
+                quantize_vector(np.array(values, dtype=float), bits)
+
+    @given(st.lists(_guard_floats, max_size=12), st.integers(0, 24))
+    def test_snap_matches_scalar_bitwise(self, values, bits):
+        expected = _scalar_or_error(values, bits)
+        if isinstance(expected, list):
+            scalar = np.array([dequantize(ScaledResult(q, bits)) for q in expected],
+                              dtype=float)
+            got = snap_to_grid(np.array(values, dtype=float), bits)
+            assert got.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("bad,error", [
+        (math.nan, ValueError), (math.inf, OverflowError),
+        (-math.inf, OverflowError), (1e308, OverflowError),
+    ])
+    def test_non_finite_raises(self, bad, error):
+        values = np.array([1.0, bad, 2.0])
+        with pytest.raises(error):
+            quantize_vector(values, 12)
+        with pytest.raises(error):
+            snap_to_grid(values, 12)
+
+
 class TestDequantize:
     def test_zero(self):
         assert dequantize(ScaledResult(0, 16)) == 0.0

@@ -1,0 +1,203 @@
+"""The residual kernel for block-structured slice vectors against the per-term loop.
+
+The per-term loop over a SparseFunctionVector built from the same entries
+is the reference; the dense Kronecker product is the second oracle.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fedquad import fe
+from fedquad.baseline import MODEL_LINEAR
+from fedquad.funcvec import (
+    SliceVector,
+    SparseFunctionVector,
+    all_gradient_slice_vectors,
+    build_layout,
+)
+from fedquad.protocol import (
+    ClientShard,
+    TrainingConfig,
+    exact_codec,
+    make_batch_schedule,
+    mix_and_match_probe,
+    run_training,
+)
+from fedquad.tensor import (
+    ACCUMULATOR_BITS,
+    AccumulatorOverflow,
+    block_residual,
+    dense_kron,
+    sparse_inner_kron,
+    vec_columns,
+)
+
+
+def _reference(c, x):
+    """The per-term loop: the same entries, as a hand-built vector."""
+    return sparse_inner_kron(SparseFunctionVector(c.dimension, tuple(c.entries)), x)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except AccumulatorOverflow:
+        return AccumulatorOverflow
+
+
+@st.composite
+def layouts_and_inputs(draw):
+    n = draw(st.integers(1, 3))
+    S = draw(st.integers(1, 4))
+    counts = [draw(st.integers(1, 3)) for _ in range(n)]
+    weights = [[draw(st.integers(-5, 5)) for _ in range(f)] for f in counts]
+    one = draw(st.sampled_from([0, 1, 16, -3]))
+    # 9 keeps the bound in int64; 2**40 pushes it onto Python ints.
+    magnitude = draw(st.sampled_from([9, 1 << 40]))
+    length = S * (sum(counts) + 1)
+    x = draw(st.lists(st.integers(-magnitude, magnitude),
+                      min_size=length, max_size=length))
+    return build_layout(n, S, counts), weights, one, x
+
+
+class TestStructuredKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(layouts_and_inputs())
+    def test_matches_per_term_loop_and_dense_oracle(self, case):
+        layout, weights, one, x = case
+        kron = dense_kron(x)
+        vectors = all_gradient_slice_vectors(weights, one, layout)
+        assert len(vectors) == layout.feature_total
+        for c in vectors:
+            assert isinstance(c, SliceVector)
+            assert c.nnz == len(c.entries) == len(list(c.entries))
+            dense = sum(a * b for a, b in zip(c.to_dense(), kron))
+            assert sparse_inner_kron(c, x) == _reference(c, x) == dense
+
+    def test_shared_residual_gives_the_same_values(self):
+        layout = build_layout(2, 3, [2, 1])
+        vectors = all_gradient_slice_vectors([[1, -2], [0]], 5, layout)
+        x = list(range(-6, 6))
+        residual = block_residual(vectors[0].block, x)
+        for c in vectors:
+            assert sparse_inner_kron(c, x, residual=residual) == _reference(c, x)
+
+
+def _one_slice(w, one):
+    """S=1, F=1: the slice is x0 * (-w*x0 + one*y); with x = [1, 1] the
+    bound is |w| + |one|."""
+    (c,) = all_gradient_slice_vectors([[w]], one, build_layout(1, 1, [1]))
+    return c
+
+
+class TestInt64Boundary:
+    @pytest.mark.parametrize("w,one,dtype", [
+        (-(1 << 62), (1 << 62) - 1, np.int64),   # bound 2**63 - 1
+        (1 << 62, -((1 << 62) - 1), np.int64),
+        (-(1 << 62), 1 << 62, object),           # bound 2**63
+        (1 << 62, -(1 << 62), object),
+    ], ids=["2**63-1", "2**63-1-negated", "2**63", "2**63-negated"])
+    def test_bound_edge_matches_reference(self, w, one, dtype):
+        c = _one_slice(w, one)
+        x = [1, 1]
+        _, r = block_residual(c.block, x)
+        assert r.dtype == dtype
+        expected = _reference(c, x)
+        assert expected == one - w
+        assert sparse_inner_kron(c, x) == expected
+
+    def test_bound_edge_across_rows(self):
+        # S=7 rows, sum|coef| = (2**63 - 1) / 7, |x| = 1: bound 2**63 - 1,
+        # and every row pushes the sum the same way.
+        layout = build_layout(1, 7, [1])
+        per_row = (2 ** 63 - 1) // 7
+        (c,) = all_gradient_slice_vectors([[-(per_row // 2)]],
+                                          per_row - per_row // 2, layout)
+        x = [1] * 14
+        assert block_residual(c.block, x)[1].dtype == np.int64
+        assert sparse_inner_kron(c, x) == _reference(c, x) == 2 ** 63 - 1
+
+
+class TestAccumulatorWidth:
+    top = 1 << (ACCUMULATOR_BITS - 2)
+
+    @pytest.mark.parametrize("w,one,x", [
+        (-top, top, [1, 1]),                    # bound 2**127, sum 2**127
+        (-top, -top, [1, 1]),                   # bound 2**127, sum 0
+        (-1, 0, [1 << 64, 1]),                  # bound 2**128, sum 2**128
+        (-1, 1, [1 << 64, -(1 << 64)]),         # bound 2**129, first term 2**128, sum 0
+        (-(top - 1), top, [1, 1]),              # bound 2**127 - 1: object path
+    ], ids=["2**127-raises", "2**127-cancels", "2**128", "2**129-cancels",
+            "2**127-1"])
+    def test_raises_exactly_when_reference_does(self, w, one, x):
+        c = _one_slice(w, one)
+        expected = _outcome(lambda: _reference(c, x))
+        assert _outcome(lambda: sparse_inner_kron(c, x)) == expected
+
+        instance, keys = fe.setup(2, [1, 1])
+        cts = [fe.encrypt(keys[0], None, x[:1]), fe.encrypt(keys[1], None, x[1:])]
+        sk = fe.keygen(instance, None, c)
+        assert _outcome(lambda: fe.decrypt(cts, sk)) == expected
+
+    def test_width_guard_still_trips(self):
+        c = _one_slice(-self.top, self.top)
+        with pytest.raises(AccumulatorOverflow):
+            sparse_inner_kron(c, [1, 1])
+        assert block_residual(c.block, [1, 1]) is None
+
+
+class TestDecryptMemo:
+    def test_reused_instance_without_tags(self):
+        S, counts = 3, [2]
+        layout = build_layout(1, S, counts)
+        instance, keys = fe.setup(2, [S * 2, S])
+        rng = np.random.default_rng(13)
+
+        def encrypted_set():
+            x = [int(v) for v in rng.integers(-9, 10, size=layout.vector_length)]
+            return x, [fe.encrypt(keys[0], None, x[:2 * S]),
+                       fe.encrypt(keys[1], None, x[2 * S:])]
+
+        (x_a, set_a), (x_b, set_b) = encrypted_set(), encrypted_set()
+        first = all_gradient_slice_vectors([[2, -1]], 1, layout)
+        second = all_gradient_slice_vectors([[0, 3]], 4, layout)
+        sk = fe.keygen(instance, None, first[1])
+        other = fe.keygen(instance, None, second[0])
+        # a stale x or residual would then show as a wrong value
+        assert _reference(first[1], x_a) != _reference(first[1], x_b)
+        assert _reference(first[1], x_a) != _reference(second[0], x_a)
+        for cts, x in ((set_a, x_a), (set_b, x_b), (set_a, x_a)):
+            assert fe.decrypt(cts, sk) == _reference(first[1], x)
+        assert fe.decrypt(set_a, other) == _reference(second[0], x_a)
+        assert fe.decrypt(list(reversed(set_b)), sk) == _reference(first[1], x_b)
+        assert fe.decrypt(set_a, sk) == _reference(first[1], x_a)
+        assert fe.audit_counters(instance)[2] == 6
+
+    def test_probe_on_reused_instance(self):
+        rng = np.random.default_rng(12)
+        rows, batch, T, seed = 12, 4, 4, 3
+        labels = rng.integers(-4, 5, size=rows).astype(float)
+        shards = [ClientShard(rng.integers(-4, 5, size=(rows, 2)).astype(float), labels),
+                  ClientShard(rng.integers(-4, 5, size=(rows, 1)).astype(float))]
+        config = TrainingConfig(iterations=T, batch_size=batch, seed=seed,
+                                learning_rate=0.05, codec=exact_codec(MODEL_LINEAR),
+                                reuse_fe_instance=True, retain_artifacts=True)
+        result = run_training(shards, config, initial_weights=[1.0, -2.0, 1.0])
+
+        report = mix_and_match_probe(result.artifacts)
+        assert report.cross_attempts == T * (T - 1)
+        assert len(report.cross_successes) == T * (T - 1)
+        assert report.failure_kinds == {} and report.controls_ok
+
+        # Each cross decryption reveals the other iteration's slice on this
+        # iteration's batch; the plaintexts come from the batch schedule.
+        inputs = []
+        for rows_t in make_batch_schedule(rows, batch, T, seed):
+            x = [int(v) for sh in shards for v in vec_columns(sh.features[rows_t])]
+            inputs.append(x + [int(v) for v in labels[rows_t]])
+        for a in result.artifacts:
+            for b in result.artifacts:
+                key = b.secret_keys[0]
+                assert (fe.decrypt(a.ciphertexts, key)
+                        == _reference(key.funcvec, inputs[a.iteration]))

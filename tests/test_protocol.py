@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +266,34 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             run_training(self._shards(rows=4),
                          TrainingConfig(iterations=1, batch_size=5))
+
+    def test_held_memory_does_not_grow_with_fe_objects(self):
+        # S=32, F=16: one iteration's FE objects (function vectors, keys,
+        # ciphertexts) took about 0.9 MB when the bus kept whole messages.
+        # What a result may keep per iteration is its header, metrics and
+        # weight records, a few hundred bytes each.
+        rng = np.random.default_rng(26)
+        labels = rng.integers(-4, 5, size=64).astype(float)
+        shards = [ClientShard(rng.integers(-4, 5, size=(64, 8)).astype(float), labels),
+                  ClientShard(rng.integers(-4, 5, size=(64, 8)).astype(float))]
+
+        def held_after(iterations):
+            config = TrainingConfig(iterations=iterations, batch_size=32,
+                                    learning_rate=0.01, seed=2)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = run_training(shards, config, initial_weights=np.ones(16))
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before, result
+            finally:
+                tracemalloc.stop()
+
+        short, _ = held_after(2)
+        long, result = held_after(16)
+        assert len(result.metrics) == 16
+        assert long - short < 14 * 4096
 
 
 class TestBatchSchedule:
