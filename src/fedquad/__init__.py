@@ -44,6 +44,7 @@ from .protocol import (
     IterationMetrics,
     ModelState,
     TrainingConfig,
+    TrainingPlan,
     TrainingResult,
     exact_codec,
     make_batch_schedule,
@@ -68,6 +69,7 @@ __all__ = [
     "SliceVector",
     "SparseFunctionVector",
     "TrainingConfig",
+    "TrainingPlan",
     "TrainingResult",
     "all_gradient_slice_vectors",
     "build_layout",

@@ -199,9 +199,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input or a diverging run exits 2 with one line."""
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "verify": cmd_verify, "synth": cmd_synth}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OverflowError) as err:
+        sys.stderr.write(f"fedquad: error: {err}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Iterable, NamedTuple, Sequence
 
 from .funcvec import ResidualBlock, SliceVector, SparseFunctionVector
@@ -49,8 +48,7 @@ class _Operands(NamedTuple):
 
     Keyed by the identity of the slot-ordered ciphertexts; holding them
     keeps those identities from being reused while the entry lives. An
-    entry is replaced whole, never edited, so concurrent decrypts can at
-    worst recompute it.
+    entry is replaced whole, never edited.
     """
 
     ciphertexts: tuple[Ciphertext, ...]
@@ -62,15 +60,12 @@ class _Operands(NamedTuple):
 class FEInstance:
     """One setup's worth of keys and counters; payloads never leave the module."""
 
-    def __init__(self, n_slots: int, slot_lengths: tuple[int, ...],
-                 tag_space_id: int) -> None:
+    def __init__(self, n_slots: int, slot_lengths: tuple[int, ...]) -> None:
         self.instance_id = next(_instance_ids)
         self.n_slots = n_slots
         self.slot_lengths = slot_lengths
-        self.tag_space_id = tag_space_id
         self.master_key = f"msk:{self.instance_id}"
         self.total_length = sum(slot_lengths)
-        self._lock = threading.Lock()
         self._n_encrypt = 0
         self._n_keygen = 0
         self._n_decrypt = 0
@@ -78,8 +73,7 @@ class FEInstance:
         self._operands: _Operands | None = None
 
     def __repr__(self) -> str:
-        return (f"FEInstance(instance_id={self.instance_id}, "
-                f"n_slots={self.n_slots}, tag_space_id={self.tag_space_id})")
+        return f"FEInstance(instance_id={self.instance_id}, n_slots={self.n_slots})"
 
 
 class EncryptionKey:
@@ -143,8 +137,7 @@ class SecretKey:
                 f"nnz={self.funcvec.nnz})")
 
 
-def setup(n_slots: int, slot_lengths: Sequence[int],
-          tag_space_id: int = 0) -> tuple[FEInstance, list[EncryptionKey]]:
+def setup(n_slots: int, slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]:
     """Create a fresh instance and one encryption key per slot."""
     lengths = tuple(int(n) for n in slot_lengths)
     if n_slots < 2:
@@ -155,7 +148,7 @@ def setup(n_slots: int, slot_lengths: Sequence[int],
         )
     if any(n < 1 for n in lengths):
         raise ValueError(f"every slot length must be >= 1, got {lengths}")
-    instance = FEInstance(n_slots, lengths, tag_space_id)
+    instance = FEInstance(n_slots, lengths)
     keys = [EncryptionKey(instance, slot) for slot in range(n_slots)]
     return instance, keys
 
@@ -168,21 +161,20 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
     (tag None) has no such restriction.
     """
     instance = ek._instance
-    payload = tuple(int(v) for v in values)
+    payload = tuple(map(int, values))
     expected = instance.slot_lengths[ek.slot]
     if len(payload) != expected:
         raise ValueError(
             f"slot {ek.slot} expects a vector of length {expected}, got {len(payload)}"
         )
-    with instance._lock:
-        if tag is not None:
-            claim = (ek.slot, tag)
-            if claim in instance._tagged_slots:
-                raise DuplicateSlot(
-                    f"slot {ek.slot} already holds a ciphertext under tag {tag!r}"
-                )
-            instance._tagged_slots.add(claim)
-        instance._n_encrypt += 1
+    if tag is not None:
+        claim = (ek.slot, tag)
+        if claim in instance._tagged_slots:
+            raise DuplicateSlot(
+                f"slot {ek.slot} already holds a ciphertext under tag {tag!r}"
+            )
+        instance._tagged_slots.add(claim)
+    instance._n_encrypt += 1
     return Ciphertext(instance.instance_id, ek.slot, tag, payload)
 
 
@@ -195,8 +187,7 @@ def keygen(instance: FEInstance, tag: object,
             f"function vector dimension {funcvec.dimension} does not match "
             f"the instance's {expected}"
         )
-    with instance._lock:
-        instance._n_keygen += 1
+    instance._n_keygen += 1
     return SecretKey(instance, tag, funcvec)
 
 
@@ -210,7 +201,7 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     are computed once per ciphertext set and reused by the instance's
     other keys; each call still checks and counts on its own.
     """
-    cts = list(ciphertexts)
+    cts = tuple(ciphertexts)
     instance = sk._instance
     for ct in cts:
         if ct.instance_id != sk.instance_id:
@@ -223,17 +214,21 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
             raise TagMismatch(
                 f"ciphertext tag {ct.tag!r} does not match key tag {sk.tag!r}"
             )
-    by_slot: dict[int, Ciphertext] = {}
-    for ct in cts:
-        if ct.slot in by_slot:
-            raise DuplicateSlot(f"slot {ct.slot} appears more than once")
-        by_slot[ct.slot] = ct
-    missing = [slot for slot in range(instance.n_slots) if slot not in by_slot]
-    if missing:
-        raise MissingSlot(f"no ciphertext for slots {missing}")
-    ordered = tuple(by_slot[slot] for slot in range(instance.n_slots))
+    if [ct.slot for ct in cts] == list(range(instance.n_slots)):
+        ordered = cts
+    else:
+        by_slot: dict[int, Ciphertext] = {}
+        for ct in cts:
+            if ct.slot in by_slot:
+                raise DuplicateSlot(f"slot {ct.slot} appears more than once")
+            by_slot[ct.slot] = ct
+        missing = [slot for slot in range(instance.n_slots) if slot not in by_slot]
+        if missing:
+            raise MissingSlot(f"no ciphertext for slots {missing}")
+        ordered = tuple(by_slot[slot] for slot in range(instance.n_slots))
     operands = instance._operands
-    if operands is None or any(a is not b for a, b in zip(operands.ciphertexts, ordered)):
+    # Ciphertext has no __eq__, so tuple comparison is by identity.
+    if operands is None or operands.ciphertexts != ordered:
         operands = _Operands(ordered, [v for ct in ordered for v in ct._payload])
     block = getattr(sk.funcvec, "block", None)
     if block is not None and operands.block is not block:
@@ -241,12 +236,10 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
                              block_residual(block, operands.x))
     instance._operands = operands
     value = sparse_inner_kron(sk.funcvec, operands.x, residual=operands.residual)
-    with instance._lock:
-        instance._n_decrypt += 1
+    instance._n_decrypt += 1
     return value
 
 
 def audit_counters(instance: FEInstance) -> tuple[int, int, int]:
     """Successful (encrypt, keygen, decrypt) counts since setup."""
-    with instance._lock:
-        return (instance._n_encrypt, instance._n_keygen, instance._n_decrypt)
+    return (instance._n_encrypt, instance._n_keygen, instance._n_decrypt)

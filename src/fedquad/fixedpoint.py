@@ -66,15 +66,15 @@ def quantize(value: float, bits: int) -> int:
     return -q if value < 0 else q
 
 
-def _quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
-    """quantize applied to every entry of a float array, as int64.
+def quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
+    """quantize applied to every entry of a float array, as int64 of the same shape.
 
     The same float operations in the same order as quantize, so every
-    entry is bitwise equal to the scalar result.
+    entry is bitwise equal to the scalar result. The guard is checked as
+    |v| < 2**(guard - bits), exact and before ldexp can overflow.
     """
-    with np.errstate(over="ignore"):
-        magnitude = np.ldexp(np.abs(values), bits)
-    within = magnitude < float(1 << QUANTIZE_GUARD_BITS)
+    magnitude = np.abs(values)
+    within = magnitude < math.ldexp(1.0, QUANTIZE_GUARD_BITS - bits)
     if not within.all():
         bad = values[~within][0]
         if np.isnan(bad):
@@ -82,18 +82,26 @@ def _quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
         raise OverflowError(
             f"|{bad}| * 2**{bits} exceeds the 2**{QUANTIZE_GUARD_BITS} quantizer guard"
         )
+    # In place: each full-size temporary costs a fresh allocation.
+    np.ldexp(magnitude, bits, out=magnitude)
+    magnitude += 0.5
+    np.floor(magnitude, out=magnitude)
     # copysign turns a negative value that rounds to zero into -0.0, which
     # the int64 cast makes 0, as the scalar -q does.
-    return np.copysign(np.floor(magnitude + 0.5), values).astype(np.int64)
+    return np.copysign(magnitude, values, out=magnitude).astype(np.int64)
 
 
 def quantize_vector(values, bits: int) -> list[int]:
     """Quantize every entry of a 1-D array-like to a list of Python ints."""
-    return _quantize_array(np.asarray(values, dtype=float).ravel(), bits).tolist()
+    return quantize_array(np.asarray(values, dtype=float).ravel(), bits).tolist()
 
 
 def dequantize(result: ScaledResult) -> float:
-    """Exact raw / 2**scale_exp as a float (single correctly rounded division)."""
+    """Exact raw / 2**scale_exp as a float (single correctly rounded division).
+
+    raw may also be a float array of such integers: dividing by a power of
+    two is exact below 2**126, so rounding raw to a float first changes nothing.
+    """
     return result.raw / (1 << result.scale_exp)
 
 
@@ -101,7 +109,7 @@ def snap_to_grid(values, bits: int) -> np.ndarray:
     """Project real values onto the 2**-bits grid (quantize then dequantize)."""
     arr = np.asarray(values, dtype=float)
     # int64 / 2**bits is one correctly rounded division, as in dequantize.
-    return (_quantize_array(arr.ravel(), bits) / (1 << bits)).reshape(arr.shape)
+    return (quantize_array(arr.ravel(), bits) / (1 << bits)).reshape(arr.shape)
 
 
 def overflow_bound(S: int, F: int, qx: int, qw: int,

@@ -17,6 +17,7 @@ lossless and lets exact-mode runs match a plaintext mirror bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Sequence
 
 import json
@@ -33,16 +34,19 @@ from .baseline import (
     mse_loss,
     taylor_loss,
 )
-from .fixedpoint import (
+# quantize is not called here; perfbench/tracer.py wraps it under this name.
+from .fixedpoint import (  # noqa: F401
     FixedPointConfig,
     ScaledResult,
     dequantize,
     overflow_bound,
     quantize,
+    quantize_array,
     quantize_vector,
     snap_to_grid,
 )
-from .funcvec import SliceVector, all_gradient_slice_vectors, build_layout, logistic_adjust
+from .funcvec import (Layout, SliceVector, all_gradient_slice_vectors, build_layout,
+                      logistic_adjust)
 from .tensor import vec_columns
 
 OVERFLOW_LIMIT_BITS = 126
@@ -160,10 +164,6 @@ class ClientShard:
                     f"({self.features.shape[0]},)"
                 )
 
-    def batch(self, rows: np.ndarray) -> "ClientShard":
-        labels = self.labels[rows] if self.labels is not None else None
-        return ClientShard(self.features[rows], labels)
-
 
 @dataclass(frozen=True, eq=False)
 class ModelState:
@@ -278,51 +278,88 @@ def iteration_record(metrics: IterationMetrics) -> dict:
     }
 
 
-def _label_client(shards: Sequence[ClientShard]) -> int:
-    holders = [i for i, sh in enumerate(shards) if sh.labels is not None]
-    if len(holders) != 1:
-        raise ValueError(f"exactly one shard must hold labels, got {len(holders)}")
-    return holders[0]
+class TrainingPlan:
+    """What a run needs from its shards, computed once before the first iteration.
+
+    It holds the label holder and the checked row counts, one Layout per
+    batch size, the central X and y for the oracle, and every row of
+    [X_0 | ... | X_{N-1} | y_eff] quantized at data scale together with
+    its largest magnitude for the overflow bound (y_eff is y, or y - 1/2
+    for the logistic surrogate). Quantization is elementwise, so the rows
+    of a batch sliced from here are exactly the integers each client
+    would quantize from that batch itself.
+    """
+
+    def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
+        if not shards:
+            raise ValueError("need at least one client shard, got none")
+        holders = [i for i, sh in enumerate(shards) if sh.labels is not None]
+        if len(holders) != 1:
+            raise ValueError(f"exactly one shard must hold labels, got {len(holders)}")
+        n_rows = shards[0].features.shape[0]
+        for i, sh in enumerate(shards):
+            if sh.features.shape[0] != n_rows:
+                raise ValueError(f"client {i} has {sh.features.shape[0]} rows, expected {n_rows}")
+        self.config = config
+        self.n_rows = n_rows
+        self.label_index = holders[0]
+        self.features_per_client = tuple(sh.features.shape[1] for sh in shards)
+        self.y = shards[self.label_index].labels
+        # logistic_adjust(1.0, y) is (1/4, y - 1/2): the factor on w and y_eff.
+        self.weight_factor, y_eff = (logistic_adjust(1.0, self.y)
+                                     if config.model_kind == MODEL_LOGISTIC_TAYLOR
+                                     else (1.0, self.y))
+        data = np.column_stack([*(sh.features for sh in shards), y_eff])
+        self.X = data[:, :-1]
+        # max(max, -min) is max |.| without a full-size temporary.
+        self.row_max_abs = np.maximum(data.max(axis=1), -data.min(axis=1))
+        self.quantized = quantize_array(data, config.codec.data_bits)
+        # Each slot's columns of `quantized`: one per client, then the label.
+        edges = list(accumulate((*self.features_per_client, 1), initial=0))
+        self.columns = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+        self._layouts: dict[int, Layout] = {}
+
+    def layout(self, batch_size: int) -> Layout:
+        if batch_size not in self._layouts:
+            self._layouts[batch_size] = build_layout(
+                len(self.features_per_client), batch_size, self.features_per_client)
+        return self._layouts[batch_size]
 
 
-def run_iteration(state: ModelState, shards: Sequence[ClientShard],
-                  config: TrainingConfig, *, iteration: int = 0,
+def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
+                  rows: np.ndarray | TrainingConfig, *, iteration: int = 0,
                   bus: MessageBus | None = None,
                   fe_setup: tuple[fe.FEInstance, list[fe.EncryptionKey]] | None = None,
                   artifacts_out: list[IterationArtifacts] | None = None,
                   ) -> tuple[np.ndarray, ModelState, IterationMetrics]:
-    """One secure gradient step: setup, encrypt, keygen, decrypt, update.
+    """One secure gradient step on the plan's rows: setup, encrypt, keygen, decrypt, update.
 
-    fe_setup reuses an existing instance instead of a fresh one; that is
-    a debug hook for demonstrating the mix-and-match attack and must not
-    be used otherwise.
+    Called as run_iteration(state, shards, config), it plans those shards
+    and uses all their rows. fe_setup reuses an existing instance instead
+    of a fresh one; that is a debug hook for demonstrating the
+    mix-and-match attack and must not be used otherwise.
     """
+    if not isinstance(plan, TrainingPlan):
+        plan = TrainingPlan(plan, rows)
+        rows = np.arange(plan.n_rows)
     if bus is None:
         bus = MessageBus()
-    n_clients = len(shards)
-    label_index = _label_client(shards)
-    S = shards[0].features.shape[0]
-    for i, sh in enumerate(shards):
-        if sh.features.shape[0] != S:
-            raise ValueError(
-                f"client {i} has {sh.features.shape[0]} rows, expected {S}"
-            )
-    features_per_client = [sh.features.shape[1] for sh in shards]
-    layout = build_layout(n_clients, S, features_per_client)
-    F = layout.feature_total
-    if state.weights.shape != (F,):
-        raise ValueError(f"weights have shape {state.weights.shape}, expected ({F},)")
-
-    labels = shards[label_index].labels
-    if state.model_kind == MODEL_LOGISTIC_TAYLOR:
-        w_eff, y_eff = logistic_adjust(state.weights, labels)
-    else:
-        w_eff, y_eff = state.weights, labels
-
+    config = plan.config
     codec = config.codec
-    max_abs_x = max(max(float(np.max(np.abs(sh.features))) for sh in shards),
-                    float(np.max(np.abs(y_eff))))
-    max_abs_w = max(1.0, float(np.max(np.abs(w_eff))))
+    S = len(rows)
+    layout = plan.layout(S)
+    n_clients = layout.n_clients
+    F = layout.feature_total
+    w = state.weights
+    if w.shape != (F,):
+        raise ValueError(f"weights have shape {w.shape}, expected ({F},)")
+    if state.model_kind != config.model_kind:
+        raise ValueError(f"state is for model {state.model_kind!r}, "
+                         f"the plan for {config.model_kind!r}")
+    w_eff = w * plan.weight_factor
+
+    max_abs_x = float(plan.row_max_abs[rows].max())
+    max_abs_w = max(1.0, float(np.abs(w_eff).max()))
     bound = overflow_bound(S, F, codec.data_bits, codec.weight_bits,
                            max_abs_x, max_abs_w)
     if bound >= 1 << OVERFLOW_LIMIT_BITS:
@@ -334,50 +371,44 @@ def run_iteration(state: ModelState, shards: Sequence[ClientShard],
     tag = iteration if config.tagged else None
     ttp = ActorId.ttp()
     aggregator = ActorId.aggregator()
+    # Each slot's quantized batch columns, stacked: x = [x_0||...||x_{N-1}||y].
+    x = vec_columns(plan.quantized[rows]).tolist()
+    payloads = [x[c.start * S:c.stop * S] for c in plan.columns]
 
     # TTP: fresh instance with one slot per client plus the label slot.
     if fe_setup is None:
-        slot_lengths = [S * f for f in features_per_client] + [S]
-        instance, eks = fe.setup(n_clients + 1, slot_lengths)
+        instance, eks = fe.setup(n_clients + 1, [len(p) for p in payloads])
     else:
         instance, eks = fe_setup
     for i in range(n_clients):
-        keys = (eks[i], eks[n_clients]) if i == label_index else (eks[i],)
+        keys = (eks[i], eks[n_clients]) if i == plan.label_index else (eks[i],)
         bus.send(Message(ttp, ActorId.client(i), iteration, DeliverKeys(keys)))
 
-    # Clients: quantize and encrypt; the label holder fills the label slot too.
+    # Clients: encrypt their block; the label holder fills the label slot too.
     all_cts: list[fe.Ciphertext] = []
     encryptions_per_client = []
-    for i, sh in enumerate(shards):
-        x_q = quantize_vector(vec_columns(sh.features), codec.data_bits)
-        cts = [fe.encrypt(eks[i], tag, x_q)]
-        if i == label_index:
-            y_q = quantize_vector(y_eff, codec.data_bits)
-            cts.append(fe.encrypt(eks[n_clients], tag, y_q))
+    for i in range(n_clients):
+        cts = [fe.encrypt(eks[i], tag, payloads[i])]
+        if i == plan.label_index:
+            cts.append(fe.encrypt(eks[n_clients], tag, payloads[n_clients]))
         bus.send(Message(ActorId.client(i), aggregator, iteration,
                          ClientCiphertexts(tuple(cts))))
         all_cts.extend(cts)
         encryptions_per_client.append(len(cts))
+    all_cts.sort(key=lambda ct: ct.slot)
 
     # Aggregator: coefficient vectors from its (effective) weights.
-    segments = []
-    start = 0
-    for f in features_per_client:
-        segments.append([quantize(v, codec.weight_bits) for v in w_eff[start:start + f]])
-        start += f
+    w_q = quantize_vector(w_eff, codec.weight_bits)
+    segments = [w_q[c] for c in plan.columns[:-1]]
     funcvecs = all_gradient_slice_vectors(segments, codec.one_weight, layout)
     bus.send(Message(aggregator, ttp, iteration, FuncVecRequest(tuple(funcvecs))))
     secret_keys = [fe.keygen(instance, tag, c) for c in funcvecs]
     bus.send(Message(ttp, aggregator, iteration, SecretKeys(tuple(secret_keys))))
 
     # Aggregator: one decryption per gradient slice, in (client, feature) order.
-    residual_products = [
-        dequantize(ScaledResult(fe.decrypt(all_cts, sk), codec.scale_exp))
-        for sk in secret_keys
-    ]
-    res = np.array(residual_products, dtype=float)
+    raws = [fe.decrypt(all_cts, sk) for sk in secret_keys]
+    res = dequantize(ScaledResult(np.array(raws, dtype=float), codec.scale_exp))
     lam = state.reg_lambda
-    w = state.weights
     if state.model_kind == MODEL_LINEAR:
         gradient = (-2.0 * res) / S + lam * w
     else:
@@ -388,19 +419,19 @@ def run_iteration(state: ModelState, shards: Sequence[ClientShard],
     new_state = replace(state, weights=new_w)
 
     # Plaintext oracle view for diagnostics, at the weights just used.
-    X_central = np.hstack([sh.features for sh in shards])
+    X, y = plan.X[rows], plan.y[rows]
     if state.model_kind == MODEL_LINEAR:
-        oracle = centralized_gradient_linear(X_central, labels, w, lam)
-        loss = mse_loss(X_central, labels, w)
+        oracle = centralized_gradient_linear(X, y, w, lam)
+        loss = mse_loss(X, y, w)
     else:
-        oracle = centralized_gradient_logistic_taylor(X_central, labels, w, lam)
-        loss = taylor_loss(X_central, labels, w)
+        oracle = centralized_gradient_logistic_taylor(X, y, w, lam)
+        loss = taylor_loss(X, y, w)
     diff = float(np.max(np.abs(gradient - oracle)))
 
     metrics = IterationMetrics(
         iteration=iteration,
         encryptions_per_client=tuple(encryptions_per_client),
-        decryptions=len(residual_products),
+        decryptions=len(raws),
         gradient=gradient,
         loss=loss,
         max_abs_grad_diff_vs_oracle=diff,
@@ -461,19 +492,14 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
     initial weights sit on the weight grid (the zero default always
     does).
     """
-    n_rows = shards[0].features.shape[0]
-    for i, sh in enumerate(shards):
-        if sh.features.shape[0] != n_rows:
-            raise ValueError(f"client {i} has {sh.features.shape[0]} rows, expected {n_rows}")
-    _label_client(shards)
-    F = sum(sh.features.shape[1] for sh in shards)
+    plan = TrainingPlan(shards, config)
     if initial_weights is None:
-        weights = np.zeros(F)
+        weights = np.zeros(plan.X.shape[1])
     else:
         weights = np.asarray(initial_weights, dtype=float)
     state = ModelState(weights, config.learning_rate, config.reg_lambda,
                        config.model_kind)
-    schedule = make_batch_schedule(n_rows, config.batch_size,
+    schedule = make_batch_schedule(plan.n_rows, config.batch_size,
                                    config.iterations, config.seed)
     bus = MessageBus()
     artifacts: list[IterationArtifacts] = []
@@ -481,17 +507,14 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
 
     fe_setup = None
     if config.reuse_fe_instance and config.iterations > 0:
-        features_per_client = [sh.features.shape[1] for sh in shards]
-        slot_lengths = [config.batch_size * f for f in features_per_client]
-        slot_lengths.append(config.batch_size)
-        fe_setup = fe.setup(len(shards) + 1, slot_lengths)
+        slot_lengths = [config.batch_size * (c.stop - c.start) for c in plan.columns]
+        fe_setup = fe.setup(len(slot_lengths), slot_lengths)
 
     metrics_history = []
     weight_history = []
     for t, rows in enumerate(schedule):
-        batch = [sh.batch(rows) for sh in shards]
         _, state, metrics = run_iteration(
-            state, batch, config, iteration=t, bus=bus, fe_setup=fe_setup,
+            state, plan, rows, iteration=t, bus=bus, fe_setup=fe_setup,
             artifacts_out=collect,
         )
         metrics_history.append(metrics)

@@ -76,8 +76,8 @@ def block_residual(block, x: Sequence[int]):
     """(x, r) as numpy arrays for a coefficient block, or None past the width.
 
     `block` provides `rows` (S) and `coefficients` (one per S-long column of
-    x, so len(x) == S * len(coefficients)). r_s = sum_c coefficients[c] *
-    x[c*S + s] is the residual every slice vector on that block shares.
+    the Python-int list x). r_s = sum_c coefficients[c] * x[c*S + s] is
+    the residual every slice vector on that block shares.
     B = S * sum|coefficients| * max|x|**2 (each factor at least 1) bounds
     every partial sum of r and of any slice's sum_s x[base + s] * r_s, as
     well as every single x and coefficient. Below 2**63 the arrays are
@@ -85,14 +85,13 @@ def block_residual(block, x: Sequence[int]):
     None, and callers fall back to the per-term loop, which raises exactly
     where the accumulator leaves its width.
     """
-    xs = [int(v) for v in x]
     coefficients = block.coefficients
-    largest = max(1, max(map(abs, xs)))
+    largest = max(1, max(x), -min(x))
     bound = block.rows * max(1, sum(map(abs, coefficients))) * largest * largest
     if bound >= 1 << (ACCUMULATOR_BITS - 1):
         return None
     dtype = np.int64 if bound < INT64_LIMIT else object
-    columns = np.array(xs, dtype=dtype).reshape(len(coefficients), block.rows)
+    columns = np.array(x, dtype=dtype).reshape(len(coefficients), block.rows)
     residual = np.array(coefficients, dtype=dtype) @ columns
     return columns.ravel(), residual
 
@@ -118,7 +117,7 @@ def sparse_inner_kron(c, x: Sequence[int], *, residual=None) -> int:
     block = getattr(c, "block", None)
     if block is not None:
         if residual is None:
-            residual = block_residual(block, x)
+            residual = block_residual(block, [int(v) for v in x])
         if residual is not None:
             xa, r = residual
             return int(xa[c.base_row:c.base_row + block.rows] @ r)

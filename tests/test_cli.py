@@ -99,6 +99,30 @@ class TestTrain:
                 parser.parse_args(["train", "--features-per-client", bad])
 
 
+class TestErrors:
+    def test_diverging_run_exits_2_with_one_line_and_no_traceback(self):
+        import subprocess
+        import sys
+
+        # --lr 5 diverges until a weight leaves the quantizer's range.
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedquad", "train", "--synthetic",
+             "--lr", "5", "--iters", "10"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("fedquad: error: ")
+        assert "quantizer guard" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_value_exits_2(self, capsys):
+        assert main(["train", "--synthetic", "--rows", "16",
+                     "--batch-size", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err == "fedquad: error: batch_size 100 exceeds dataset rows 16\n"
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         assert main(["verify"]) == 0

@@ -106,6 +106,12 @@ class TestDecrypt:
         with pytest.raises(fe.InstanceMismatch):
             fe.decrypt(cts, _single_product_key(inst_next))
 
+    def test_slot_order_does_not_matter(self):
+        instance, keys = fe.setup(3, [1, 1, 1])
+        cts = [fe.encrypt(keys[slot], None, [slot + 2]) for slot in range(3)]
+        sk = fe.keygen(instance, None, SparseFunctionVector(9, ((1, 1),)))  # x0 * x1
+        assert fe.decrypt(cts, sk) == fe.decrypt(cts[::-1], sk) == 6
+
     def test_missing_slot(self):
         instance, keys = fe.setup(2, [1, 1])
         with pytest.raises(fe.MissingSlot):

@@ -11,6 +11,7 @@ from fedquad.fixedpoint import (
     inner_product_error_bound,
     overflow_bound,
     quantize,
+    quantize_array,
     quantize_vector,
     snap_to_grid,
 )
@@ -65,6 +66,13 @@ def _scalar_or_error(values, bits):
         return type(err)
 
 
+def _scalar_or_error_vector(values, bits):
+    try:
+        return quantize_vector(np.array(values, dtype=float), bits)
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
 class TestVectorizedQuantize:
     """quantize_vector and snap_to_grid against the scalar quantize loop."""
 
@@ -99,8 +107,31 @@ class TestVectorizedQuantize:
         with pytest.raises(error):
             snap_to_grid(values, 12)
 
+    @pytest.mark.parametrize("bits", [0, 1, 12, 24])
+    def test_guard_edge_at_every_bit_count(self, bits):
+        edge = 2.0 ** (62 - bits)
+        for v in (np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0), edge, -edge):
+            assert _scalar_or_error([v], bits) == _scalar_or_error_vector([v], bits)
+
+    def test_array_keeps_shape(self):
+        values = np.array([[0.5, -1.25], [2.75, -0.5], [3.0, 0.0]])
+        got = quantize_array(values, 1)
+        assert got.dtype == np.int64 and got.shape == (3, 2)
+        assert got.tolist() == [[quantize(v, 1) for v in row] for row in values]
+
 
 class TestDequantize:
+    def test_float_array_matches_scalar_bitwise(self):
+        # Raws up to 126 bits, including ones that round to a float tie.
+        rng = np.random.default_rng(5)
+        raws = [int(r) << int(k) for r, k in zip(rng.integers(-(1 << 62), 1 << 62, 200),
+                                                 rng.integers(0, 64, 200))]
+        raws += [((1 << 53) + 1) << 60, -(((1 << 53) + 3) << 40), (1 << 53) - 1]
+        for scale in (0, 36, 72):
+            got = dequantize(ScaledResult(np.array(raws, dtype=float), scale))
+            scalar = np.array([dequantize(ScaledResult(r, scale)) for r in raws])
+            assert got.tobytes() == scalar.tobytes()
+
     def test_zero(self):
         assert dequantize(ScaledResult(0, 16)) == 0.0
 

@@ -107,6 +107,14 @@ class TestInt64Boundary:
         assert expected == one - w
         assert sparse_inner_kron(c, x) == expected
 
+    def test_negative_x_counts_in_the_bound(self):
+        # sum|coef| = 2**61 and max|x| = 2 comes from the negative entry:
+        # bound 2**63, so the object path.
+        c = _one_slice(-(1 << 60), 1 << 60)
+        _, r = block_residual(c.block, [-2, 1])
+        assert r.dtype == object
+        assert sparse_inner_kron(c, [-2, 1]) == _reference(c, [-2, 1])
+
     def test_bound_edge_across_rows(self):
         # S=7 rows, sum|coef| = (2**63 - 1) / 7, |x| = 1: bound 2**63 - 1,
         # and every row pushes the sum the same way.

@@ -13,7 +13,7 @@ from fedquad.baseline import (
     centralized_gradient_logistic_taylor,
     centralized_training,
 )
-from fedquad.fixedpoint import FixedPointConfig
+from fedquad.fixedpoint import FixedPointConfig, quantize_vector
 from fedquad.protocol import (
     ActorId,
     ClientShard,
@@ -21,6 +21,7 @@ from fedquad.protocol import (
     MessageBus,
     ModelState,
     TrainingConfig,
+    TrainingPlan,
     DeliverKeys,
     exact_codec,
     iteration_record,
@@ -30,6 +31,7 @@ from fedquad.protocol import (
     run_training,
     weight_grid_bits,
 )
+from fedquad.tensor import vec_columns
 from fedquad.verify import (
     gradient_error_bound,
     random_exact_instance,
@@ -140,11 +142,34 @@ class TestRunIteration:
         with pytest.raises(ValueError):
             run_iteration(state, shards, TrainingConfig())
 
+    @pytest.mark.parametrize("call", [
+        lambda: run_iteration(ModelState(np.zeros(1), 0.1, 0.0, MODEL_LINEAR),
+                              [], TrainingConfig()),
+        lambda: run_training([], TrainingConfig()),
+    ], ids=["run_iteration", "run_training"])
+    def test_empty_shard_list_rejected(self, call):
+        with pytest.raises(ValueError, match="at least one client shard"):
+            call()
+
+    def test_model_kind_mismatch_rejected(self):
+        shards, state = _hand_instance()
+        config = TrainingConfig(model_kind=MODEL_LOGISTIC_TAYLOR)
+        with pytest.raises(ValueError, match="model"):
+            run_iteration(state, shards, config)
+
     def test_overflow_guard_refuses_to_run(self):
         shards = [ClientShard(np.full((4, 2), 1e9), np.full(4, 1e9))]
         state = ModelState(np.full(2, 1e9), 0.1, 0.0, MODEL_LINEAR)
         config = TrainingConfig(codec=FixedPointConfig(24, 24))
         with pytest.raises(OverflowError):
+            run_iteration(state, shards, config)
+
+    def test_overflow_guard_counts_negative_values(self):
+        # Each row's largest magnitude is its negative entry.
+        shards = [ClientShard(np.tile([-1e9, 1.0], (4, 1)), np.ones(4))]
+        state = ModelState(np.full(2, 1e9), 0.1, 0.0, MODEL_LINEAR)
+        config = TrainingConfig(codec=FixedPointConfig(24, 24))
+        with pytest.raises(OverflowError, match="worst-case accumulation"):
             run_iteration(state, shards, config)
 
 
@@ -294,6 +319,67 @@ class TestRunTraining:
         long, result = held_after(16)
         assert len(result.metrics) == 16
         assert long - short < 14 * 4096
+
+
+class TestTrainingPlan:
+    """The per-run plan against explicit per-iteration batches, bit for bit."""
+
+    @staticmethod
+    def _shards():
+        # Negative values and exact .5 ties at every codec used below:
+        # halves (0 bits), odd quarters (1 bit) and odd multiples of 2**-17.
+        rng = np.random.default_rng(27)
+        ties = np.array([0.5, -1.5, 2.25, -0.75, 3 * 2.0 ** -17, -5 * 2.0 ** -17])
+
+        def block(cols):
+            values = rng.integers(-4, 5, size=(12, cols)) + rng.choice(ties, size=(12, cols))
+            return values.astype(float)
+
+        labels = rng.integers(0, 2, size=12) + rng.choice(ties, size=12)
+        return [ClientShard(block(2)), ClientShard(block(1), labels), ClientShard(block(2))]
+
+    @pytest.mark.parametrize("codec", ["exact", "16/16"])
+    @pytest.mark.parametrize("tagged", [False, True])
+    @pytest.mark.parametrize("model_kind", [MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR])
+    def test_plan_path_equals_explicit_batches(self, model_kind, tagged, codec):
+        shards = self._shards()
+        codec = exact_codec(model_kind) if codec == "exact" else FixedPointConfig(16, 16)
+        config = TrainingConfig(model_kind=model_kind, iterations=6, batch_size=4,
+                                learning_rate=0.05, reg_lambda=0.1, seed=8,
+                                codec=codec, tagged=tagged)
+        initial = np.array([0.5, -1.5, 2.0, -0.25, 1.0])
+        result = run_training(shards, config, initial_weights=initial)
+
+        plan = TrainingPlan(shards, config)
+        labels = shards[1].labels
+        y_eff = labels - 0.5 if model_kind == MODEL_LOGISTIC_TAYLOR else labels
+        state = ModelState(initial, config.learning_rate, config.reg_lambda, model_kind)
+        bus = MessageBus()
+        schedule = make_batch_schedule(12, 4, 6, 8)
+        for t, rows in enumerate(schedule):
+            batch = [ClientShard(sh.features[rows],
+                                 labels[rows] if sh.labels is not None else None)
+                     for sh in shards]
+            block = plan.quantized[rows]
+            for sh, columns in zip(batch, plan.columns):
+                assert (vec_columns(block[:, columns]).tolist()
+                        == quantize_vector(vec_columns(sh.features), codec.data_bits))
+            assert (block[:, -1].tolist()
+                    == quantize_vector(y_eff[rows], codec.data_bits))
+
+            gradient, state, metrics = run_iteration(state, batch, config,
+                                                     iteration=t, bus=bus)
+            expected = result.metrics[t]
+            assert gradient.tobytes() == expected.gradient.tobytes()
+            assert state.weights.tobytes() == result.weight_history[t].tobytes()
+            assert (metrics.iteration, metrics.encryptions_per_client,
+                    metrics.decryptions) == (expected.iteration,
+                                             expected.encryptions_per_client,
+                                             expected.decryptions)
+            assert metrics.loss.hex() == expected.loss.hex()
+            assert (metrics.max_abs_grad_diff_vs_oracle.hex()
+                    == expected.max_abs_grad_diff_vs_oracle.hex())
+        assert bus.header_log() == result.bus.header_log()
 
 
 class TestBatchSchedule:
