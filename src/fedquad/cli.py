@@ -2,10 +2,11 @@
 
 train runs secure training over a CSV dataset split by a partition spec
 (or over a seeded synthetic dataset) and emits line-delimited JSON
-metrics, one record per iteration plus one summary record. verify runs
-the named self-check battery and exits nonzero if any check fails. synth
-writes a synthetic dataset, its partition spec, and the generating
-weights to a directory.
+metrics: one record per iteration, written as soon as it is made, then
+one summary record. A record holding a NaN or an infinity is refused, not
+written. verify runs the named self-check battery and exits nonzero if
+any check fails. synth writes a synthetic dataset, its partition spec,
+and the generating weights to a directory.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, mse_loss, taylor_loss
 from .data import (
@@ -29,6 +32,11 @@ from .protocol import TrainingConfig, exact_codec, iteration_record, run_trainin
 from .verify import run_all_checks
 
 MODEL_BY_FLAG = {"linear": MODEL_LINEAR, "logistic": MODEL_LOGISTIC_TAYLOR}
+
+# json.dumps(record, sort_keys=True, allow_nan=False) without building an
+# encoder per record: a NaN or an infinity raises ValueError instead of
+# being written.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def _parse_feature_counts(text: str) -> list[int]:
@@ -135,33 +143,41 @@ def cmd_train(args: argparse.Namespace) -> int:
         codec=_codec_for(args, model_kind),
         tagged=args.tagged,
     )
-    result = run_training(shards, config)
+    out = None
 
-    weights = result.state.weights
-    if model_kind == MODEL_LINEAR:
-        final_loss = mse_loss(central.X, central.y, weights)
-    else:
-        final_loss = taylor_loss(central.X, central.y, weights)
-    lines = [json.dumps({"record": "iteration", **iteration_record(m)},
-                        sort_keys=True)
-             for m in result.metrics]
-    summary = {
-        "record": "summary",
-        "model": args.model,
-        "iterations": config.iterations,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-        "data_bits": config.codec.data_bits,
-        "weight_bits": config.codec.weight_bits,
-        "final_loss": final_loss,
-        "final_weights": [float(v) for v in weights],
-    }
-    lines.append(json.dumps(summary, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    def emit(record: dict) -> None:
+        line = _RECORD_ENCODER.encode(record) + "\n"
+        nonlocal out
+        if out is None:
+            out = open(args.out, "w") if args.out else sys.stdout
+        out.write(line)
+
+    try:
+        # A run whose floats overflow is refused with one error line (a
+        # non-finite value raises in run_training, in the quantizer guard or
+        # in emit), so numpy's own overflow warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_training(shards, config, on_iteration=lambda m: emit(
+                {"record": "iteration", **iteration_record(m)}))
+        weights = result.state.weights
+        if model_kind == MODEL_LINEAR:
+            final_loss = mse_loss(central.X, central.y, weights)
+        else:
+            final_loss = taylor_loss(central.X, central.y, weights)
+        emit({
+            "record": "summary",
+            "model": args.model,
+            "iterations": config.iterations,
+            "batch_size": config.batch_size,
+            "seed": config.seed,
+            "data_bits": config.codec.data_bits,
+            "weight_bits": config.codec.weight_bits,
+            "final_loss": final_loss,
+            "final_weights": [float(v) for v in weights],
+        })
+    finally:
+        if out is not None and out is not sys.stdout:
+            out.close()
     return 0
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .funcvec import ResidualBlock, SliceVector, SparseFunctionVector
-from .tensor import block_residual, sparse_inner_kron
+from .tensor import block_residual, seal, sparse_inner_kron
 
 
 class FEError(Exception):
@@ -52,7 +54,7 @@ class _Operands(NamedTuple):
     """
 
     ciphertexts: tuple[Ciphertext, ...]
-    x: list[int]
+    x: np.ndarray
     block: ResidualBlock | None = None
     residual: tuple | None = None
 
@@ -93,14 +95,16 @@ class EncryptionKey:
 class Ciphertext:
     """Sealed integer vector; only the header is public.
 
-    The payload has no accessor and never appears in repr or header
-    output. Decryption inside this module is the single reader.
+    The payload is a read-only copy of the encrypted values (int64 when
+    every value fits, Python ints otherwise; see tensor.seal). It has no
+    accessor and never appears in repr or header output. Decryption
+    inside this module is the single reader.
     """
 
     __slots__ = ("instance_id", "slot", "tag", "_payload")
 
     def __init__(self, instance_id: int, slot: int, tag: object,
-                 payload: tuple[int, ...]) -> None:
+                 payload: np.ndarray) -> None:
         self.instance_id = instance_id
         self.slot = slot
         self.tag = tag
@@ -158,10 +162,11 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
 
     With a non-None tag, at most one ciphertext may exist per (slot, tag)
     within an instance; re-encryption raises DuplicateSlot. Untagged use
-    (tag None) has no such restriction.
+    (tag None) has no such restriction. The ciphertext keeps a read-only
+    copy, so later changes to `values` do not reach it.
     """
     instance = ek._instance
-    payload = tuple(map(int, values))
+    payload = seal(values)
     expected = instance.slot_lengths[ek.slot]
     if len(payload) != expected:
         raise ValueError(
@@ -229,7 +234,7 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     operands = instance._operands
     # Ciphertext has no __eq__, so tuple comparison is by identity.
     if operands is None or operands.ciphertexts != ordered:
-        operands = _Operands(ordered, [v for ct in ordered for v in ct._payload])
+        operands = _Operands(ordered, np.concatenate([ct._payload for ct in ordered]))
     block = getattr(sk.funcvec, "block", None)
     if block is not None and operands.block is not block:
         operands = _Operands(operands.ciphertexts, operands.x, block,

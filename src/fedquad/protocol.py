@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import json
+import math
 
 import numpy as np
 
@@ -45,100 +46,54 @@ from .fixedpoint import (  # noqa: F401
     quantize_vector,
     snap_to_grid,
 )
-from .funcvec import (Layout, SliceVector, all_gradient_slice_vectors, build_layout,
-                      logistic_adjust)
+from .funcvec import Layout, all_gradient_slice_vectors, build_layout, logistic_adjust
 from .tensor import vec_columns
 
 OVERFLOW_LIMIT_BITS = 126
 
 
-@dataclass(frozen=True)
-class ActorId:
-    """One of the three entity kinds; clients carry their index."""
-
-    kind: str
-    client_index: int | None = None
-
-    @classmethod
-    def ttp(cls) -> "ActorId":
-        return cls("ttp")
-
-    @classmethod
-    def aggregator(cls) -> "ActorId":
-        return cls("aggregator")
-
-    @classmethod
-    def client(cls, index: int) -> "ActorId":
-        return cls("client", index)
-
-    def __str__(self) -> str:
-        if self.kind == "client":
-            return f"client{self.client_index}"
-        return self.kind
+# Actor names as they appear in message headers.
+TTP = "ttp"
+AGGREGATOR = "aggregator"
 
 
-@dataclass(frozen=True)
-class DeliverKeys:
-    keys: tuple[fe.EncryptionKey, ...]
+def client_name(index: int) -> str:
+    return f"client{index}"
 
 
-@dataclass(frozen=True)
-class ClientCiphertexts:
-    ciphertexts: tuple[fe.Ciphertext, ...]
+class Header(NamedTuple):
+    """One message's transport metadata: actor names, iteration, body kind and size.
 
+    The body itself (keys, ciphertexts, function vectors) is never
+    recorded; size is the number of items it carried.
+    """
 
-@dataclass(frozen=True)
-class FuncVecRequest:
-    funcvecs: tuple[SliceVector, ...]
-
-
-@dataclass(frozen=True)
-class SecretKeys:
-    keys: tuple[fe.SecretKey, ...]
-
-
-_BODY_KINDS = {
-    DeliverKeys: "deliver_keys",
-    ClientCiphertexts: "client_ciphertexts",
-    FuncVecRequest: "funcvec_request",
-    SecretKeys: "secret_keys",
-}
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: ActorId
-    recipient: ActorId
+    sender: str
+    recipient: str
     iteration: int
-    body: object
+    kind: str
+    size: int
 
-    def header(self) -> dict:
-        """Transport metadata only; payload contents never appear here."""
-        (items,) = vars(self.body).values()
-        return {
-            "from": str(self.sender),
-            "to": str(self.recipient),
-            "iteration": self.iteration,
-            "kind": _BODY_KINDS[type(self.body)],
-            "size": len(items),
-        }
+    def as_dict(self) -> dict:
+        return {"from": self.sender, "to": self.recipient, "iteration": self.iteration,
+                "kind": self.kind, "size": self.size}
 
 
 class MessageBus:
     """Ordered header record of every message of a run.
 
-    Only the header is kept, so the log holds no FE object and its size
+    Only headers are sent, so the log holds no FE object and its size
     does not depend on S or F.
     """
 
     def __init__(self) -> None:
-        self.messages: list[dict] = []
+        self.messages: list[Header] = []
 
-    def send(self, message: Message) -> None:
-        self.messages.append(message.header())
+    def send(self, header: Header) -> None:
+        self.messages.append(header)
 
     def header_log(self) -> list[dict]:
-        return list(self.messages)
+        return [h.as_dict() for h in self.messages]
 
     def export_jsonl(self) -> str:
         """One JSON object per line, headers only."""
@@ -271,7 +226,8 @@ def iteration_record(metrics: IterationMetrics) -> dict:
     return {
         "iteration": metrics.iteration,
         "loss": metrics.loss,
-        "grad_norm": float(np.linalg.norm(metrics.gradient)),
+        # np.linalg.norm of a real vector is sqrt(g.dot(g)); this skips its wrapper.
+        "grad_norm": math.sqrt(metrics.gradient.dot(metrics.gradient)),
         "max_abs_grad_diff_vs_oracle": metrics.max_abs_grad_diff_vs_oracle,
         "encryptions_per_client": list(metrics.encryptions_per_client),
         "decryptions": metrics.decryptions,
@@ -369,10 +325,8 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
         )
 
     tag = iteration if config.tagged else None
-    ttp = ActorId.ttp()
-    aggregator = ActorId.aggregator()
     # Each slot's quantized batch columns, stacked: x = [x_0||...||x_{N-1}||y].
-    x = vec_columns(plan.quantized[rows]).tolist()
+    x = vec_columns(plan.quantized[rows])
     payloads = [x[c.start * S:c.stop * S] for c in plan.columns]
 
     # TTP: fresh instance with one slot per client plus the label slot.
@@ -382,7 +336,7 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
         instance, eks = fe_setup
     for i in range(n_clients):
         keys = (eks[i], eks[n_clients]) if i == plan.label_index else (eks[i],)
-        bus.send(Message(ttp, ActorId.client(i), iteration, DeliverKeys(keys)))
+        bus.send(Header(TTP, client_name(i), iteration, "deliver_keys", len(keys)))
 
     # Clients: encrypt their block; the label holder fills the label slot too.
     all_cts: list[fe.Ciphertext] = []
@@ -391,8 +345,8 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
         cts = [fe.encrypt(eks[i], tag, payloads[i])]
         if i == plan.label_index:
             cts.append(fe.encrypt(eks[n_clients], tag, payloads[n_clients]))
-        bus.send(Message(ActorId.client(i), aggregator, iteration,
-                         ClientCiphertexts(tuple(cts))))
+        bus.send(Header(client_name(i), AGGREGATOR, iteration,
+                        "client_ciphertexts", len(cts)))
         all_cts.extend(cts)
         encryptions_per_client.append(len(cts))
     all_cts.sort(key=lambda ct: ct.slot)
@@ -401,9 +355,9 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
     w_q = quantize_vector(w_eff, codec.weight_bits)
     segments = [w_q[c] for c in plan.columns[:-1]]
     funcvecs = all_gradient_slice_vectors(segments, codec.one_weight, layout)
-    bus.send(Message(aggregator, ttp, iteration, FuncVecRequest(tuple(funcvecs))))
+    bus.send(Header(AGGREGATOR, TTP, iteration, "funcvec_request", len(funcvecs)))
     secret_keys = [fe.keygen(instance, tag, c) for c in funcvecs]
-    bus.send(Message(ttp, aggregator, iteration, SecretKeys(tuple(secret_keys))))
+    bus.send(Header(TTP, AGGREGATOR, iteration, "secret_keys", len(secret_keys)))
 
     # Aggregator: one decryption per gradient slice, in (client, feature) order.
     raws = [fe.decrypt(all_cts, sk) for sk in secret_keys]
@@ -426,7 +380,7 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
     else:
         oracle = centralized_gradient_logistic_taylor(X, y, w, lam)
         loss = taylor_loss(X, y, w)
-    diff = float(np.max(np.abs(gradient - oracle)))
+    diff = float(abs(gradient - oracle).max())
 
     metrics = IterationMetrics(
         iteration=iteration,
@@ -484,13 +438,17 @@ class TrainingResult:
 
 
 def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
-                 initial_weights=None) -> TrainingResult:
+                 initial_weights=None, *,
+                 on_iteration: Callable[[IterationMetrics], None] | None = None,
+                 ) -> TrainingResult:
     """T secure iterations over seeded mini-batches of the given shards.
 
     Every iteration uses a fresh FE instance unless the debug
     reuse_fe_instance flag is set. Exact-mode guarantees assume the
     initial weights sit on the weight grid (the zero default always
-    does).
+    does). on_iteration, if given, receives each iteration's metrics as
+    soon as they are made. A non-finite loss or gradient raises
+    ValueError before its metrics are recorded or passed on.
     """
     plan = TrainingPlan(shards, config)
     if initial_weights is None:
@@ -517,8 +475,13 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
             state, plan, rows, iteration=t, bus=bus, fe_setup=fe_setup,
             artifacts_out=collect,
         )
+        if not (math.isfinite(metrics.loss) and np.isfinite(metrics.gradient).all()):
+            raise ValueError(f"iteration {t} diverged: loss {metrics.loss!r} or its "
+                             f"gradient is not finite; lower the learning rate")
         metrics_history.append(metrics)
         weight_history.append(state.weights.copy())
+        if on_iteration is not None:
+            on_iteration(metrics)
     return TrainingResult(metrics=metrics_history, state=state, bus=bus,
                           artifacts=artifacts, weight_history=weight_history)
 

@@ -3,9 +3,23 @@
 Arithmetic on quantized data is exact. The per-term sparse loop works on
 Python integers and checks the accumulator width as it goes; it is the
 reference. Block-structured vectors (one shared coefficient block on a
-row block, see funcvec.SliceVector) take a residual kernel instead, on
-int64 or Python-int numpy arrays, chosen by an a-priori bound that covers
-every partial sum. The dense Kronecker product exists purely as a
+row block, see funcvec.SliceVector) take a residual kernel instead: the
+block's residual r = coef·x is computed once per input and each slice is
+a dot product of S input values with r. Write S for the block's rows,
+C = max(1, sum|coef|), X = max(1, max|x|) and B = S·C·X², which bounds
+every partial sum. The kernel has three paths:
+
+- int64, when B < 2**63;
+- two limbs, when B >= 2**63 but C·X < 2**63 and S·X < 2**31: r is
+  computed in int64 and split into hi = r >> 32 and lo = r & (2**32 - 1),
+  and a slice is (x·hi << 32) + x·lo with both dot products in int64;
+- Python ints in numpy object arrays, when B < 2**(ACCUMULATOR_BITS - 1).
+
+Past that the per-term loop runs and raises exactly where the
+accumulator leaves its width. Integer vectors enter the kernel through
+int_vector (int64 when every value fits, otherwise Python ints, never
+uint64 or float); seal is the read-only copy fe.encrypt keeps as a
+ciphertext payload. The dense Kronecker product exists purely as a
 desk-scale oracle for tests and is size-guarded accordingly.
 """
 
@@ -21,6 +35,12 @@ ACCUMULATOR_BITS = 128
 
 # The residual kernel runs in int64 when its a-priori bound stays below this.
 INT64_LIMIT = 1 << 63
+
+# The two-limb path splits r at this bit and needs S·max|x| below LIMB_LIMIT,
+# so that S·max|x|·2**LIMB_BITS stays below INT64_LIMIT.
+LIMB_BITS = 32
+LIMB_LIMIT = 1 << (63 - LIMB_BITS)
+LIMB_MASK = (1 << LIMB_BITS) - 1
 
 # dense_kron materializes len(x)**2 entries; oracle use only.
 DENSE_KRON_MAX_LEN = 256
@@ -72,28 +92,72 @@ def dense_kron(x: Sequence[int]) -> list[int]:
     return [a * b for a in xs for b in xs]
 
 
-def block_residual(block, x: Sequence[int]):
+def int_vector(values) -> np.ndarray:
+    """A 1-D integer vector as int64 when every value fits, else as Python ints.
+
+    The result is never uint64 or float: values past int64 go into an
+    object array of Python ints. An int64 array comes back as is, and any
+    other signed or fitting unsigned integer array is cast; everything
+    else goes through int() value by value.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {values.shape}")
+        if values.dtype == np.int64:
+            return values
+        if values.dtype.kind == "i" or (
+                values.dtype.kind == "u"
+                and (values.size == 0 or values.max() < INT64_LIMIT)):
+            return values.astype(np.int64)
+        values = values.tolist()
+    ints = list(map(int, values))
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+def seal(values) -> np.ndarray:
+    """A read-only int_vector copy of values that shares no memory with them."""
+    sealed = np.array(int_vector(values))
+    sealed.flags.writeable = False
+    return sealed
+
+
+def block_residual(block, x):
     """(x, r) as numpy arrays for a coefficient block, or None past the width.
 
     `block` provides `rows` (S) and `coefficients` (one per S-long column of
-    the Python-int list x). r_s = sum_c coefficients[c] * x[c*S + s] is
+    the integer vector x). r_s = sum_c coefficients[c] * x[c*S + s] is
     the residual every slice vector on that block shares.
     B = S * sum|coefficients| * max|x|**2 (each factor at least 1) bounds
     every partial sum of r and of any slice's sum_s x[base + s] * r_s, as
-    well as every single x and coefficient. Below 2**63 the arrays are
-    int64; below 2**(ACCUMULATOR_BITS - 1) they hold Python ints; otherwise
-    None, and callers fall back to the per-term loop, which raises exactly
-    where the accumulator leaves its width.
+    well as every single x and coefficient. Below 2**63 both arrays are
+    int64. On the two-limb path x is int64 and r is a (2, S) int64 array
+    holding hi = r >> LIMB_BITS and lo = r & LIMB_MASK. Below
+    2**(ACCUMULATOR_BITS - 1) both hold Python ints. Otherwise the result
+    is None, and callers fall back to the per-term loop, which raises
+    exactly where the accumulator leaves its width.
     """
+    x = int_vector(x)
     coefficients = block.coefficients
-    largest = max(1, max(x), -min(x))
-    bound = block.rows * max(1, sum(map(abs, coefficients))) * largest * largest
+    rows = block.rows
+    largest = max(1, int(x.max()), -int(x.min()))
+    total = max(1, sum(map(abs, coefficients)))
+    bound = rows * total * largest * largest
     if bound >= 1 << (ACCUMULATOR_BITS - 1):
         return None
-    dtype = np.int64 if bound < INT64_LIMIT else object
-    columns = np.array(x, dtype=dtype).reshape(len(coefficients), block.rows)
-    residual = np.array(coefficients, dtype=dtype) @ columns
-    return columns.ravel(), residual
+    if bound < INT64_LIMIT or (total * largest < INT64_LIMIT
+                               and rows * largest < LIMB_LIMIT):
+        # |r_s| and its partial sums are at most total * largest.
+        residual = (np.array(coefficients, dtype=np.int64)
+                    @ x.reshape(len(coefficients), rows))
+        if bound >= INT64_LIMIT:
+            residual = np.stack((residual >> LIMB_BITS, residual & LIMB_MASK))
+        return x, residual
+    x = x.astype(object)
+    residual = np.array(coefficients, dtype=object) @ x.reshape(len(coefficients), rows)
+    return x, residual
 
 
 def sparse_inner_kron(c, x: Sequence[int], *, residual=None) -> int:
@@ -117,10 +181,14 @@ def sparse_inner_kron(c, x: Sequence[int], *, residual=None) -> int:
     block = getattr(c, "block", None)
     if block is not None:
         if residual is None:
-            residual = block_residual(block, [int(v) for v in x])
+            residual = block_residual(block, x)
         if residual is not None:
             xa, r = residual
-            return int(xa[c.base_row:c.base_row + block.rows] @ r)
+            xs = xa[c.base_row:c.base_row + block.rows]
+            if r.ndim == 1:
+                return int(xs @ r)
+            hi, lo = r @ xs
+            return (int(hi) << LIMB_BITS) + int(lo)
     xs = [int(v) for v in x]
     limit = ACCUMULATOR_BITS - 1
     acc = 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fedquad import cli, protocol
 from fedquad.cli import build_parser, main
 from fedquad.data import load_partition_spec
 
@@ -116,11 +117,105 @@ class TestErrors:
         assert "quantizer guard" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_float_overflow_prints_only_the_error_line(self):
+        import subprocess
+        import sys
+
+        # lambda * w overflows; numpy would warn about it before the error.
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedquad", "train", "--synthetic",
+             "--lambda", "1e308", "--iters", "10"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("fedquad: error: ")
+        assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",
                      "--batch-size", "100"]) == 2
         err = capsys.readouterr().err
         assert err == "fedquad: error: batch_size 100 exceeds dataset rows 16\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite value {token} in a record")
+
+
+def _strict_records(text):
+    """Parse JSON lines, failing on NaN, Infinity and -Infinity."""
+    return [json.loads(line, parse_constant=_reject_constant)
+            for line in text.splitlines()]
+
+
+class TestStreamedRecords:
+    def test_records_are_written_as_they_are_made(self, monkeypatch, capsys):
+        written = []
+        original = protocol.run_iteration
+
+        def spy(*args, **kwargs):
+            written.append(len(capsys.readouterr().out.splitlines()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_iteration", spy)
+        records = _train_lines(capsys)
+        assert written == [0, 1, 1]
+        assert [r["record"] for r in records] == ["iteration", "summary"]
+
+    def test_diverging_run_keeps_the_records_before_the_failure(self, tmp_path, capsys):
+        argv = ["train", "--synthetic", "--lr", "5"]
+        out = tmp_path / "f"
+        assert main([*argv, "--iters", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fedquad: error: ") and err.count("\n") == 1
+        records = _strict_records(out.read_text())
+        k = len(records)
+        assert 0 < k < 10
+        assert [r["iteration"] for r in records] == list(range(k))
+        # Byte for byte what a run of only those k iterations writes first.
+        complete = tmp_path / "k"
+        assert main([*argv, "--iters", str(k), "--out", str(complete)]) == 0
+        assert complete.read_text().splitlines()[:k] == out.read_text().splitlines()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_loss_is_refused_before_its_record(self, value, tmp_path,
+                                                          monkeypatch, capsys):
+        real = protocol.mse_loss
+        calls = []
+
+        def flaky(*args):
+            calls.append(None)
+            return value if len(calls) == 3 else real(*args)
+
+        monkeypatch.setattr(protocol, "mse_loss", flaky)
+        out = tmp_path / "f"
+        assert main(["train", "--synthetic", "--iters", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("fedquad: error: iteration 2 diverged")
+        assert [r["iteration"] for r in _strict_records(out.read_text())] == [0, 1]
+
+    def test_non_finite_summary_is_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "mse_loss", lambda *args: float("inf"))
+        assert main(["train", "--synthetic", "--iters", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert [r["record"] for r in _strict_records(captured.out)] == ["iteration"] * 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--lr", "5"], ["--lr", "1e300"], ["--lambda", "1e308"],
+        ["--lambda", "1e300", "--lr", "1e-300"], ["--model", "logistic", "--lr", "40"],
+    ])
+    def test_no_output_holds_nan_or_infinity(self, extra, tmp_path, capsys):
+        out = tmp_path / "f"
+        code = main(["train", "--synthetic", "--iters", "10", *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        # numpy's overflow warnings would add lines; only the error may appear.
+        assert err.count("\n") == (code == 2)
+        # A run that fails before its first record writes no file.
+        text = out.read_text() if out.exists() else ""
+        assert "NaN" not in text and "Infinity" not in text
+        _strict_records(text)
 
 
 class TestVerify:

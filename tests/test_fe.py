@@ -70,6 +70,59 @@ class TestEncrypt:
         fe.encrypt(keys[0], 8, [3])
 
 
+class TestSealedPayload:
+    def _product_of_two(self, first, second):
+        """Encrypt one value per slot and decrypt their product x0 * x1."""
+        instance, keys = fe.setup(2, [1, 1])
+        cts = [fe.encrypt(keys[0], None, first), fe.encrypt(keys[1], None, second)]
+        return cts, fe.decrypt(cts, _single_product_key(instance))
+
+    def test_int64_payload_when_values_fit(self):
+        cts, value = self._product_of_two([-(1 << 63)], np.array([(1 << 63) - 1]))
+        assert [ct._payload.dtype for ct in cts] == [np.int64, np.int64]
+        assert value == -(1 << 63) * ((1 << 63) - 1)
+
+    @pytest.mark.parametrize("big", [
+        [1 << 63], [(1 << 64) - 1], np.array([(1 << 64) - 1], dtype=np.uint64),
+    ], ids=["2**63", "2**64-1", "uint64-array"])
+    def test_values_past_int64_give_an_object_payload(self, big):
+        cts, value = self._product_of_two(big, [-3])
+        assert cts[0]._payload.dtype == object
+        assert type(cts[0]._payload[0]) is int
+        assert value == -3 * int(big[0])
+
+    def test_object_and_int64_slots_decrypt_a_slice_vector(self):
+        layout = build_layout(1, 1, [1])
+        # C = 1 and X = 2**63: the bound is 2**126, the object path.
+        (c,) = all_gradient_slice_vectors([[0]], 1, layout)
+        instance, keys = fe.setup(2, [1, 1])
+        x = [1 << 63, -7]
+        cts = [fe.encrypt(keys[0], None, x[:1]), fe.encrypt(keys[1], None, x[1:])]
+        kron = dense_kron(x)
+        expected = sum(a * b for a, b in zip(c.to_dense(), kron))
+        assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
+
+    def test_payload_is_read_only(self):
+        _, keys = fe.setup(2, [2, 1])
+        ct = fe.encrypt(keys[0], None, np.array([4, 5]))
+        assert not ct._payload.flags.writeable
+        with pytest.raises(ValueError):
+            ct._payload[0] = 9
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    def test_changing_the_source_after_encrypt_changes_nothing(self, dtype):
+        instance, keys = fe.setup(2, [1, 1])
+        sk = _single_product_key(instance)
+        source = np.array([6], dtype=dtype)
+        label = [7]
+        cts = [fe.encrypt(keys[0], None, source), fe.encrypt(keys[1], None, label)]
+        assert fe.decrypt(cts, sk) == 42
+        source[0] = -100
+        label[0] = -100
+        # A fresh ciphertext set, so decrypt cannot answer from its memo.
+        assert fe.decrypt(list(reversed(cts)), sk) == 42
+
+
 class TestKeygen:
     def test_wrong_dimension_rejected(self):
         instance, _ = fe.setup(2, [1, 1])

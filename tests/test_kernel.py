@@ -29,6 +29,7 @@ from fedquad.tensor import (
     AccumulatorOverflow,
     block_residual,
     dense_kron,
+    int_vector,
     sparse_inner_kron,
     vec_columns,
 )
@@ -37,6 +38,14 @@ from fedquad.tensor import (
 def _reference(c, x):
     """The per-term loop: the same entries, as a hand-built vector."""
     return sparse_inner_kron(SparseFunctionVector(c.dimension, tuple(c.entries)), x)
+
+
+def _path(residual):
+    """Which kernel path block_residual took: int64, limbs or object."""
+    _, r = residual
+    if r.dtype == object:
+        return "object"
+    return "int64" if r.ndim == 1 else "limbs"
 
 
 def _outcome(evaluate):
@@ -109,11 +118,20 @@ class TestInt64Boundary:
 
     def test_negative_x_counts_in_the_bound(self):
         # sum|coef| = 2**61 and max|x| = 2 comes from the negative entry:
-        # bound 2**63, so the object path.
+        # bound 2**63, so not the plain int64 path (C·X = 2**62 and S·X = 2
+        # put it on the two limbs).
         c = _one_slice(-(1 << 60), 1 << 60)
-        _, r = block_residual(c.block, [-2, 1])
-        assert r.dtype == object
+        assert _path(block_residual(c.block, [-2, 1])) != "int64"
         assert sparse_inner_kron(c, [-2, 1]) == _reference(c, [-2, 1])
+
+    def test_negative_x_counts_in_the_limb_precondition(self):
+        # sum|coef| = 2**62 and max|x| = 2 from the negative entry: C·X = 2**63,
+        # so the object path. Read as 1 it would be int64, where x0 * r0 =
+        # (-2) * (-2**63) = 2**64 wraps.
+        c = _one_slice(-(1 << 62), 0)
+        x = [-2, 1]
+        assert _path(block_residual(c.block, x)) == "object"
+        assert sparse_inner_kron(c, x) == _reference(c, x) == 1 << 64
 
     def test_bound_edge_across_rows(self):
         # S=7 rows, sum|coef| = (2**63 - 1) / 7, |x| = 1: bound 2**63 - 1,
@@ -125,6 +143,125 @@ class TestInt64Boundary:
         x = [1] * 14
         assert block_residual(c.block, x)[1].dtype == np.int64
         assert sparse_inner_kron(c, x) == _reference(c, x) == 2 ** 63 - 1
+
+
+@st.composite
+def limb_band_inputs(draw):
+    """Layouts and inputs whose bound lies in the two-limb band.
+
+    One x entry of magnitude 2**28 and one weight of magnitude 2**24 put
+    B = S·C·X² at 2**80 or more; with S <= 4 and at most 9 coefficients
+    C·X stays below 2**56 and S·X below 2**31.
+    """
+    n = draw(st.integers(1, 3))
+    S = draw(st.integers(1, 4))
+    counts = [draw(st.integers(1, 3)) for _ in range(n)]
+    top_w, top_x = 1 << 24, 1 << 28
+    weights = [[draw(st.integers(-top_w, top_w)) for _ in range(f)] for f in counts]
+    weights[0][0] = draw(st.sampled_from([-top_w, top_w]))
+    one = draw(st.sampled_from([0, 1, 1 << 16, -top_w]))
+    length = S * (sum(counts) + 1)
+    x = draw(st.lists(st.integers(-top_x, top_x), min_size=length, max_size=length))
+    x[draw(st.integers(0, length - 1))] = draw(st.sampled_from([-top_x, top_x]))
+    return build_layout(n, S, counts), weights, one, x
+
+
+class TestLimbKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(limb_band_inputs())
+    def test_matches_per_term_loop_and_dense_oracle(self, case):
+        layout, weights, one, x = case
+        kron = dense_kron(x)
+        vectors = all_gradient_slice_vectors(weights, one, layout)
+        residual = block_residual(vectors[0].block, x)
+        assert _path(residual) == "limbs"
+        for c in vectors:
+            dense = sum(a * b for a, b in zip(c.to_dense(), kron))
+            assert sparse_inner_kron(c, x, residual=residual) == _reference(c, x) == dense
+
+    # S=7 rows of x = ±1, so X = 1 and S·X = 7; C = |w| + |one|.
+    @pytest.mark.parametrize("w,one,path", [
+        (-(1 << 62), (1 << 62) - 1, "limbs"),    # C·X = 2**63 - 1
+        (1 << 62, -(1 << 62), "object"),         # C·X = 2**63
+    ], ids=["CX=2**63-1", "CX=2**63"])
+    def test_coefficient_edge(self, w, one, path):
+        layout = build_layout(1, 7, [1])
+        (c,) = all_gradient_slice_vectors([[w]], one, layout)
+        # Signs that push every row's residual to ±C and the slice past int64.
+        x = [1, -1, 1, 1, -1, 1, 1] + [1, -1, 1, 1, -1, 1, 1]
+        residual = block_residual(c.block, x)
+        assert _path(residual) == path
+        expected = _reference(c, x)
+        assert abs(expected) >= 1 << 63
+        assert sparse_inner_kron(c, x) == expected
+        assert sparse_inner_kron(c, x, residual=residual) == expected
+
+    @pytest.mark.parametrize("S,largest,path", [
+        (1, (1 << 31) - 1, "limbs"),   # S·X = 2**31 - 1
+        (1, 1 << 31, "object"),        # S·X = 2**31
+        (2, (1 << 30) - 1, "limbs"),   # S·X = 2**31 - 2
+        (2, 1 << 30, "object"),        # S·X = 2**31
+    ])
+    def test_row_edge(self, S, largest, path):
+        # C = 2**32 - 1 keeps C·X below 2**63 and |r| near 2**63, so hi and
+        # lo both carry large values.
+        layout = build_layout(1, S, [1])
+        (c,) = all_gradient_slice_vectors([[-((1 << 32) - 2)]], 1, layout)
+        for sign in (1, -1):
+            x = [sign * largest] * S + [sign * (largest - 1)] * S
+            residual = block_residual(c.block, x)
+            assert _path(residual) == path
+            expected = _reference(c, x)
+            assert sparse_inner_kron(c, x) == expected
+            assert sparse_inner_kron(c, x, residual=residual) == expected
+
+    def test_negative_residuals_split_by_floor(self):
+        # Residuals of both signs, some with low bits set and some exact
+        # multiples of 2**32: hi = floor(r / 2**32), 0 <= lo < 2**32.
+        # r_s = -3 x_s + 2**32 y_s; X = 2**28, so S·X = 2**30 and B >= 2**92.
+        layout = build_layout(1, 4, [1])
+        (c,) = all_gradient_slice_vectors([[3]], 1 << 32, layout)
+        x = [0, 1, 1 << 28, -(1 << 28)] + [-1, 0, -(1 << 28), (1 << 28) - 1]
+        residual = block_residual(c.block, x)
+        assert _path(residual) == "limbs"
+        hi, lo = residual[1].tolist()
+        exact = [-3 * x[s] + (1 << 32) * x[4 + s] for s in range(4)]
+        assert exact[0] == -(1 << 32) and -(1 << 32) < exact[1] < 0
+        assert [(h << 32) + low for h, low in zip(hi, lo)] == exact
+        assert hi[:2] == [-1, -1] and lo[:2] == [0, (1 << 32) - 3]
+        assert all(0 <= low < 1 << 32 for low in lo)
+        assert sparse_inner_kron(c, x) == _reference(c, x)
+
+
+class TestIntVector:
+    def test_int64_when_every_value_fits(self):
+        v = int_vector([-(1 << 63), (1 << 63) - 1, 0])
+        assert v.dtype == np.int64
+        assert v.tolist() == [-(1 << 63), (1 << 63) - 1, 0]
+
+    @pytest.mark.parametrize("values", [
+        [1 << 63], [-1, 1 << 63], [-(1 << 63) - 1], [(1 << 64) - 1, 2],
+        np.array([1 << 63, 5], dtype=np.uint64),
+    ], ids=["2**63", "mixed-sign", "below-int64", "2**64-1", "uint64-array"])
+    def test_python_ints_past_int64_never_uint64_or_float(self, values):
+        v = int_vector(values)
+        assert v.dtype == object
+        assert all(type(e) is int for e in v)
+        assert v.tolist() == [int(e) for e in values]
+
+    def test_int64_array_is_not_copied(self):
+        a = np.arange(4, dtype=np.int64)
+        assert int_vector(a) is a
+        assert int_vector(np.arange(3, dtype=np.uint8)).dtype == np.int64
+        assert int_vector(np.array([7, 8], dtype=np.uint64)).dtype == np.int64
+
+    def test_other_values_go_through_int(self):
+        assert int_vector([2.9, -2.9, True]).tolist() == [2, -2, 1]
+        assert int_vector(np.array([2.9, -2.9])).tolist() == [2, -2]
+        with pytest.raises(ValueError):
+            int_vector([float("nan")])
+        with pytest.raises(ValueError):
+            int_vector(np.zeros((2, 2), dtype=np.int64))
 
 
 class TestAccumulatorWidth:

@@ -15,14 +15,12 @@ from fedquad.baseline import (
 )
 from fedquad.fixedpoint import FixedPointConfig, quantize_vector
 from fedquad.protocol import (
-    ActorId,
     ClientShard,
-    Message,
+    Header,
     MessageBus,
     ModelState,
     TrainingConfig,
     TrainingPlan,
-    DeliverKeys,
     exact_codec,
     iteration_record,
     make_batch_schedule,
@@ -252,6 +250,34 @@ class TestRunTraining:
                                          mirror.weight_history):
             assert np.array_equal(protocol_w, central_w)
 
+    def test_on_iteration_sees_each_metrics_record_in_order(self):
+        seen = []
+        config = TrainingConfig(iterations=5, batch_size=4)
+        result = run_training(self._shards(), config, on_iteration=seen.append)
+        assert seen == result.metrics
+        assert [m.iteration for m in seen] == list(range(5))
+
+    def test_non_finite_gradient_raises_before_it_is_recorded(self, monkeypatch):
+        # Without the quantizer guard on the update, an infinite decrypted
+        # slice from iteration 1 on reaches run_training's own check.
+        import fedquad.protocol as protocol_module
+
+        real = protocol_module.dequantize
+        calls = []
+
+        def inflated(result):
+            calls.append(None)
+            res = real(result)
+            return res * np.inf if len(calls) > 1 else res
+
+        monkeypatch.setattr(protocol_module, "dequantize", inflated)
+        monkeypatch.setattr(protocol_module, "snap_to_grid", lambda v, bits: v)
+        seen = []
+        with pytest.raises(ValueError, match="iteration 1 diverged"):
+            run_training(self._shards(), TrainingConfig(iterations=3, batch_size=4),
+                         initial_weights=np.ones(4), on_iteration=seen.append)
+        assert [m.iteration for m in seen] == [0]
+
     def test_fresh_instance_every_iteration(self):
         shards = self._shards()
         config = TrainingConfig(iterations=3, batch_size=4,
@@ -447,9 +473,13 @@ class TestMixAndMatch:
 
 class TestActorAndConfig:
     def test_actor_names(self):
-        assert str(ActorId.ttp()) == "ttp"
-        assert str(ActorId.aggregator()) == "aggregator"
-        assert str(ActorId.client(2)) == "client2"
+        shards = [ClientShard(np.ones((2, 1)), np.ones(2)),
+                  ClientShard(np.ones((2, 1))), ClientShard(np.ones((2, 1)))]
+        bus = MessageBus()
+        run_iteration(ModelState(np.zeros(3), 0.1, 0.0, MODEL_LINEAR), shards,
+                      TrainingConfig(batch_size=2), bus=bus)
+        names = {h.sender for h in bus.messages} | {h.recipient for h in bus.messages}
+        assert names == {"ttp", "aggregator", "client0", "client1", "client2"}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -470,10 +500,12 @@ class TestActorAndConfig:
             ModelState(np.zeros(2), -0.1, 0.0, MODEL_LINEAR)
 
     def test_message_header(self):
-        _, keys = fe.setup(2, [1, 1])
-        message = Message(ActorId.ttp(), ActorId.client(0), 3,
-                          DeliverKeys(tuple(keys)))
-        assert message.header() == {
+        # client0 holds the labels, so it gets its own key and the label slot's.
+        shards, state = _hand_instance()
+        bus = MessageBus()
+        run_iteration(state, shards, TrainingConfig(), bus=bus, iteration=3)
+        assert bus.messages[0] == Header("ttp", "client0", 3, "deliver_keys", 2)
+        assert bus.header_log()[0] == {
             "from": "ttp", "to": "client0", "iteration": 3,
             "kind": "deliver_keys", "size": 2,
         }
