@@ -215,12 +215,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input or a diverging run exits 2 with one line."""
+    """Run one subcommand.
+
+    Bad input, a missing or unreadable file and a diverging run each end
+    with one error line on stderr and exit code 2.
+    """
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "verify": cmd_verify, "synth": cmd_synth}
     try:
         return handlers[args.command](args)
-    except (ValueError, OverflowError) as err:
+    except (ValueError, OverflowError, OSError) as err:
         sys.stderr.write(f"fedquad: error: {err}\n")
         return 2
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,7 +45,13 @@ class PartitionSpec:
 
 
 def load_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a headered numeric CSV into (column names, row matrix)."""
+    """Read a headered numeric CSV into (column names, row matrix).
+
+    The body is parsed by numpy's C reader straight from the open file:
+    cells are ASCII decimal, ``inf`` or ``nan`` spellings, optionally
+    quoted with ``"``; blank lines are skipped. Each value is bitwise the
+    ``float`` of its cell, as numpy parses through the same routine.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -53,26 +60,46 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         if len(set(header)) != len(header):
             raise ValueError(f"{path}: duplicate column names in header {header}")
-        rows = []
+        try:
+            with warnings.catch_warnings():
+                # A body with no rows is reported below, not warned about.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                  ndmin=2, dtype=float)
+        except ValueError as err:
+            problem = _first_bad_cell(path, header) or " ".join(str(err).split())
+            raise ValueError(f"{path}: {problem}") from None
+    if len(rows) == 0:
+        raise ValueError(f"{path}: no data rows")
+    if rows.shape[1] != len(header):
+        problem = (_first_bad_cell(path, header)
+                   or f"rows have {rows.shape[1]} cells, expected {len(header)}")
+        raise ValueError(f"{path}: {problem}")
+    return header, rows
+
+
+def _first_bad_cell(path, header: Sequence[str]) -> str | None:
+    """Rescan a refused body cell by cell; describe its first bad row or cell.
+
+    Returns None when every cell is one that ``float`` accepts but the C
+    reader does not (say ``1_000``); the caller then reports its message.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
             if len(record) != len(header):
-                raise ValueError(
-                    f"{path}: row at line {line_no} has {len(record)} cells, "
-                    f"expected {len(header)}"
-                )
-            parsed = []
+                return (f"row at line {line_no} has {len(record)} cells, "
+                        f"expected {len(header)}")
             for name, cell in zip(header, record):
                 try:
-                    parsed.append(float(cell))
+                    float(cell)
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: line {line_no}, column {name!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return header, np.array(rows, dtype=float)
+                    return (f"line {line_no}, column {name!r}: "
+                            f"non-numeric cell {cell!r}")
+    return None
 
 
 def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:

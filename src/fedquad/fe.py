@@ -66,7 +66,6 @@ class FEInstance:
         self.instance_id = next(_instance_ids)
         self.n_slots = n_slots
         self.slot_lengths = slot_lengths
-        self.master_key = f"msk:{self.instance_id}"
         self.total_length = sum(slot_lengths)
         self._n_encrypt = 0
         self._n_keygen = 0

@@ -16,7 +16,7 @@ lossless and lets exact-mode runs match a plaintext mirror bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
@@ -137,6 +137,13 @@ class ModelState:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if self.reg_lambda < 0:
             raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+
+    def _with_weights(self, weights: np.ndarray) -> ModelState:
+        """This state with new float64 weights, skipping the settings checks
+        it has already passed (``dataclasses.replace`` would rerun them)."""
+        new = object.__new__(ModelState)
+        new.__dict__.update(self.__dict__, weights=weights)
+        return new
 
 
 @dataclass(frozen=True)
@@ -370,7 +377,7 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
 
     new_w = snap_to_grid(w - state.learning_rate * gradient,
                          weight_grid_bits(state.model_kind, codec))
-    new_state = replace(state, weights=new_w)
+    new_state = state._with_weights(new_w)
 
     # Plaintext oracle view for diagnostics, at the weights just used.
     X, y = plan.X[rows], plan.y[rows]

@@ -132,6 +132,29 @@ class TestErrors:
         assert proc.stderr.startswith("fedquad: error: ")
         assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
 
+    @pytest.mark.parametrize("missing", ["dataset", "partition", "directory"])
+    def test_unreadable_input_file_exits_2_with_one_line(self, tmp_path, missing):
+        import subprocess
+        import sys
+
+        assert main(["synth", "--rows", "8", "--out", str(tmp_path)]) == 0
+        files = {"dataset": str(tmp_path / "dataset.csv"),
+                 "partition": str(tmp_path / "partition.json")}
+        if missing == "directory":
+            files["dataset"] = str(tmp_path)
+        else:
+            files[missing] = str(tmp_path / "absent")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedquad", "train",
+             "--dataset", files["dataset"], "--partition", files["partition"]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("fedquad: error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",
                      "--batch-size", "100"]) == 2

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fedquad.baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR
 from fedquad.data import (
@@ -81,6 +84,128 @@ class TestCsvRoundtrip:
         path.write_text("a,b\n1,2,3\n")
         with pytest.raises(ValueError, match="line 2"):
             load_csv(path)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# Spellings write_csv never produces but a hand-made file may hold.
+_SPELLINGS = ["-0.0", "0e0", "4.9e-324", "2.2250738585072011e-308", "1e400",
+              "-1e400", "1e-400", "nan", "-nan", "NaN", "inf", "-inf",
+              "+inf", "Infinity", "-INFINITY", "1.", ".5", "+7", " 3 "]
+
+_cells = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: "%.17g" % v),
+    st.floats().map(lambda v: "%.3e" % v),
+    st.sampled_from(_SPELLINGS),
+)
+
+
+class TestCsvParsing:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=24))
+    @example([-0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
+    def test_write_csv_roundtrip_is_bitwise(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        rows = np.array(values).reshape(-1, 1)
+        write_csv(path, ["v"], rows)
+        _, loaded = load_csv(path)
+        assert loaded.shape == rows.shape
+        # Text keeps every value but a NaN's payload, as float(repr(v)) does.
+        assert _bits(loaded) == _bits([[float(repr(v))] for v in values])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_cells, min_size=3, max_size=3),
+                    min_size=1, max_size=8))
+    def test_cells_parse_bitwise_as_float(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in records))
+        _, loaded = load_csv(path)
+        assert _bits(loaded) == _bits([[float(c) for c in r] for r in records])
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x0,x1,x2,y\r\n1,2,3,4\r\n5,6,7,8\r\n")
+        header, rows = load_csv(path)
+        assert header == HEADER
+        assert np.array_equal(rows, ROWS)
+
+    def test_quoted_cells(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('"x0",x1,x2,"y"\n"1",2,"3.0",4\n5,"6e0",7,"8"\n')
+        header, rows = load_csv(path)
+        assert header == HEADER
+        assert np.array_equal(rows, ROWS)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,x2,y\n\n1,2,3,4\n\n\n5,6,7,8\n\n")
+        _, rows = load_csv(path)
+        assert np.array_equal(rows, ROWS)
+
+    @pytest.mark.parametrize("text,shape", [
+        ("a,b,c\n1,2,3\n", (1, 3)),
+        ("a\n1\n2\n3\n", (3, 1)),
+        ("a\n1", (1, 1)),
+    ])
+    def test_single_row_or_column_stays_2d(self, tmp_path, text, shape):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        _, rows = load_csv(path)
+        assert rows.shape == shape
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_raises_without_warning(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(path)
+
+    def test_trailing_comma_names_the_empty_cell(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,\n")
+        with pytest.raises(ValueError,
+                           match="line 3, column 'c': non-numeric cell ''"):
+            load_csv(path)
+
+    def test_consistent_width_other_than_header_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="line 2 has 3 cells, expected 2"):
+            load_csv(path)
+
+    def test_ragged_row_after_blank_line_named(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1,2\n\n3\n")
+        with pytest.raises(ValueError, match="line 4 has 1 cells, expected 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661"])
+    def test_cells_only_float_accepts_are_rejected(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b\n1,{cell}\n", encoding="utf-8")
+        float(cell)  # accepted here, refused by the C reader
+        with pytest.raises(ValueError, match=r"data\.csv: could not convert") as err:
+            load_csv(path)
+        assert "\n" not in str(err.value)
+
+    def test_peak_memory_stays_near_the_result(self, tmp_path):
+        path = tmp_path / "data.csv"
+        values = np.random.default_rng(3).normal(size=(20_000, 49))
+        np.savetxt(path, values, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(f"x{i}" for i in range(49)))
+        tracemalloc.start()
+        try:
+            _, rows = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rows, values)
+        assert peak <= 2 * rows.nbytes
 
 
 class TestPartitionSpecIo:

@@ -24,7 +24,6 @@ class TestSetup:
         a, _ = fe.setup(2, [1, 1])
         b, _ = fe.setup(2, [1, 1])
         assert a.instance_id != b.instance_id
-        assert a.master_key != b.master_key
 
     def test_three_clients_plus_label_slot(self):
         _, keys = fe.setup(4, [6, 6, 6, 3])

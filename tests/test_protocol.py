@@ -499,6 +499,26 @@ class TestActorAndConfig:
         with pytest.raises(ValueError):
             ModelState(np.zeros(2), -0.1, 0.0, MODEL_LINEAR)
 
+    def test_user_built_state_is_checked_and_converted(self):
+        with pytest.raises(ValueError, match="reg_lambda"):
+            ModelState(np.zeros(2), 0.1, -1.0, MODEL_LINEAR)
+        state = ModelState([2, 3], 0.5, 0.0, MODEL_LINEAR)
+        assert state.weights.dtype == np.float64
+
+    def test_next_state_keeps_settings_and_is_frozen(self):
+        shards, _ = _hand_instance()
+        state = ModelState([2, 3], 0.5, 1.0, MODEL_LINEAR)
+        config = TrainingConfig(reg_lambda=1.0, codec=exact_codec(MODEL_LINEAR))
+        _, new_state, _ = run_iteration(state, shards, config)
+        assert new_state is not state
+        assert type(new_state) is ModelState
+        assert (new_state.learning_rate, new_state.reg_lambda,
+                new_state.model_kind) == (0.5, 1.0, MODEL_LINEAR)
+        assert new_state.weights.dtype == np.float64
+        assert state.weights.tolist() == [2.0, 3.0]
+        with pytest.raises(AttributeError):
+            new_state.weights = np.zeros(2)
+
     def test_message_header(self):
         # client0 holds the labels, so it gets its own key and the label slot's.
         shards, state = _hand_instance()
