@@ -19,6 +19,7 @@ from fedquad.baseline import MODEL_LINEAR, centralized_training, mse_loss
 from fedquad.data import partition_dataset, synthesize_linear
 from fedquad.fixedpoint import FixedPointConfig
 from fedquad.protocol import (
+    MessageBus,
     TrainingConfig,
     exact_codec,
     make_batch_schedule,
@@ -37,34 +38,36 @@ batches = make_batch_schedule(64, S, T, seed)
 exact_cfg = TrainingConfig(model_kind=MODEL_LINEAR, iterations=T,
                            batch_size=S, learning_rate=lr, seed=seed,
                            codec=exact_codec(MODEL_LINEAR))
-exact_run = run_training(shards, exact_cfg)
+exact_history = []
+run_training(shards, exact_cfg, on_iteration=exact_history.append)
 mirror = centralized_training(
     central.X, central.y, np.zeros(6), MODEL_LINEAR, batches, lr,
     weight_grid_bits=weight_grid_bits(MODEL_LINEAR, exact_cfg.codec))
-identical = all(np.array_equal(a, b) for a, b in
-                zip(exact_run.weight_history, mirror.weight_history))
+identical = all(np.array_equal(m.weights, b) for m, b in
+                zip(exact_history, mirror.weight_history))
 print("\nexact mode: secure trajectory identical to centralized descent:",
       identical)
 print("every per-iteration oracle gap:",
-      {m.max_abs_grad_diff_vs_oracle for m in exact_run.metrics})
+      {m.max_abs_grad_diff_vs_oracle for m in exact_history})
 
 # part 2: fixed point, where training can settle between integers
 fp_cfg = TrainingConfig(model_kind=MODEL_LINEAR, iterations=T, batch_size=S,
                         learning_rate=lr, seed=seed,
                         codec=FixedPointConfig(data_bits=12, weight_bits=12))
-fp_run = run_training(shards, fp_cfg)
+fp_history, bus = [], MessageBus()
+fp_weights = run_training(shards, fp_cfg, on_iteration=fp_history.append, bus=bus)
 
 print("\niter   batch loss   |grad|      diff vs oracle")
-for m in fp_run.metrics[::40] + [fp_run.metrics[-1]]:
+for m in fp_history[::40] + [fp_history[-1]]:
     print(f"{m.iteration:4d}   {m.loss:<10.4f}   {np.linalg.norm(m.gradient):<9.4f}"
           f"   {m.max_abs_grad_diff_vs_oracle:.2e}")
 
 plain = centralized_training(central.X, central.y, np.zeros(6),
                              MODEL_LINEAR, batches, lr)
-print("\nfixed-point final weights:", fp_run.state.weights)
-print("fixed-point MSE:", mse_loss(central.X, central.y, fp_run.state.weights))
+print("\nfixed-point final weights:", fp_weights)
+print("fixed-point MSE:", mse_loss(central.X, central.y, fp_weights))
 print("plain float MSE:", mse_loss(central.X, central.y, plain.weights))
 
 print("\nfirst six messages of iteration 0:")
-for header in fp_run.bus.header_log()[:6]:
+for header in bus.header_log()[:6]:
     print(" ", header)

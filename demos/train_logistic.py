@@ -28,19 +28,18 @@ print("separating weights used to label the data:", data.true_weights)
 codec = FixedPointConfig(data_bits=12, weight_bits=12)
 config = TrainingConfig(model_kind=MODEL_LOGISTIC_TAYLOR, iterations=60,
                         batch_size=12, learning_rate=0.5, seed=5, codec=codec)
-result = run_training(shards, config)
+history = []
+w = run_training(shards, config, on_iteration=history.append)
 
-worst = max(m.max_abs_grad_diff_vs_oracle for m in result.metrics)
+worst = max(m.max_abs_grad_diff_vs_oracle for m in history)
 print("\nworst secure-vs-plaintext gradient gap over the run:", worst)
-bound = gradient_error_bound(shards, result.state.weights,
-                             MODEL_LOGISTIC_TAYLOR, codec)
+bound = gradient_error_bound(shards, w, MODEL_LOGISTIC_TAYLOR, codec)
 print("codec worst-case bound at the final weights:        ", bound)
 
 print("\niter   surrogate loss")
-for m in result.metrics[::12] + [result.metrics[-1]]:
+for m in history[::12] + [history[-1]]:
     print(f"{m.iteration:4d}   {m.loss:.5f}")
 
-w = result.state.weights
 print("\nfinal weights:", w)
 print("final surrogate loss on all rows:",
       taylor_loss(central.X, central.y, w))

@@ -22,7 +22,6 @@ from .baseline import (
 )
 from .fixedpoint import (
     FixedPointConfig,
-    ScaledResult,
     dequantize,
     inner_product_error_bound,
     overflow_bound,
@@ -42,10 +41,8 @@ from .funcvec import (
 from .protocol import (
     ClientShard,
     IterationMetrics,
-    ModelState,
     TrainingConfig,
     TrainingPlan,
-    TrainingResult,
     exact_codec,
     make_batch_schedule,
     mix_and_match_probe,
@@ -63,14 +60,11 @@ __all__ = [
     "FixedPointConfig",
     "IterationMetrics",
     "Layout",
-    "ModelState",
     "ResidualBlock",
-    "ScaledResult",
     "SliceVector",
     "SparseFunctionVector",
     "TrainingConfig",
     "TrainingPlan",
-    "TrainingResult",
     "all_gradient_slice_vectors",
     "build_layout",
     "centralized_gradient_linear",

@@ -157,9 +157,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         # non-finite value raises in run_training, in the quantizer guard or
         # in emit), so numpy's own overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            result = run_training(shards, config, on_iteration=lambda m: emit(
+            weights = run_training(shards, config, on_iteration=lambda m: emit(
                 {"record": "iteration", **iteration_record(m)}))
-        weights = result.state.weights
         if model_kind == MODEL_LINEAR:
             final_loss = mse_loss(central.X, central.y, weights)
         else:

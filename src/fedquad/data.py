@@ -61,11 +61,7 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
         if len(set(header)) != len(header):
             raise ValueError(f"{path}: duplicate column names in header {header}")
         try:
-            with warnings.catch_warnings():
-                # A body with no rows is reported below, not warned about.
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                  ndmin=2, dtype=float)
+            rows = _loadtxt(fh, quotechar='"', ndmin=2)
         except ValueError as err:
             problem = _first_bad_cell(path, header) or " ".join(str(err).split())
             raise ValueError(f"{path}: {problem}") from None
@@ -78,26 +74,41 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     return header, rows
 
 
-def _first_bad_cell(path, header: Sequence[str]) -> str | None:
-    """Rescan a refused body cell by cell; describe its first bad row or cell.
+def _loadtxt(lines, **kwargs) -> np.ndarray:
+    """np.loadtxt of comma-separated floats; callers report empty input, numpy does not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, **kwargs)
 
-    Returns None when every cell is one that ``float`` accepts but the C
-    reader does not (say ``1_000``); the caller then reports its message.
+
+def _c_reader_accepts(line: str, width: int) -> bool:
+    """Whether numpy's C reader parses one unquoted line as exactly width floats."""
+    try:
+        return _loadtxt([line], quotechar=None).size == width
+    except ValueError:
+        return False
+
+
+def _first_bad_cell(path, header: Sequence[str]) -> str | None:
+    """Rescan a refused body; name the file line of its first bad row or cell.
+
+    Cells are judged by the C reader's rule (which refuses ``1_000``), cell
+    by cell only within a record it refuses. None if no cell is refused.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             if not record:
                 continue
             if len(record) != len(header):
-                return (f"row at line {line_no} has {len(record)} cells, "
+                return (f"row at line {reader.line_num} has {len(record)} cells, "
                         f"expected {len(header)}")
+            if _c_reader_accepts(",".join(record), len(header)):
+                continue
             for name, cell in zip(header, record):
-                try:
-                    float(cell)
-                except ValueError:
-                    return (f"line {line_no}, column {name!r}: "
+                if not _c_reader_accepts(cell, 1):
+                    return (f"line {reader.line_num}, column {name!r}: "
                             f"non-numeric cell {cell!r}")
     return None
 
@@ -249,6 +260,8 @@ def synthesize_logistic(n_rows: int, features_per_client: Sequence[int], seed: i
 
 def synthesize(model_kind: str, n_rows: int, features_per_client: Sequence[int],
                seed: int) -> SyntheticDataset:
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
     if model_kind == MODEL_LINEAR:
         return synthesize_linear(n_rows, features_per_client, seed)
     if model_kind == MODEL_LOGISTIC_TAYLOR:

@@ -47,14 +47,6 @@ class FixedPointConfig:
         return 1 << self.weight_bits
 
 
-@dataclass(frozen=True)
-class ScaledResult:
-    """A wide integer together with its power-of-two scale."""
-
-    raw: int
-    scale_exp: int
-
-
 def quantize(value: float, bits: int) -> int:
     """Round value * 2**bits to an integer, halves away from zero."""
     magnitude = math.ldexp(abs(float(value)), bits)
@@ -96,13 +88,13 @@ def quantize_vector(values, bits: int) -> list[int]:
     return quantize_array(np.asarray(values, dtype=float).ravel(), bits).tolist()
 
 
-def dequantize(result: ScaledResult) -> float:
+def dequantize(raw, scale_exp: int) -> float:
     """Exact raw / 2**scale_exp as a float (single correctly rounded division).
 
     raw may also be a float array of such integers: dividing by a power of
     two is exact below 2**126, so rounding raw to a float first changes nothing.
     """
-    return result.raw / (1 << result.scale_exp)
+    return raw / (1 << scale_exp)
 
 
 def snap_to_grid(values, bits: int) -> np.ndarray:

@@ -38,7 +38,6 @@ from .baseline import (
 # quantize is not called here; perfbench/tracer.py wraps it under this name.
 from .fixedpoint import (  # noqa: F401
     FixedPointConfig,
-    ScaledResult,
     dequantize,
     overflow_bound,
     quantize,
@@ -74,10 +73,6 @@ class Header(NamedTuple):
     kind: str
     size: int
 
-    def as_dict(self) -> dict:
-        return {"from": self.sender, "to": self.recipient, "iteration": self.iteration,
-                "kind": self.kind, "size": self.size}
-
 
 class MessageBus:
     """Ordered header record of every message of a run.
@@ -93,7 +88,8 @@ class MessageBus:
         self.messages.append(header)
 
     def header_log(self) -> list[dict]:
-        return [h.as_dict() for h in self.messages]
+        return [{"from": h.sender, "to": h.recipient, "iteration": h.iteration,
+                 "kind": h.kind, "size": h.size} for h in self.messages]
 
     def export_jsonl(self) -> str:
         """One JSON object per line, headers only."""
@@ -120,32 +116,6 @@ class ClientShard:
                 )
 
 
-@dataclass(frozen=True, eq=False)
-class ModelState:
-    """Aggregator-held weights and optimizer settings."""
-
-    weights: np.ndarray
-    learning_rate: float
-    reg_lambda: float
-    model_kind: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.reg_lambda < 0:
-            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-
-    def _with_weights(self, weights: np.ndarray) -> ModelState:
-        """This state with new float64 weights, skipping the settings checks
-        it has already passed (``dataclasses.replace`` would rerun them)."""
-        new = object.__new__(ModelState)
-        new.__dict__.update(self.__dict__, weights=weights)
-        return new
-
-
 @dataclass(frozen=True)
 class TrainingConfig:
     """Run parameters shared by the protocol and its plaintext mirrors."""
@@ -159,7 +129,6 @@ class TrainingConfig:
     codec: FixedPointConfig = field(default_factory=FixedPointConfig)
     tagged: bool = False
     reuse_fe_instance: bool = False
-    retain_artifacts: bool = False
 
     def __post_init__(self) -> None:
         if self.model_kind not in MODEL_KINDS:
@@ -168,10 +137,11 @@ class TrainingConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.reg_lambda < 0:
-            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        # Written so that nan, which fails every comparison, is refused too.
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (0 <= self.reg_lambda < math.inf):
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
 
 
 def exact_codec(model_kind: str) -> FixedPointConfig:
@@ -205,7 +175,6 @@ class IterationArtifacts:
 
     iteration: int
     instance: fe.FEInstance
-    encryption_keys: tuple[fe.EncryptionKey, ...]
     ciphertexts: tuple[fe.Ciphertext, ...]
     secret_keys: tuple[fe.SecretKey, ...]
     tag: object
@@ -213,7 +182,7 @@ class IterationArtifacts:
 
 @dataclass
 class IterationMetrics:
-    """Per-iteration counters and diagnostics.
+    """Per-iteration counters, the gradient, the updated weights and diagnostics.
 
     loss and max_abs_grad_diff_vs_oracle are simulator-side diagnostics
     computed from the plaintext view; no protocol party could compute
@@ -224,6 +193,7 @@ class IterationMetrics:
     encryptions_per_client: tuple[int, ...]
     decryptions: int
     gradient: np.ndarray
+    weights: np.ndarray
     loss: float
     max_abs_grad_diff_vs_oracle: float
 
@@ -289,22 +259,18 @@ class TrainingPlan:
         return self._layouts[batch_size]
 
 
-def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
-                  rows: np.ndarray | TrainingConfig, *, iteration: int = 0,
+def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: int = 0,
                   bus: MessageBus | None = None,
                   fe_setup: tuple[fe.FEInstance, list[fe.EncryptionKey]] | None = None,
                   artifacts_out: list[IterationArtifacts] | None = None,
-                  ) -> tuple[np.ndarray, ModelState, IterationMetrics]:
+                  ) -> IterationMetrics:
     """One secure gradient step on the plan's rows: setup, encrypt, keygen, decrypt, update.
 
-    Called as run_iteration(state, shards, config), it plans those shards
-    and uses all their rows. fe_setup reuses an existing instance instead
-    of a fresh one; that is a debug hook for demonstrating the
-    mix-and-match attack and must not be used otherwise.
+    Settings come from plan.config; weights are only read, and the
+    updated ones are returned in the metrics. fe_setup reuses an existing
+    instance instead of a fresh one; that is a debug hook for
+    demonstrating the mix-and-match attack and must not be used otherwise.
     """
-    if not isinstance(plan, TrainingPlan):
-        plan = TrainingPlan(plan, rows)
-        rows = np.arange(plan.n_rows)
     if bus is None:
         bus = MessageBus()
     config = plan.config
@@ -313,12 +279,9 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
     layout = plan.layout(S)
     n_clients = layout.n_clients
     F = layout.feature_total
-    w = state.weights
+    w = np.asarray(weights, dtype=float)
     if w.shape != (F,):
         raise ValueError(f"weights have shape {w.shape}, expected ({F},)")
-    if state.model_kind != config.model_kind:
-        raise ValueError(f"state is for model {state.model_kind!r}, "
-                         f"the plan for {config.model_kind!r}")
     w_eff = w * plan.weight_factor
 
     max_abs_x = float(plan.row_max_abs[rows].max())
@@ -368,20 +331,19 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
 
     # Aggregator: one decryption per gradient slice, in (client, feature) order.
     raws = [fe.decrypt(all_cts, sk) for sk in secret_keys]
-    res = dequantize(ScaledResult(np.array(raws, dtype=float), codec.scale_exp))
-    lam = state.reg_lambda
-    if state.model_kind == MODEL_LINEAR:
+    res = dequantize(np.array(raws, dtype=float), codec.scale_exp)
+    lam = config.reg_lambda
+    if config.model_kind == MODEL_LINEAR:
         gradient = (-2.0 * res) / S + lam * w
     else:
         gradient = (-1.0 * res) / S + lam * w
 
-    new_w = snap_to_grid(w - state.learning_rate * gradient,
-                         weight_grid_bits(state.model_kind, codec))
-    new_state = state._with_weights(new_w)
+    new_w = snap_to_grid(w - config.learning_rate * gradient,
+                         weight_grid_bits(config.model_kind, codec))
 
     # Plaintext oracle view for diagnostics, at the weights just used.
     X, y = plan.X[rows], plan.y[rows]
-    if state.model_kind == MODEL_LINEAR:
+    if config.model_kind == MODEL_LINEAR:
         oracle = centralized_gradient_linear(X, y, w, lam)
         loss = mse_loss(X, y, w)
     else:
@@ -394,6 +356,7 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
         encryptions_per_client=tuple(encryptions_per_client),
         decryptions=len(raws),
         gradient=gradient,
+        weights=new_w,
         loss=loss,
         max_abs_grad_diff_vs_oracle=diff,
     )
@@ -401,12 +364,11 @@ def run_iteration(state: ModelState, plan: TrainingPlan | Sequence[ClientShard],
         artifacts_out.append(IterationArtifacts(
             iteration=iteration,
             instance=instance,
-            encryption_keys=tuple(eks),
             ciphertexts=tuple(all_cts),
             secret_keys=tuple(secret_keys),
             tag=tag,
         ))
-    return gradient, new_state, metrics
+    return metrics
 
 
 def make_batch_schedule(n_rows: int, batch_size: int, n_iterations: int,
@@ -433,64 +395,46 @@ def make_batch_schedule(n_rows: int, batch_size: int, n_iterations: int,
     return schedule
 
 
-@dataclass
-class TrainingResult:
-    """Everything a training run produced, message log included."""
-
-    metrics: list[IterationMetrics]
-    state: ModelState
-    bus: MessageBus
-    artifacts: list[IterationArtifacts]
-    weight_history: list[np.ndarray] = field(default_factory=list)
-
-
 def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
                  initial_weights=None, *,
                  on_iteration: Callable[[IterationMetrics], None] | None = None,
-                 ) -> TrainingResult:
-    """T secure iterations over seeded mini-batches of the given shards.
+                 bus: MessageBus | None = None,
+                 artifacts_out: list[IterationArtifacts] | None = None,
+                 ) -> np.ndarray:
+    """T secure iterations over seeded mini-batches of the shards; returns the final weights.
 
     Every iteration uses a fresh FE instance unless the debug
     reuse_fe_instance flag is set. Exact-mode guarantees assume the
     initial weights sit on the weight grid (the zero default always
-    does). on_iteration, if given, receives each iteration's metrics as
-    soon as they are made. A non-finite loss or gradient raises
-    ValueError before its metrics are recorded or passed on.
+    does). Only the weights carry over between iterations; on_iteration
+    gets each iteration's metrics as soon as they are made, bus the
+    headers (a throwaway bus per iteration when None) and artifacts_out
+    the FE objects. A non-finite loss or gradient raises ValueError
+    before its metrics are passed on.
     """
     plan = TrainingPlan(shards, config)
     if initial_weights is None:
         weights = np.zeros(plan.X.shape[1])
     else:
-        weights = np.asarray(initial_weights, dtype=float)
-    state = ModelState(weights, config.learning_rate, config.reg_lambda,
-                       config.model_kind)
+        weights = np.array(initial_weights, dtype=float)
     schedule = make_batch_schedule(plan.n_rows, config.batch_size,
                                    config.iterations, config.seed)
-    bus = MessageBus()
-    artifacts: list[IterationArtifacts] = []
-    collect = artifacts if config.retain_artifacts else None
 
     fe_setup = None
     if config.reuse_fe_instance and config.iterations > 0:
         slot_lengths = [config.batch_size * (c.stop - c.start) for c in plan.columns]
         fe_setup = fe.setup(len(slot_lengths), slot_lengths)
 
-    metrics_history = []
-    weight_history = []
     for t, rows in enumerate(schedule):
-        _, state, metrics = run_iteration(
-            state, plan, rows, iteration=t, bus=bus, fe_setup=fe_setup,
-            artifacts_out=collect,
-        )
+        metrics = run_iteration(weights, plan, rows, iteration=t, bus=bus,
+                                fe_setup=fe_setup, artifacts_out=artifacts_out)
         if not (math.isfinite(metrics.loss) and np.isfinite(metrics.gradient).all()):
             raise ValueError(f"iteration {t} diverged: loss {metrics.loss!r} or its "
                              f"gradient is not finite; lower the learning rate")
-        metrics_history.append(metrics)
-        weight_history.append(state.weights.copy())
         if on_iteration is not None:
             on_iteration(metrics)
-    return TrainingResult(metrics=metrics_history, state=state, bus=bus,
-                          artifacts=artifacts, weight_history=weight_history)
+        weights = metrics.weights
+    return weights
 
 
 @dataclass

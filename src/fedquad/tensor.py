@@ -120,7 +120,8 @@ def int_vector(values) -> np.ndarray:
 def seal(values) -> np.ndarray:
     """A read-only int_vector copy of values that shares no memory with them."""
     sealed = np.array(int_vector(values))
-    sealed.flags.writeable = False
+    # `flags.writeable = False` leaves bytes allocated per call (numpy 2.4).
+    sealed.setflags(write=False)
     return sealed
 
 

@@ -23,13 +23,14 @@ from .baseline import (
     mse_loss,
     taylor_loss,
 )
-from .data import synthesize
+from .data import partition_dataset, synthesize
 from .fixedpoint import FixedPointConfig, inner_product_error_bound, quantize
 from .funcvec import all_gradient_slice_vectors, build_layout, logistic_adjust
 from .protocol import (
     ClientShard,
-    ModelState,
+    MessageBus,
     TrainingConfig,
+    TrainingPlan,
     exact_codec,
     iteration_record,
     mix_and_match_probe,
@@ -52,21 +53,11 @@ def random_exact_instance(rng: np.random.Generator, *, max_clients: int = 3,
                           binary_labels: bool = False,
                           ) -> tuple[list[ClientShard], np.ndarray]:
     """A random integer-valued instance; labels live on client 0."""
-    n_clients = int(rng.integers(1, max_clients + 1))
-    batch = int(rng.integers(1, max_batch + 1))
-    counts = [int(rng.integers(1, max_features + 1)) for _ in range(n_clients)]
-    if binary_labels:
-        labels = rng.integers(0, 2, size=batch).astype(float)
-    else:
-        labels = rng.integers(-data_range, data_range + 1, size=batch).astype(float)
-    shards = []
-    for i, f in enumerate(counts):
-        features = rng.integers(-data_range, data_range + 1,
-                                size=(batch, f)).astype(float)
-        shards.append(ClientShard(features, labels if i == 0 else None))
-    weights = rng.integers(-weight_range, weight_range + 1,
-                           size=sum(counts)).astype(float)
-    return shards, weights
+    def ints(bound):
+        return lambda size: rng.integers(-bound, bound + 1, size=size).astype(float)
+
+    return _random_instance(rng, ints(data_range), ints(weight_range), max_clients,
+                            max_batch, max_features, binary_labels)
 
 
 def random_unit_instance(rng: np.random.Generator, *, max_clients: int = 3,
@@ -74,19 +65,26 @@ def random_unit_instance(rng: np.random.Generator, *, max_clients: int = 3,
                          binary_labels: bool = False,
                          ) -> tuple[list[ClientShard], np.ndarray]:
     """A random continuous instance with all values in [-1, 1]."""
+    def unit(size):
+        return rng.uniform(-1.0, 1.0, size=size)
+
+    return _random_instance(rng, unit, unit, max_clients, max_batch, max_features,
+                            binary_labels)
+
+
+def _random_instance(rng, data, weight, max_clients, max_batch, max_features,
+                     binary_labels):
+    """Shards and weights drawn by data(size) and weight(size); labels on client 0."""
     n_clients = int(rng.integers(1, max_clients + 1))
     batch = int(rng.integers(1, max_batch + 1))
     counts = [int(rng.integers(1, max_features + 1)) for _ in range(n_clients)]
     if binary_labels:
         labels = rng.integers(0, 2, size=batch).astype(float)
     else:
-        labels = rng.uniform(-1.0, 1.0, size=batch)
-    shards = []
-    for i, f in enumerate(counts):
-        features = rng.uniform(-1.0, 1.0, size=(batch, f))
-        shards.append(ClientShard(features, labels if i == 0 else None))
-    weights = rng.uniform(-1.0, 1.0, size=sum(counts))
-    return shards, weights
+        labels = data(batch)
+    shards = [ClientShard(data((batch, f)), labels if i == 0 else None)
+              for i, f in enumerate(counts)]
+    return shards, weight(sum(counts))
 
 
 def concatenated_input(shards, labels_effective) -> list[int]:
@@ -176,8 +174,8 @@ def check_gradient_oracle(model_kind: str, seed: int = 1,
     for _ in range(rounds):
         shards, weights = random_exact_instance(rng, binary_labels=binary)
         config = TrainingConfig(model_kind=model_kind, codec=exact_codec(model_kind))
-        state = ModelState(weights, config.learning_rate, 0.0, model_kind)
-        gradient, _, _ = run_iteration(state, shards, config)
+        plan = TrainingPlan(shards, config)
+        gradient = run_iteration(weights, plan, np.arange(plan.n_rows)).gradient
         oracle = _oracle_gradient(model_kind, shards, weights, 0.0)
         if not np.array_equal(gradient, oracle):
             return CheckResult(name, False,
@@ -186,8 +184,8 @@ def check_gradient_oracle(model_kind: str, seed: int = 1,
         shards_u, weights_u = random_unit_instance(rng, binary_labels=binary)
         codec = FixedPointConfig()
         config_u = TrainingConfig(model_kind=model_kind, codec=codec)
-        state_u = ModelState(weights_u, config_u.learning_rate, 0.0, model_kind)
-        gradient_u, _, _ = run_iteration(state_u, shards_u, config_u)
+        plan_u = TrainingPlan(shards_u, config_u)
+        gradient_u = run_iteration(weights_u, plan_u, np.arange(plan_u.n_rows)).gradient
         oracle_u = _oracle_gradient(model_kind, shards_u, weights_u, 0.0)
         gap = float(np.max(np.abs(gradient_u - oracle_u)))
         bound = gradient_error_bound(shards_u, weights_u, model_kind, codec)
@@ -223,11 +221,8 @@ def check_gradient_finite_difference(seed: int = 2, rounds: int = 20) -> CheckRe
 
 def _synthetic_shards(model_kind: str, seed: int, n_rows: int = 24,
                       features_per_client=(2, 2, 2)):
-    from .data import partition_dataset
-
     dataset = synthesize(model_kind, n_rows, list(features_per_client), seed)
-    shards, central = partition_dataset(dataset.header, dataset.rows, dataset.spec)
-    return shards, central
+    return partition_dataset(dataset.header, dataset.rows, dataset.spec)
 
 
 def check_counts(seed: int = 3) -> CheckResult:
@@ -235,10 +230,11 @@ def check_counts(seed: int = 3) -> CheckResult:
     shards, _ = _synthetic_shards(MODEL_LINEAR, seed)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=3, batch_size=4,
                             learning_rate=0.01, seed=seed,
-                            codec=exact_codec(MODEL_LINEAR), retain_artifacts=True)
-    result = run_training(shards, config)
+                            codec=exact_codec(MODEL_LINEAR))
+    history, artifacts = [], []
+    run_training(shards, config, on_iteration=history.append, artifacts_out=artifacts)
     F = sum(sh.features.shape[1] for sh in shards)
-    for metrics, art in zip(result.metrics, result.artifacts):
+    for metrics, art in zip(history, artifacts):
         expected = tuple(2 if sh.labels is not None else 1 for sh in shards)
         if metrics.encryptions_per_client != expected:
             return CheckResult("counts", False,
@@ -263,10 +259,10 @@ def check_mix_and_match(seed: int = 4, *, reuse_fe_instance: bool = False,
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5, batch_size=4,
                             learning_rate=0.01, seed=seed,
                             codec=exact_codec(MODEL_LINEAR),
-                            tagged=tagged, reuse_fe_instance=reuse_fe_instance,
-                            retain_artifacts=True)
-    result = run_training(shards, config)
-    report = mix_and_match_probe(result.artifacts)
+                            tagged=tagged, reuse_fe_instance=reuse_fe_instance)
+    artifacts = []
+    run_training(shards, config, artifacts_out=artifacts)
+    report = mix_and_match_probe(artifacts)
     detail = (f"{report.cross_attempts} cross attempts, "
               f"{len(report.cross_successes)} decrypted, "
               f"failure kinds {report.failure_kinds}, "
@@ -334,10 +330,11 @@ def check_determinism(seed: int = 5) -> CheckResult:
         config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=3, batch_size=4,
                                 learning_rate=0.01, seed=seed,
                                 codec=FixedPointConfig())
-        result = run_training(shards, config)
+        history, bus = [], MessageBus()
+        run_training(shards, config, on_iteration=history.append, bus=bus)
         records = "\n".join(json.dumps(iteration_record(m), sort_keys=True)
-                            for m in result.metrics)
-        outputs.append((records, result.bus.export_jsonl()))
+                            for m in history)
+        outputs.append((records, bus.export_jsonl()))
     if outputs[0] != outputs[1]:
         return CheckResult("determinism", False,
                            "two identical runs produced different records")

@@ -31,8 +31,8 @@ from fedquad.funcvec import (
     build_layout,
 )
 from fedquad.protocol import (
-    ModelState,
     TrainingConfig,
+    TrainingPlan,
     exact_codec,
     make_batch_schedule,
     mix_and_match_probe,
@@ -87,6 +87,12 @@ def test_01_function_vector_identity():
     assert elapsed < 10.0, f"took {elapsed:.2f}s, limit 10s"
 
 
+def _protocol_gradient(shards, weights, config):
+    """The secure gradient of one step over all of the shards' rows."""
+    plan = TrainingPlan(shards, config)
+    return run_iteration(weights, plan, np.arange(plan.n_rows)).gradient
+
+
 def _assert_gradient_equivalence(model_kind, rng):
     binary = model_kind == MODEL_LOGISTIC_TAYLOR
 
@@ -94,8 +100,7 @@ def _assert_gradient_equivalence(model_kind, rng):
     config = TrainingConfig(model_kind=model_kind, codec=exact_codec(model_kind))
     for _ in range(500):
         shards, weights = random_exact_instance(rng, binary_labels=binary)
-        state = ModelState(weights, 0.1, 0.0, model_kind)
-        gradient, _, _ = run_iteration(state, shards, config)
+        gradient = _protocol_gradient(shards, weights, config)
         X = np.hstack([sh.features for sh in shards])
         y = shards[0].labels
         if model_kind == MODEL_LINEAR:
@@ -110,8 +115,7 @@ def _assert_gradient_equivalence(model_kind, rng):
     config_fp = TrainingConfig(model_kind=model_kind, codec=codec)
     for _ in range(200):
         shards, weights = random_unit_instance(rng, binary_labels=binary)
-        state = ModelState(weights, 0.1, 0.0, model_kind)
-        gradient, _, _ = run_iteration(state, shards, config_fp)
+        gradient = _protocol_gradient(shards, weights, config_fp)
         X = np.hstack([sh.features for sh in shards])
         y = shards[0].labels
         if model_kind == MODEL_LINEAR:
@@ -151,11 +155,11 @@ def test_04_encryption_and_decryption_counts():
     shards, _ = partition_dataset(data.header, data.rows, data.spec)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=10,
                             batch_size=8, learning_rate=0.01, seed=41,
-                            codec=exact_codec(MODEL_LINEAR),
-                            retain_artifacts=True)
-    result = run_training(shards, config)
-    assert len(result.metrics) == 10
-    for metrics, artifacts in zip(result.metrics, result.artifacts):
+                            codec=exact_codec(MODEL_LINEAR))
+    history, retained = [], []
+    run_training(shards, config, on_iteration=history.append, artifacts_out=retained)
+    assert len(history) == len(retained) == 10
+    for metrics, artifacts in zip(history, retained):
         assert metrics.encryptions_per_client == (2, 1, 1)
         assert metrics.decryptions == 6
         assert fe.audit_counters(artifacts.instance) == (4, 6, 6)
@@ -167,9 +171,10 @@ def test_05_mix_and_match_rejected(tmp_path):
     shards, _ = partition_dataset(data.header, data.rows, data.spec)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5,
                             batch_size=8, learning_rate=0.01, seed=51,
-                            codec=exact_codec(MODEL_LINEAR),
-                            retain_artifacts=True)
-    report = mix_and_match_probe(run_training(shards, config).artifacts)
+                            codec=exact_codec(MODEL_LINEAR))
+    artifacts = []
+    run_training(shards, config, artifacts_out=artifacts)
+    report = mix_and_match_probe(artifacts)
     assert report.cross_attempts == 20
     assert report.cross_successes == []
     assert report.failure_kinds == {"InstanceMismatch": 20}
@@ -179,8 +184,10 @@ def test_05_mix_and_match_rejected(tmp_path):
     reuse = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5,
                            batch_size=8, learning_rate=0.01, seed=51,
                            codec=exact_codec(MODEL_LINEAR),
-                           reuse_fe_instance=True, retain_artifacts=True)
-    leaked = mix_and_match_probe(run_training(shards, reuse).artifacts)
+                           reuse_fe_instance=True)
+    reused = []
+    run_training(shards, reuse, artifacts_out=reused)
+    leaked = mix_and_match_probe(reused)
     assert len(leaked.cross_successes) == 20
     assert not leaked.defended
 
@@ -240,23 +247,23 @@ def test_08_end_to_end_training():
     exact_config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=T,
                                   batch_size=S, learning_rate=lr, seed=3,
                                   codec=exact_codec(MODEL_LINEAR))
-    exact_run = run_training(shards, exact_config)
+    exact_history = []
+    run_training(shards, exact_config, on_iteration=exact_history.append)
     batches = make_batch_schedule(64, S, T, seed=3)
     mirror = centralized_training(
         central.X, central.y, np.zeros(6), MODEL_LINEAR, batches, lr,
         weight_grid_bits=weight_grid_bits(MODEL_LINEAR, exact_config.codec))
-    assert len(exact_run.weight_history) == T
-    for secure_w, central_w in zip(exact_run.weight_history,
-                                   mirror.weight_history):
-        assert np.array_equal(secure_w, central_w)
+    assert len(exact_history) == T
+    for secure, central_w in zip(exact_history, mirror.weight_history):
+        assert np.array_equal(secure.weights, central_w)
 
     fp_config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=T,
                                batch_size=S, learning_rate=lr, seed=3,
                                codec=FixedPointConfig(12, 12))
-    fp_run = run_training(shards, fp_config)
+    fp_weights = run_training(shards, fp_config)
     plain = centralized_training(central.X, central.y, np.zeros(6),
                                  MODEL_LINEAR, batches, lr)
-    mse_secure = mse_loss(central.X, central.y, fp_run.state.weights)
+    mse_secure = mse_loss(central.X, central.y, fp_weights)
     mse_plain = mse_loss(central.X, central.y, plain.weights)
     assert abs(mse_secure - mse_plain) <= 0.01 * mse_plain
     elapsed = time.perf_counter() - start

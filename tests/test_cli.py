@@ -161,6 +161,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == "fedquad: error: batch_size 100 exceeds dataset rows 16\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--lr", "nan"], "learning_rate must be finite and > 0, got nan"),
+        (["--lr", "inf"], "learning_rate must be finite and > 0, got inf"),
+        (["--lr", "0"], "learning_rate must be finite and > 0, got 0.0"),
+        (["--lambda", "nan"], "reg_lambda must be finite and >= 0, got nan"),
+        (["--lambda", "inf"], "reg_lambda must be finite and >= 0, got inf"),
+        (["--rows", "-3"], "n_rows must be >= 1, got -3"),
+        (["--rows", "0"], "n_rows must be >= 1, got 0"),
+    ])
+    def test_bad_setting_is_named(self, flags, message, capsys):
+        assert main(["train", "--synthetic", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"fedquad: error: {message}\n"
+        assert captured.out == ""
+
 
 def _reject_constant(token):
     raise ValueError(f"non-finite value {token} in a record")

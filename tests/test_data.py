@@ -85,6 +85,13 @@ class TestCsvRoundtrip:
         with pytest.raises(ValueError, match="line 2"):
             load_csv(path)
 
+    def test_line_numbers_count_file_lines_not_records(self, tmp_path):
+        # The quoted cell "2\n" spans lines 2 and 3, so x sits on line 4.
+        path = tmp_path / "data.csv"
+        path.write_text('a,b\n1,"2\n"\n4,x\n')
+        with pytest.raises(ValueError, match="line 4, column 'b': non-numeric cell 'x'"):
+            load_csv(path)
+
 
 def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
@@ -189,7 +196,8 @@ class TestCsvParsing:
         path = tmp_path / "data.csv"
         path.write_text(f"a,b\n1,{cell}\n", encoding="utf-8")
         float(cell)  # accepted here, refused by the C reader
-        with pytest.raises(ValueError, match=r"data\.csv: could not convert") as err:
+        with pytest.raises(ValueError, match=rf"data\.csv: line 2, column 'b': "
+                                             rf"non-numeric cell '{cell}'") as err:
             load_csv(path)
         assert "\n" not in str(err.value)
 

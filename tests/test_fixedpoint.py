@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fedquad.fixedpoint import (
     FixedPointConfig,
-    ScaledResult,
     dequantize,
     inner_product_error_bound,
     overflow_bound,
@@ -91,7 +90,7 @@ class TestVectorizedQuantize:
     def test_snap_matches_scalar_bitwise(self, values, bits):
         expected = _scalar_or_error(values, bits)
         if isinstance(expected, list):
-            scalar = np.array([dequantize(ScaledResult(q, bits)) for q in expected],
+            scalar = np.array([dequantize(q, bits) for q in expected],
                               dtype=float)
             got = snap_to_grid(np.array(values, dtype=float), bits)
             assert got.tobytes() == scalar.tobytes()
@@ -128,19 +127,19 @@ class TestDequantize:
                                                  rng.integers(0, 64, 200))]
         raws += [((1 << 53) + 1) << 60, -(((1 << 53) + 3) << 40), (1 << 53) - 1]
         for scale in (0, 36, 72):
-            got = dequantize(ScaledResult(np.array(raws, dtype=float), scale))
-            scalar = np.array([dequantize(ScaledResult(r, scale)) for r in raws])
+            got = dequantize(np.array(raws, dtype=float), scale)
+            scalar = np.array([dequantize(r, scale) for r in raws])
             assert got.tobytes() == scalar.tobytes()
 
     def test_zero(self):
-        assert dequantize(ScaledResult(0, 16)) == 0.0
+        assert dequantize(0, 16) == 0.0
 
     def test_unit(self):
-        assert dequantize(ScaledResult(1 << 16, 16)) == 1.0
+        assert dequantize(1 << 16, 16) == 1.0
 
     def test_roundtrip_on_grid(self):
         for v in (-2.75, 0.125, 3.5):
-            assert dequantize(ScaledResult(quantize(v, 4), 4)) == v
+            assert dequantize(quantize(v, 4), 4) == v
 
 
 class TestSnapToGrid:
@@ -236,7 +235,7 @@ class TestErrorBound:
                     * xq[s][p]
                     for s in range(S)
                 )
-                got = dequantize(ScaledResult(raw, qw + 2 * qx))
+                got = dequantize(raw, qw + 2 * qx)
                 assert abs(got - real[p]) <= bound
 
     def test_exact_mode_is_lossless_on_integers(self):
@@ -252,7 +251,7 @@ class TestErrorBound:
                 * int(x[s][p])
                 for s in range(S)
             )
-            assert dequantize(ScaledResult(raw, 0)) == real[p]
+            assert dequantize(raw, 0) == real[p]
 
     def test_bound_grows_with_batch(self):
         small = inner_product_error_bound(1, 3, 12, 12, 1.0, 1.0)

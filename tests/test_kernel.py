@@ -327,10 +327,12 @@ class TestDecryptMemo:
                   ClientShard(rng.integers(-4, 5, size=(rows, 1)).astype(float))]
         config = TrainingConfig(iterations=T, batch_size=batch, seed=seed,
                                 learning_rate=0.05, codec=exact_codec(MODEL_LINEAR),
-                                reuse_fe_instance=True, retain_artifacts=True)
-        result = run_training(shards, config, initial_weights=[1.0, -2.0, 1.0])
+                                reuse_fe_instance=True)
+        artifacts = []
+        run_training(shards, config, initial_weights=[1.0, -2.0, 1.0],
+                     artifacts_out=artifacts)
 
-        report = mix_and_match_probe(result.artifacts)
+        report = mix_and_match_probe(artifacts)
         assert report.cross_attempts == T * (T - 1)
         assert len(report.cross_successes) == T * (T - 1)
         assert report.failure_kinds == {} and report.controls_ok
@@ -341,8 +343,8 @@ class TestDecryptMemo:
         for rows_t in make_batch_schedule(rows, batch, T, seed):
             x = [int(v) for sh in shards for v in vec_columns(sh.features[rows_t])]
             inputs.append(x + [int(v) for v in labels[rows_t]])
-        for a in result.artifacts:
-            for b in result.artifacts:
+        for a in artifacts:
+            for b in artifacts:
                 key = b.secret_keys[0]
                 assert (fe.decrypt(a.ciphertexts, key)
                         == _reference(key.funcvec, inputs[a.iteration]))

@@ -18,7 +18,6 @@ from fedquad.protocol import (
     ClientShard,
     Header,
     MessageBus,
-    ModelState,
     TrainingConfig,
     TrainingPlan,
     exact_codec,
@@ -40,8 +39,13 @@ from fedquad.verify import (
 def _hand_instance():
     shards = [ClientShard(np.array([[5.0]]), np.array([4.0])),
               ClientShard(np.array([[7.0]]))]
-    state = ModelState(np.array([2.0, 3.0]), 0.5, 0.0, MODEL_LINEAR)
-    return shards, state
+    return shards, np.array([2.0, 3.0])
+
+
+def _step(weights, shards, config, **kwargs):
+    """One secure step over all of the shards' rows."""
+    plan = TrainingPlan(shards, config)
+    return run_iteration(weights, plan, np.arange(plan.n_rows), **kwargs)
 
 
 def _central(shards):
@@ -52,36 +56,35 @@ def _central(shards):
 
 class TestRunIteration:
     def test_hand_instance_gradient(self):
-        shards, state = _hand_instance()
+        shards, weights = _hand_instance()
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR))
-        gradient, _, metrics = run_iteration(state, shards, config)
-        assert np.array_equal(gradient, np.array([270.0, 378.0]))
+        metrics = _step(weights, shards, config)
+        assert np.array_equal(metrics.gradient, np.array([270.0, 378.0]))
         assert metrics.max_abs_grad_diff_vs_oracle == 0.0
 
     def test_matches_centralized_oracle(self):
-        shards, state = _hand_instance()
+        shards, weights = _hand_instance()
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR))
-        gradient, _, _ = run_iteration(state, shards, config)
+        gradient = _step(weights, shards, config).gradient
         X, y = _central(shards)
         assert np.array_equal(gradient,
-                              centralized_gradient_linear(X, y, state.weights))
+                              centralized_gradient_linear(X, y, weights))
 
     def test_regularizer_contributes_lambda_w(self):
-        shards, state = _hand_instance()
-        state = ModelState(state.weights, 0.5, 1.0, MODEL_LINEAR)
+        shards, weights = _hand_instance()
         config = TrainingConfig(reg_lambda=1.0, codec=exact_codec(MODEL_LINEAR))
-        gradient, _, _ = run_iteration(state, shards, config)
-        assert np.array_equal(gradient, np.array([270.0, 378.0]) + state.weights)
+        gradient = _step(weights, shards, config).gradient
+        assert np.array_equal(gradient, np.array([270.0, 378.0]) + weights)
 
     def test_exact_equality_on_random_instances(self):
         rng = np.random.default_rng(20)
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR))
         for _ in range(60):
             shards, weights = random_exact_instance(rng)
-            state = ModelState(weights, 0.1, 0.0, MODEL_LINEAR)
-            gradient, _, metrics = run_iteration(state, shards, config)
+            metrics = _step(weights, shards, config)
             X, y = _central(shards)
-            assert np.array_equal(gradient, centralized_gradient_linear(X, y, weights))
+            assert np.array_equal(metrics.gradient,
+                                  centralized_gradient_linear(X, y, weights))
             assert metrics.max_abs_grad_diff_vs_oracle == 0.0
 
     def test_exact_equality_logistic(self):
@@ -90,11 +93,10 @@ class TestRunIteration:
                                 codec=exact_codec(MODEL_LOGISTIC_TAYLOR))
         for _ in range(60):
             shards, weights = random_exact_instance(rng, binary_labels=True)
-            state = ModelState(weights, 0.1, 0.0, MODEL_LOGISTIC_TAYLOR)
-            gradient, _, metrics = run_iteration(state, shards, config)
+            metrics = _step(weights, shards, config)
             X, y = _central(shards)
             oracle = centralized_gradient_logistic_taylor(X, y, weights)
-            assert np.array_equal(gradient, oracle)
+            assert np.array_equal(metrics.gradient, oracle)
             assert metrics.max_abs_grad_diff_vs_oracle == 0.0
 
     @pytest.mark.parametrize("model_kind,binary", [
@@ -107,78 +109,64 @@ class TestRunIteration:
         config = TrainingConfig(model_kind=model_kind, codec=codec)
         for _ in range(40):
             shards, weights = random_unit_instance(rng, binary_labels=binary)
-            state = ModelState(weights, 0.1, 0.0, model_kind)
-            _, _, metrics = run_iteration(state, shards, config)
+            metrics = _step(weights, shards, config)
             bound = gradient_error_bound(shards, weights, model_kind, codec)
             assert metrics.max_abs_grad_diff_vs_oracle <= bound
 
     def test_weight_update_and_grid_projection(self):
-        shards, state = _hand_instance()
-        config = TrainingConfig(codec=exact_codec(MODEL_LINEAR))
-        gradient, new_state, _ = run_iteration(state, shards, config)
+        shards, weights = _hand_instance()
+        config = TrainingConfig(learning_rate=0.5, codec=exact_codec(MODEL_LINEAR))
+        metrics = _step(weights, shards, config)
         # exact mode projects onto the integer grid
-        expected = np.round(state.weights - 0.5 * gradient)
-        assert np.array_equal(new_state.weights, expected)
+        expected = np.round(weights - 0.5 * metrics.gradient)
+        assert np.array_equal(metrics.weights, expected)
 
     def test_label_client_must_be_unique(self):
         shards = [ClientShard(np.ones((2, 1)), np.ones(2)),
                   ClientShard(np.ones((2, 1)), np.ones(2))]
-        state = ModelState(np.zeros(2), 0.1, 0.0, MODEL_LINEAR)
         with pytest.raises(ValueError):
-            run_iteration(state, shards, TrainingConfig())
+            _step(np.zeros(2), shards, TrainingConfig())
 
     def test_row_count_mismatch_rejected(self):
         shards = [ClientShard(np.ones((2, 1)), np.ones(2)),
                   ClientShard(np.ones((3, 1)))]
-        state = ModelState(np.zeros(2), 0.1, 0.0, MODEL_LINEAR)
         with pytest.raises(ValueError):
-            run_iteration(state, shards, TrainingConfig())
+            _step(np.zeros(2), shards, TrainingConfig())
 
     def test_weight_length_mismatch_rejected(self):
         shards = [ClientShard(np.ones((2, 2)), np.ones(2))]
-        state = ModelState(np.zeros(3), 0.1, 0.0, MODEL_LINEAR)
         with pytest.raises(ValueError):
-            run_iteration(state, shards, TrainingConfig())
+            _step(np.zeros(3), shards, TrainingConfig())
 
     @pytest.mark.parametrize("call", [
-        lambda: run_iteration(ModelState(np.zeros(1), 0.1, 0.0, MODEL_LINEAR),
-                              [], TrainingConfig()),
+        lambda: _step(np.zeros(1), [], TrainingConfig()),
         lambda: run_training([], TrainingConfig()),
     ], ids=["run_iteration", "run_training"])
     def test_empty_shard_list_rejected(self, call):
         with pytest.raises(ValueError, match="at least one client shard"):
             call()
 
-    def test_model_kind_mismatch_rejected(self):
-        shards, state = _hand_instance()
-        config = TrainingConfig(model_kind=MODEL_LOGISTIC_TAYLOR)
-        with pytest.raises(ValueError, match="model"):
-            run_iteration(state, shards, config)
-
     def test_overflow_guard_refuses_to_run(self):
         shards = [ClientShard(np.full((4, 2), 1e9), np.full(4, 1e9))]
-        state = ModelState(np.full(2, 1e9), 0.1, 0.0, MODEL_LINEAR)
         config = TrainingConfig(codec=FixedPointConfig(24, 24))
         with pytest.raises(OverflowError):
-            run_iteration(state, shards, config)
+            _step(np.full(2, 1e9), shards, config)
 
     def test_overflow_guard_counts_negative_values(self):
         # Each row's largest magnitude is its negative entry.
         shards = [ClientShard(np.tile([-1e9, 1.0], (4, 1)), np.ones(4))]
-        state = ModelState(np.full(2, 1e9), 0.1, 0.0, MODEL_LINEAR)
         config = TrainingConfig(codec=FixedPointConfig(24, 24))
         with pytest.raises(OverflowError, match="worst-case accumulation"):
-            run_iteration(state, shards, config)
+            _step(np.full(2, 1e9), shards, config)
 
 
 class TestMessageLog:
     def _run(self, tagged=False):
         rng = np.random.default_rng(23)
         shards, weights = random_exact_instance(rng, max_clients=3)
-        state = ModelState(weights, 0.1, 0.0, MODEL_LINEAR)
         bus = MessageBus()
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR), tagged=tagged)
-        run_iteration(state, shards, config, bus=bus, iteration=4)
+        _step(weights, shards, config, bus=bus, iteration=4)
         return shards, bus
 
     def test_clients_never_hear_from_aggregator(self):
@@ -209,10 +197,9 @@ class TestMessageLog:
 
     def test_log_contains_no_plaintext_values(self):
         shards = [ClientShard(np.array([[987654.0]]), np.array([123321.0]))]
-        state = ModelState(np.array([555444.0]), 0.1, 0.0, MODEL_LINEAR)
         bus = MessageBus()
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR))
-        run_iteration(state, shards, config, bus=bus)
+        _step(np.array([555444.0]), shards, config, bus=bus)
         log = bus.export_jsonl()
         for sentinel in ("987654", "123321", "555444"):
             assert sentinel not in log
@@ -230,32 +217,37 @@ class TestRunTraining:
     def test_zero_iterations(self):
         shards = self._shards()
         config = TrainingConfig(iterations=0, batch_size=4)
-        result = run_training(shards, config, initial_weights=np.arange(4.0))
-        assert result.metrics == []
-        assert np.array_equal(result.state.weights, np.arange(4.0))
+        initial = np.arange(4.0)
+        seen = []
+        weights = run_training(shards, config, initial_weights=initial,
+                               on_iteration=seen.append)
+        assert seen == []
+        assert np.array_equal(weights, np.arange(4.0))
+        assert weights is not initial
 
     def test_exact_mode_matches_centralized_descent(self):
         shards = self._shards()
         config = TrainingConfig(iterations=12, batch_size=4, learning_rate=0.1,
                                 seed=9, codec=exact_codec(MODEL_LINEAR))
-        result = run_training(shards, config)
+        history = []
+        weights = run_training(shards, config, on_iteration=history.append)
         X = np.hstack([sh.features for sh in shards])
         y = shards[0].labels
         batches = make_batch_schedule(16, 4, 12, 9)
         mirror = centralized_training(
             X, y, np.zeros(4), MODEL_LINEAR, batches, 0.1,
             weight_grid_bits=weight_grid_bits(MODEL_LINEAR, config.codec))
-        assert len(result.weight_history) == 12
-        for protocol_w, central_w in zip(result.weight_history,
-                                         mirror.weight_history):
-            assert np.array_equal(protocol_w, central_w)
+        assert len(history) == 12
+        for metrics, central_w in zip(history, mirror.weight_history):
+            assert np.array_equal(metrics.weights, central_w)
+        assert weights is history[-1].weights
 
     def test_on_iteration_sees_each_metrics_record_in_order(self):
         seen = []
         config = TrainingConfig(iterations=5, batch_size=4)
-        result = run_training(self._shards(), config, on_iteration=seen.append)
-        assert seen == result.metrics
+        weights = run_training(self._shards(), config, on_iteration=seen.append)
         assert [m.iteration for m in seen] == list(range(5))
+        assert weights is seen[-1].weights
 
     def test_non_finite_gradient_raises_before_it_is_recorded(self, monkeypatch):
         # Without the quantizer guard on the update, an infinite decrypted
@@ -265,9 +257,9 @@ class TestRunTraining:
         real = protocol_module.dequantize
         calls = []
 
-        def inflated(result):
+        def inflated(raw, scale_exp):
             calls.append(None)
-            res = real(result)
+            res = real(raw, scale_exp)
             return res * np.inf if len(calls) > 1 else res
 
         monkeypatch.setattr(protocol_module, "dequantize", inflated)
@@ -280,71 +272,84 @@ class TestRunTraining:
 
     def test_fresh_instance_every_iteration(self):
         shards = self._shards()
-        config = TrainingConfig(iterations=3, batch_size=4,
-                                retain_artifacts=True)
-        result = run_training(shards, config)
-        ids = [a.instance.instance_id for a in result.artifacts]
+        config = TrainingConfig(iterations=3, batch_size=4)
+        artifacts = []
+        run_training(shards, config, artifacts_out=artifacts)
+        ids = [a.instance.instance_id for a in artifacts]
         assert len(set(ids)) == 3
 
     def test_determinism_across_runs(self):
         outputs = []
         for _ in range(2):
-            result = run_training(self._shards(), TrainingConfig(
-                iterations=4, batch_size=4, seed=31))
+            history, bus = [], MessageBus()
+            run_training(self._shards(), TrainingConfig(iterations=4, batch_size=4, seed=31),
+                         on_iteration=history.append, bus=bus)
             records = [json.dumps(iteration_record(m), sort_keys=True)
-                       for m in result.metrics]
-            outputs.append((records, result.bus.export_jsonl()))
+                       for m in history]
+            outputs.append((records, bus.export_jsonl()))
         assert outputs[0] == outputs[1]
 
     def test_counts_per_iteration(self):
         shards = self._shards()
-        config = TrainingConfig(iterations=5, batch_size=4,
-                                retain_artifacts=True)
-        result = run_training(shards, config)
-        for metrics, art in zip(result.metrics, result.artifacts):
+        config = TrainingConfig(iterations=5, batch_size=4)
+        history, artifacts = [], []
+        run_training(shards, config, on_iteration=history.append,
+                     artifacts_out=artifacts)
+        assert len(history) == len(artifacts) == 5
+        for metrics, art in zip(history, artifacts):
             assert metrics.encryptions_per_client == (2, 1)
             assert metrics.decryptions == 4
             assert fe.audit_counters(art.instance) == (3, 4, 4)
 
     def test_tagged_mode_tags_with_iteration(self):
         shards = self._shards()
-        config = TrainingConfig(iterations=3, batch_size=4, tagged=True,
-                                retain_artifacts=True)
-        result = run_training(shards, config)
-        assert [a.tag for a in result.artifacts] == [0, 1, 2]
+        config = TrainingConfig(iterations=3, batch_size=4, tagged=True)
+        artifacts = []
+        run_training(shards, config, artifacts_out=artifacts)
+        assert [a.tag for a in artifacts] == [0, 1, 2]
 
     def test_batch_size_larger_than_dataset_rejected(self):
         with pytest.raises(ValueError):
             run_training(self._shards(rows=4),
                          TrainingConfig(iterations=1, batch_size=5))
 
-    def test_held_memory_does_not_grow_with_fe_objects(self):
-        # S=32, F=16: one iteration's FE objects (function vectors, keys,
-        # ciphertexts) took about 0.9 MB when the bus kept whole messages.
-        # What a result may keep per iteration is its header, metrics and
-        # weight records, a few hundred bytes each.
+    @staticmethod
+    def _held_after(iterations, **sinks):
+        """Bytes run_training leaves allocated, S=32 and F=16, after a gc.collect."""
         rng = np.random.default_rng(26)
         labels = rng.integers(-4, 5, size=64).astype(float)
         shards = [ClientShard(rng.integers(-4, 5, size=(64, 8)).astype(float), labels),
                   ClientShard(rng.integers(-4, 5, size=(64, 8)).astype(float))]
-
-        def held_after(iterations):
-            config = TrainingConfig(iterations=iterations, batch_size=32,
-                                    learning_rate=0.01, seed=2)
+        config = TrainingConfig(iterations=iterations, batch_size=32,
+                                learning_rate=0.01, seed=2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            weights = run_training(shards, config, initial_weights=np.ones(16), **sinks)
             gc.collect()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                result = run_training(shards, config, initial_weights=np.ones(16))
-                gc.collect()
-                return tracemalloc.get_traced_memory()[0] - before, result
-            finally:
-                tracemalloc.stop()
+            return tracemalloc.get_traced_memory()[0] - before, weights
+        finally:
+            tracemalloc.stop()
 
-        short, _ = held_after(2)
-        long, result = held_after(16)
-        assert len(result.metrics) == 16
+    def test_held_memory_does_not_grow_with_fe_objects(self):
+        # S=32, F=16: one iteration's FE objects (function vectors, keys,
+        # ciphertexts) took about 0.9 MB when the bus kept whole messages.
+        # What the sinks may keep per iteration is one header record per
+        # message and one metrics record, a few hundred bytes each.
+        short_history, long_history = [], []
+        short, _ = self._held_after(2, on_iteration=short_history.append, bus=MessageBus())
+        long, _ = self._held_after(16, on_iteration=long_history.append, bus=MessageBus())
+        assert len(long_history) == 16
         assert long - short < 14 * 4096
+
+    def test_run_without_sinks_holds_nothing_per_iteration(self):
+        # Only the final weights outlive the run: no metrics, weight or
+        # header record is kept per iteration.
+        short, _ = self._held_after(2)
+        long, weights = self._held_after(64)
+        assert weights.shape == (16,)
+        assert long - short < 4096
 
 
 class TestTrainingPlan:
@@ -374,12 +379,14 @@ class TestTrainingPlan:
                                 learning_rate=0.05, reg_lambda=0.1, seed=8,
                                 codec=codec, tagged=tagged)
         initial = np.array([0.5, -1.5, 2.0, -0.25, 1.0])
-        result = run_training(shards, config, initial_weights=initial)
+        history, run_bus = [], MessageBus()
+        final = run_training(shards, config, initial_weights=initial,
+                             on_iteration=history.append, bus=run_bus)
 
         plan = TrainingPlan(shards, config)
         labels = shards[1].labels
         y_eff = labels - 0.5 if model_kind == MODEL_LOGISTIC_TAYLOR else labels
-        state = ModelState(initial, config.learning_rate, config.reg_lambda, model_kind)
+        weights = initial
         bus = MessageBus()
         schedule = make_batch_schedule(12, 4, 6, 8)
         for t, rows in enumerate(schedule):
@@ -393,11 +400,10 @@ class TestTrainingPlan:
             assert (block[:, -1].tolist()
                     == quantize_vector(y_eff[rows], codec.data_bits))
 
-            gradient, state, metrics = run_iteration(state, batch, config,
-                                                     iteration=t, bus=bus)
-            expected = result.metrics[t]
-            assert gradient.tobytes() == expected.gradient.tobytes()
-            assert state.weights.tobytes() == result.weight_history[t].tobytes()
+            metrics = _step(weights, batch, config, iteration=t, bus=bus)
+            expected = history[t]
+            assert metrics.gradient.tobytes() == expected.gradient.tobytes()
+            assert metrics.weights.tobytes() == expected.weights.tobytes()
             assert (metrics.iteration, metrics.encryptions_per_client,
                     metrics.decryptions) == (expected.iteration,
                                              expected.encryptions_per_client,
@@ -405,7 +411,9 @@ class TestTrainingPlan:
             assert metrics.loss.hex() == expected.loss.hex()
             assert (metrics.max_abs_grad_diff_vs_oracle.hex()
                     == expected.max_abs_grad_diff_vs_oracle.hex())
-        assert bus.header_log() == result.bus.header_log()
+            weights = metrics.weights
+        assert final.tobytes() == weights.tobytes()
+        assert bus.header_log() == run_bus.header_log()
 
 
 class TestBatchSchedule:
@@ -437,9 +445,10 @@ class TestMixAndMatch:
                               labels)]
         config = TrainingConfig(iterations=iterations, batch_size=3,
                                 codec=exact_codec(MODEL_LINEAR),
-                                reuse_fe_instance=reuse, tagged=tagged,
-                                retain_artifacts=True)
-        return run_training(shards, config).artifacts
+                                reuse_fe_instance=reuse, tagged=tagged)
+        artifacts = []
+        run_training(shards, config, artifacts_out=artifacts)
+        return artifacts
 
     def test_two_iterations_both_cross_pairs_rejected(self):
         report = mix_and_match_probe(self._artifacts(2))
@@ -476,8 +485,7 @@ class TestActorAndConfig:
         shards = [ClientShard(np.ones((2, 1)), np.ones(2)),
                   ClientShard(np.ones((2, 1))), ClientShard(np.ones((2, 1)))]
         bus = MessageBus()
-        run_iteration(ModelState(np.zeros(3), 0.1, 0.0, MODEL_LINEAR), shards,
-                      TrainingConfig(batch_size=2), bus=bus)
+        _step(np.zeros(3), shards, TrainingConfig(batch_size=2), bus=bus)
         names = {h.sender for h in bus.messages} | {h.recipient for h in bus.messages}
         assert names == {"ttp", "aggregator", "client0", "client1", "client2"}
 
@@ -488,42 +496,40 @@ class TestActorAndConfig:
             TrainingConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainingConfig(learning_rate=-0.1)
         with pytest.raises(ValueError):
             TrainingConfig(reg_lambda=-0.5)
+        with pytest.raises(ValueError, match="reg_lambda"):
+            TrainingConfig(reg_lambda=-1.0)
         with pytest.raises(ValueError):
             TrainingConfig(model_kind="cubic")
+        # nan fails every comparison, so it must be refused explicitly.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                TrainingConfig(learning_rate=bad)
+            with pytest.raises(ValueError, match="reg_lambda must be finite"):
+                TrainingConfig(reg_lambda=bad)
 
-    def test_model_state_validation(self):
-        with pytest.raises(ValueError):
-            ModelState(np.zeros(2), 0.1, 0.0, "cubic")
-        with pytest.raises(ValueError):
-            ModelState(np.zeros(2), -0.1, 0.0, MODEL_LINEAR)
-
-    def test_user_built_state_is_checked_and_converted(self):
-        with pytest.raises(ValueError, match="reg_lambda"):
-            ModelState(np.zeros(2), 0.1, -1.0, MODEL_LINEAR)
-        state = ModelState([2, 3], 0.5, 0.0, MODEL_LINEAR)
-        assert state.weights.dtype == np.float64
-
-    def test_next_state_keeps_settings_and_is_frozen(self):
+    def test_weights_are_converted_and_never_mutated(self):
         shards, _ = _hand_instance()
-        state = ModelState([2, 3], 0.5, 1.0, MODEL_LINEAR)
-        config = TrainingConfig(reg_lambda=1.0, codec=exact_codec(MODEL_LINEAR))
-        _, new_state, _ = run_iteration(state, shards, config)
-        assert new_state is not state
-        assert type(new_state) is ModelState
-        assert (new_state.learning_rate, new_state.reg_lambda,
-                new_state.model_kind) == (0.5, 1.0, MODEL_LINEAR)
-        assert new_state.weights.dtype == np.float64
-        assert state.weights.tolist() == [2.0, 3.0]
-        with pytest.raises(AttributeError):
-            new_state.weights = np.zeros(2)
+        config = TrainingConfig(learning_rate=0.5, reg_lambda=1.0,
+                                codec=exact_codec(MODEL_LINEAR))
+        listed = [2, 3]
+        from_list = _step(listed, shards, config)
+        assert listed == [2, 3]
+        assert from_list.weights.dtype == np.float64
+        array = np.array([2.0, 3.0])
+        from_array = _step(array, shards, config)
+        assert array.tolist() == [2.0, 3.0]
+        assert from_array.weights is not array
+        assert from_array.weights.tobytes() == from_list.weights.tobytes()
 
     def test_message_header(self):
         # client0 holds the labels, so it gets its own key and the label slot's.
-        shards, state = _hand_instance()
+        shards, weights = _hand_instance()
         bus = MessageBus()
-        run_iteration(state, shards, TrainingConfig(), bus=bus, iteration=3)
+        _step(weights, shards, TrainingConfig(), bus=bus, iteration=3)
         assert bus.messages[0] == Header("ttp", "client0", 3, "deliver_keys", 2)
         assert bus.header_log()[0] == {
             "from": "ttp", "to": "client0", "iteration": 3,
