@@ -496,12 +496,8 @@ class TestActorAndConfig:
             TrainingConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainingConfig(learning_rate=-0.1)
         with pytest.raises(ValueError):
             TrainingConfig(reg_lambda=-0.5)
-        with pytest.raises(ValueError, match="reg_lambda"):
-            TrainingConfig(reg_lambda=-1.0)
         with pytest.raises(ValueError):
             TrainingConfig(model_kind="cubic")
         # nan fails every comparison, so it must be refused explicitly.
@@ -511,19 +507,39 @@ class TestActorAndConfig:
             with pytest.raises(ValueError, match="reg_lambda must be finite"):
                 TrainingConfig(reg_lambda=bad)
 
-    def test_weights_are_converted_and_never_mutated(self):
+    def test_model_state_validation(self):
+        # The model settings live in TrainingConfig only; it refuses bad ones.
+        with pytest.raises(ValueError, match="unknown model kind"):
+            TrainingConfig(model_kind="cubic")
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainingConfig(learning_rate=-0.1)
+
+    def test_user_built_state_is_checked_and_converted(self):
+        with pytest.raises(ValueError, match="reg_lambda"):
+            TrainingConfig(reg_lambda=-1.0)
         shards, _ = _hand_instance()
-        config = TrainingConfig(learning_rate=0.5, reg_lambda=1.0,
-                                codec=exact_codec(MODEL_LINEAR))
+        config = TrainingConfig(learning_rate=0.5, codec=exact_codec(MODEL_LINEAR))
         listed = [2, 3]
         from_list = _step(listed, shards, config)
         assert listed == [2, 3]
         assert from_list.weights.dtype == np.float64
         array = np.array([2.0, 3.0])
         from_array = _step(array, shards, config)
-        assert array.tolist() == [2.0, 3.0]
-        assert from_array.weights is not array
         assert from_array.weights.tobytes() == from_list.weights.tobytes()
+
+    def test_next_state_keeps_settings_and_is_frozen(self):
+        shards, _ = _hand_instance()
+        config = TrainingConfig(learning_rate=0.5, reg_lambda=1.0,
+                                codec=exact_codec(MODEL_LINEAR))
+        weights = np.array([2.0, 3.0])
+        metrics = _step(weights, shards, config)
+        assert metrics.weights is not weights
+        assert metrics.weights.dtype == np.float64
+        assert weights.tolist() == [2.0, 3.0]
+        assert (config.learning_rate, config.reg_lambda,
+                config.model_kind) == (0.5, 1.0, MODEL_LINEAR)
+        with pytest.raises(AttributeError):
+            config.learning_rate = 0.1
 
     def test_message_header(self):
         # client0 holds the labels, so it gets its own key and the label slot's.
