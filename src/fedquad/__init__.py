@@ -35,7 +35,6 @@ from .funcvec import (
     all_gradient_slice_vectors,
     build_layout,
     gradient_slice_vector,
-    logistic_adjust,
     residual_coefficients,
 )
 from .protocol import (
@@ -75,7 +74,6 @@ __all__ = [
     "finite_difference_gradient",
     "gradient_slice_vector",
     "inner_product_error_bound",
-    "logistic_adjust",
     "make_batch_schedule",
     "mix_and_match_probe",
     "mse_loss",

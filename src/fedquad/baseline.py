@@ -19,7 +19,6 @@ from .fixedpoint import snap_to_grid
 
 MODEL_LINEAR = "linear"
 MODEL_LOGISTIC_TAYLOR = "logistic_taylor"
-MODEL_KINDS = (MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR)
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,39 @@ def taylor_loss(X, y, w) -> float:
     return float(np.add.reduce(per_sample) / per_sample.shape[0])
 
 
+@dataclass(frozen=True)
+class Model:
+    """What the protocol and its mirrors know about one model kind.
+
+    Both models run through the linear model's quadratic residual form:
+    weights enter as w / 2**weight_shift, labels as y - label_shift, and a
+    decrypted slice is scaled by slice_scale / S. gradient and loss are
+    the plaintext oracle and its loss.
+    """
+
+    kind: str
+    gradient: Callable
+    loss: Callable
+    weight_shift: int
+    label_shift: float
+    slice_scale: float
+
+
+_MODELS = (
+    Model(MODEL_LINEAR, centralized_gradient_linear, mse_loss, 0, 0.0, -2.0),
+    Model(MODEL_LOGISTIC_TAYLOR, centralized_gradient_logistic_taylor, taylor_loss,
+          2, 0.5, -1.0),
+)
+
+
+def model(kind: str) -> Model:
+    """The record of a model kind; ValueError for any other kind."""
+    for m in _MODELS:
+        if m.kind == kind:
+            return m
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
 def finite_difference_gradient(loss: Callable[[np.ndarray], float],
                                w, h: float = 1e-4) -> np.ndarray:
     """Central differences of a scalar loss, coordinate by coordinate."""
@@ -126,8 +158,7 @@ def centralized_training(X, y, initial_weights, model_kind: str,
     protocol so trajectories can be compared step by step. With None the
     run is plain float descent.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    m = model(model_kind)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(initial_weights, dtype=float).copy()
@@ -136,12 +167,8 @@ def centralized_training(X, y, initial_weights, model_kind: str,
     for rows in batches:
         Xb = X[rows]
         yb = y[rows]
-        if model_kind == MODEL_LINEAR:
-            grad = centralized_gradient_linear(Xb, yb, w, reg_lambda)
-            loss = mse_loss(Xb, yb, w)
-        else:
-            grad = centralized_gradient_logistic_taylor(Xb, yb, w, reg_lambda)
-            loss = taylor_loss(Xb, yb, w)
+        grad = m.gradient(Xb, yb, w, reg_lambda)
+        loss = m.loss(Xb, yb, w)
         w = w - learning_rate * grad
         if weight_grid_bits is not None:
             w = snap_to_grid(w, weight_grid_bits)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, mse_loss, taylor_loss
+from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, model
 from .data import (
     load_csv,
     load_partition_spec,
@@ -159,10 +159,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             weights = run_training(shards, config, on_iteration=lambda m: emit(
                 {"record": "iteration", **iteration_record(m)}))
-        if model_kind == MODEL_LINEAR:
-            final_loss = mse_loss(central.X, central.y, weights)
-        else:
-            final_loss = taylor_loss(central.X, central.y, weights)
+        final_loss = model(model_kind).loss(central.X, central.y, weights)
         emit({
             "record": "summary",
             "model": args.model,

@@ -262,6 +262,8 @@ def synthesize(model_kind: str, n_rows: int, features_per_client: Sequence[int],
                seed: int) -> SyntheticDataset:
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if model_kind == MODEL_LINEAR:
         return synthesize_linear(n_rows, features_per_client, seed)
     if model_kind == MODEL_LOGISTIC_TAYLOR:

@@ -142,7 +142,10 @@ class SecretKey:
 
 def setup(n_slots: int, slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]:
     """Create a fresh instance and one encryption key per slot."""
-    lengths = tuple(int(n) for n in slot_lengths)
+    # From a list, not a generator: a tuple built from a generator is resized,
+    # so it does not come from CPython's tuple free list but goes back to it,
+    # which then grows by one entry per call (up to 2000 per size).
+    lengths = tuple([int(n) for n in slot_lengths])
     if n_slots < 2:
         raise ValueError(f"need at least 2 slots (features + labels), got {n_slots}")
     if len(lengths) != n_slots:

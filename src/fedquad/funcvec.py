@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
 # to_dense exists for test oracles; this caps it at desk scale.
 DENSE_DIMENSION_LIMIT = 65536
 
@@ -135,8 +133,9 @@ class ResidualBlock:
                 f"need rows >= 1 and at least one coefficient, got {self.rows} "
                 f"and {len(self.coefficients)}"
             )
+        # From a list, as in fe.setup: built once per iteration.
         object.__setattr__(self, "nonzero_columns", tuple(
-            c for c, value in enumerate(self.coefficients) if value != 0))
+            [c for c, value in enumerate(self.coefficients) if value != 0]))
 
     @property
     def vector_length(self) -> int:
@@ -277,14 +276,3 @@ def all_gradient_slice_vectors(quantized_weights: Sequence[Sequence[int]],
     S = layout.batch_size
     return [SliceVector(k * S, block) for k in range(layout.feature_total)]
 
-
-def logistic_adjust(weights, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs for the quadratic logistic surrogate: quarter weights, centered labels.
-
-    Feeding (w/4, y - 1/2) through the unchanged linear pipeline makes the
-    decrypted slices equal ((y - 1/2 - X(w/4))^T X_i)[p], which is -S times
-    the surrogate gradient before regularization.
-    """
-    w = np.asarray(weights, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    return w / 4.0, y - 0.5

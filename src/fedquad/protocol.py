@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import json
 import math
@@ -27,11 +27,10 @@ import numpy as np
 
 from . import fe
 from .baseline import (
-    MODEL_KINDS,
     MODEL_LINEAR,
-    MODEL_LOGISTIC_TAYLOR,
     centralized_gradient_linear,
     centralized_gradient_logistic_taylor,
+    model,
     mse_loss,
     taylor_loss,
 )
@@ -45,7 +44,7 @@ from .fixedpoint import (  # noqa: F401
     quantize_vector,
     snap_to_grid,
 )
-from .funcvec import Layout, all_gradient_slice_vectors, build_layout, logistic_adjust
+from .funcvec import Layout, all_gradient_slice_vectors, build_layout
 from .tensor import vec_columns
 
 OVERFLOW_LIMIT_BITS = 126
@@ -131,8 +130,7 @@ class TrainingConfig:
     reuse_fe_instance: bool = False
 
     def __post_init__(self) -> None:
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
+        model(self.model_kind)  # ValueError for an unknown kind
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 1:
@@ -142,31 +140,29 @@ class TrainingConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0 <= self.reg_lambda < math.inf):
             raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def exact_codec(model_kind: str) -> FixedPointConfig:
     """Smallest codec under which quantization is lossless on integer data.
 
-    Linear needs no fractional bits. The logistic path feeds y - 1/2 and
-    w/4 through the same pipeline, so labels need one data bit and weights
-    two; with those, integer-grid weights and 0/1 labels survive exactly.
+    Labels shifted by 1/2 need one data bit and weights divided by
+    2**weight_shift need weight_shift weight bits; with those, integer-grid
+    weights and the model's integer labels (0/1 for logistic) survive exactly.
     """
-    if model_kind == MODEL_LINEAR:
-        return FixedPointConfig(data_bits=0, weight_bits=0)
-    if model_kind == MODEL_LOGISTIC_TAYLOR:
-        return FixedPointConfig(data_bits=1, weight_bits=2)
-    raise ValueError(f"unknown model kind {model_kind!r}")
+    m = model(model_kind)
+    return FixedPointConfig(data_bits=int(m.label_shift != 0), weight_bits=m.weight_shift)
 
 
 def weight_grid_bits(model_kind: str, codec: FixedPointConfig) -> int:
     """Fractional bits of the grid that keeps weight quantization lossless.
 
-    The logistic path quantizes w/4 at weight_bits, so stored weights get
-    two fewer bits; then w/4 lands exactly on the weight_bits grid.
+    Weights are quantized as w / 2**weight_shift at weight_bits, so stored
+    weights get weight_shift fewer bits; then w / 2**weight_shift lands
+    exactly on the weight_bits grid.
     """
-    if model_kind == MODEL_LOGISTIC_TAYLOR:
-        return max(codec.weight_bits - 2, 0)
-    return codec.weight_bits
+    return max(codec.weight_bits - model(model_kind).weight_shift, 0)
 
 
 @dataclass
@@ -217,8 +213,8 @@ class TrainingPlan:
     It holds the label holder and the checked row counts, one Layout per
     batch size, the central X and y for the oracle, and every row of
     [X_0 | ... | X_{N-1} | y_eff] quantized at data scale together with
-    its largest magnitude for the overflow bound (y_eff is y, or y - 1/2
-    for the logistic surrogate). Quantization is elementwise, so the rows
+    its largest magnitude for the overflow bound (y_eff is y minus the
+    model's label shift). Quantization is elementwise, so the rows
     of a batch sliced from here are exactly the integers each client
     would quantize from that batch itself.
     """
@@ -234,15 +230,14 @@ class TrainingPlan:
             if sh.features.shape[0] != n_rows:
                 raise ValueError(f"client {i} has {sh.features.shape[0]} rows, expected {n_rows}")
         self.config = config
+        self.model = model(config.model_kind)
         self.n_rows = n_rows
         self.label_index = holders[0]
         self.features_per_client = tuple(sh.features.shape[1] for sh in shards)
         self.y = shards[self.label_index].labels
-        # logistic_adjust(1.0, y) is (1/4, y - 1/2): the factor on w and y_eff.
-        self.weight_factor, y_eff = (logistic_adjust(1.0, self.y)
-                                     if config.model_kind == MODEL_LOGISTIC_TAYLOR
-                                     else (1.0, self.y))
-        data = np.column_stack([*(sh.features for sh in shards), y_eff])
+        self.weight_factor = math.ldexp(1.0, -self.model.weight_shift)
+        data = np.column_stack([*(sh.features for sh in shards),
+                                self.y - self.model.label_shift])
         self.X = data[:, :-1]
         # max(max, -min) is max |.| without a full-size temporary.
         self.row_max_abs = np.maximum(data.max(axis=1), -data.min(axis=1))
@@ -333,16 +328,14 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     raws = [fe.decrypt(all_cts, sk) for sk in secret_keys]
     res = dequantize(np.array(raws, dtype=float), codec.scale_exp)
     lam = config.reg_lambda
-    if config.model_kind == MODEL_LINEAR:
-        gradient = (-2.0 * res) / S + lam * w
-    else:
-        gradient = (-1.0 * res) / S + lam * w
+    gradient = (plan.model.slice_scale * res) / S + lam * w
 
     new_w = snap_to_grid(w - config.learning_rate * gradient,
                          weight_grid_bits(config.model_kind, codec))
 
     # Plaintext oracle view for diagnostics, at the weights just used.
     X, y = plan.X[rows], plan.y[rows]
+    # Not plan.model's functions: perfbench/tracer.py times these module names.
     if config.model_kind == MODEL_LINEAR:
         oracle = centralized_gradient_linear(X, y, w, lam)
         loss = mse_loss(X, y, w)
@@ -371,28 +364,37 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     return metrics
 
 
-def make_batch_schedule(n_rows: int, batch_size: int, n_iterations: int,
-                        seed: int) -> list[np.ndarray]:
-    """Seeded mini-batch row indices: contiguous chunks of per-epoch shuffles.
+def iter_batches(n_rows: int, batch_size: int, n_iterations: int,
+                 seed: int) -> Iterator[np.ndarray]:
+    """Seeded mini-batch row indices, drawn one batch at a time.
 
-    Each epoch is one permutation of all rows consumed in order; when
-    fewer than batch_size rows remain, the leftover is dropped and a new
-    epoch starts. Fully determined by (n_rows, batch_size, n_iterations,
-    seed).
+    The batches are contiguous chunks of per-epoch shuffles: each epoch is
+    one permutation of all rows consumed in order; when fewer than
+    batch_size rows remain, the leftover is dropped and a new epoch
+    starts. Fully determined by (n_rows, batch_size, n_iterations, seed).
+    batch_size > n_rows raises here, before any batch is drawn.
     """
     if batch_size > n_rows:
         raise ValueError(f"batch_size {batch_size} exceeds dataset rows {n_rows}")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n_rows)
-    pos = 0
-    schedule = []
-    for _ in range(n_iterations):
-        if pos + batch_size > n_rows:
-            order = rng.permutation(n_rows)
-            pos = 0
-        schedule.append(order[pos:pos + batch_size].copy())
-        pos += batch_size
-    return schedule
+
+    def draws() -> Iterator[np.ndarray]:
+        order = rng.permutation(n_rows)
+        pos = 0
+        for _ in range(n_iterations):
+            if pos + batch_size > n_rows:
+                order = rng.permutation(n_rows)
+                pos = 0
+            yield order[pos:pos + batch_size].copy()
+            pos += batch_size
+
+    return draws()
+
+
+def make_batch_schedule(n_rows: int, batch_size: int, n_iterations: int,
+                        seed: int) -> list[np.ndarray]:
+    """The batches of iter_batches, collected into a list."""
+    return list(iter_batches(n_rows, batch_size, n_iterations, seed))
 
 
 def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
@@ -417,15 +419,14 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
         weights = np.zeros(plan.X.shape[1])
     else:
         weights = np.array(initial_weights, dtype=float)
-    schedule = make_batch_schedule(plan.n_rows, config.batch_size,
-                                   config.iterations, config.seed)
+    batches = iter_batches(plan.n_rows, config.batch_size, config.iterations, config.seed)
 
     fe_setup = None
     if config.reuse_fe_instance and config.iterations > 0:
         slot_lengths = [config.batch_size * (c.stop - c.start) for c in plan.columns]
         fe_setup = fe.setup(len(slot_lengths), slot_lengths)
 
-    for t, rows in enumerate(schedule):
+    for t, rows in enumerate(batches):
         metrics = run_iteration(weights, plan, rows, iteration=t, bus=bus,
                                 fe_setup=fe_setup, artifacts_out=artifacts_out)
         if not (math.isfinite(metrics.loss) and np.isfinite(metrics.gradient).all()):

@@ -14,18 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fe
-from .baseline import (
-    MODEL_LINEAR,
-    MODEL_LOGISTIC_TAYLOR,
-    centralized_gradient_linear,
-    centralized_gradient_logistic_taylor,
-    finite_difference_gradient,
-    mse_loss,
-    taylor_loss,
-)
+from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, finite_difference_gradient, model
 from .data import partition_dataset, synthesize
 from .fixedpoint import FixedPointConfig, inner_product_error_bound, quantize
-from .funcvec import all_gradient_slice_vectors, build_layout, logistic_adjust
+from .funcvec import all_gradient_slice_vectors, build_layout
 from .protocol import (
     ClientShard,
     MessageBus,
@@ -99,13 +91,10 @@ def concatenated_input(shards, labels_effective) -> list[int]:
 def gradient_error_bound(shards, weights, model_kind: str,
                          codec: FixedPointConfig) -> float:
     """Worst-case protocol-vs-oracle gradient gap for one instance."""
+    m = model(model_kind)
     labels = next(sh.labels for sh in shards if sh.labels is not None)
-    if model_kind == MODEL_LOGISTIC_TAYLOR:
-        w_eff, y_eff = logistic_adjust(weights, labels)
-        scale = 1.0
-    else:
-        w_eff, y_eff = weights, labels
-        scale = 2.0
+    w_eff = np.ldexp(np.asarray(weights, dtype=float), -m.weight_shift)
+    y_eff = labels - m.label_shift
     S = shards[0].features.shape[0]
     F = sum(sh.features.shape[1] for sh in shards)
     max_abs_x = max(max(float(np.max(np.abs(sh.features))) for sh in shards),
@@ -113,7 +102,7 @@ def gradient_error_bound(shards, weights, model_kind: str,
     max_abs_w = max(1.0, float(np.max(np.abs(w_eff))))
     per_slice = inner_product_error_bound(S, F, codec.data_bits, codec.weight_bits,
                                           max_abs_x, max_abs_w)
-    return scale * per_slice / S
+    return -m.slice_scale * per_slice / S
 
 
 def _dense_slice_oracle(funcvec, x: list[int]) -> int:
@@ -157,18 +146,11 @@ def check_funcvec_identity(seed: int = 0, rounds: int = 60) -> CheckResult:
                        f"{checked} slices agree across three oracles")
 
 
-def _oracle_gradient(model_kind, shards, weights, reg_lambda):
-    X = np.hstack([sh.features for sh in shards])
-    y = next(sh.labels for sh in shards if sh.labels is not None)
-    if model_kind == MODEL_LINEAR:
-        return centralized_gradient_linear(X, y, weights, reg_lambda)
-    return centralized_gradient_logistic_taylor(X, y, weights, reg_lambda)
-
-
 def check_gradient_oracle(model_kind: str, seed: int = 1,
                           rounds: int = 40) -> CheckResult:
     """Protocol gradients hit the plaintext formula in both codec modes."""
     name = f"gradient_oracle_{model_kind}"
+    oracle_gradient = model(model_kind).gradient
     rng = np.random.default_rng(seed)
     binary = model_kind == MODEL_LOGISTIC_TAYLOR
     for _ in range(rounds):
@@ -176,7 +158,7 @@ def check_gradient_oracle(model_kind: str, seed: int = 1,
         config = TrainingConfig(model_kind=model_kind, codec=exact_codec(model_kind))
         plan = TrainingPlan(shards, config)
         gradient = run_iteration(weights, plan, np.arange(plan.n_rows)).gradient
-        oracle = _oracle_gradient(model_kind, shards, weights, 0.0)
+        oracle = oracle_gradient(plan.X, plan.y, weights, 0.0)
         if not np.array_equal(gradient, oracle):
             return CheckResult(name, False,
                                f"exact-mode mismatch {gradient} vs {oracle}")
@@ -186,7 +168,7 @@ def check_gradient_oracle(model_kind: str, seed: int = 1,
         config_u = TrainingConfig(model_kind=model_kind, codec=codec)
         plan_u = TrainingPlan(shards_u, config_u)
         gradient_u = run_iteration(weights_u, plan_u, np.arange(plan_u.n_rows)).gradient
-        oracle_u = _oracle_gradient(model_kind, shards_u, weights_u, 0.0)
+        oracle_u = oracle_gradient(plan_u.X, plan_u.y, weights_u, 0.0)
         gap = float(np.max(np.abs(gradient_u - oracle_u)))
         bound = gradient_error_bound(shards_u, weights_u, model_kind, codec)
         if gap > bound:
@@ -203,12 +185,9 @@ def check_gradient_finite_difference(seed: int = 2, rounds: int = 20) -> CheckRe
         shards, weights = random_unit_instance(rng)
         X = np.hstack([sh.features for sh in shards])
         y = shards[0].labels
-
-        lin = centralized_gradient_linear(X, y, weights, 0.0)
-        fd_lin = finite_difference_gradient(lambda w: mse_loss(X, y, w), weights)
-        log = centralized_gradient_logistic_taylor(X, y, weights, 0.0)
-        fd_log = finite_difference_gradient(lambda w: taylor_loss(X, y, w), weights)
-        for exact_grad, fd_grad in ((lin, fd_lin), (log, fd_log)):
+        for m in (model(MODEL_LINEAR), model(MODEL_LOGISTIC_TAYLOR)):
+            exact_grad = m.gradient(X, y, weights, 0.0)
+            fd_grad = finite_difference_gradient(lambda w: m.loss(X, y, w), weights)
             scale = max(1.0, float(np.max(np.abs(exact_grad))))
             gap = float(np.max(np.abs(exact_grad - fd_grad))) / scale
             worst = max(worst, gap)
@@ -345,6 +324,8 @@ def check_determinism(seed: int = 5) -> CheckResult:
 def run_all_checks(*, seed: int = 0, tagged: bool = False,
                    reuse_fe_instance: bool = False) -> list[CheckResult]:
     """The full battery; reuse_fe_instance is the deliberate negative control."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return [
         check_funcvec_identity(seed),
         check_gradient_oracle(MODEL_LINEAR, seed + 1),

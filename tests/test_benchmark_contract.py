@@ -2,12 +2,12 @@
 
 perfbench/worker.py times each iteration by replacing
 fedquad.protocol.run_iteration and measures held memory around one
-fedquad.cli.run_training call, and perfbench/tracer.py counts FE calls,
-function-vector builds, dequantizations and bus messages by replacing
-the functions at the module attributes their callers look up. A refactor
-that calls around those attributes leaves the benchmark timing or
-counting nothing, so this test counts the calls through the same
-attributes.
+fedquad.cli.run_training call, and perfbench/tracer.py times and counts
+FE calls, the tensor kernel, quantization, function-vector builds,
+dequantizations, the plaintext oracle and bus messages by replacing the
+functions at the module attributes their callers look up. A refactor that
+calls around those attributes leaves the benchmark timing or counting
+nothing, so this test counts the calls through the same attributes.
 """
 
 from collections import Counter
@@ -15,6 +15,11 @@ from collections import Counter
 from fedquad import cli, fe, protocol
 
 N_CLIENTS, F, T = 2, 3, 4
+
+ORACLES = {
+    "linear": ("centralized_gradient_linear", "mse_loss"),
+    "logistic": ("centralized_gradient_logistic_taylor", "taylor_loss"),
+}
 
 
 def test_train_calls_every_hooked_name(monkeypatch, tmp_path):
@@ -30,24 +35,35 @@ def test_train_calls_every_hooked_name(monkeypatch, tmp_path):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(cli, "run_training")
-    counted(protocol, "run_iteration")
-    counted(protocol, "dequantize")
+    for name in ("run_iteration", "dequantize", "all_gradient_slice_vectors",
+                 "quantize_vector", "snap_to_grid", "overflow_bound",
+                 *ORACLES["linear"], *ORACLES["logistic"]):
+        counted(protocol, name)
     counted(protocol.MessageBus, "send")
-    counted(protocol, "all_gradient_slice_vectors")
-    for name in ("encrypt", "keygen", "decrypt"):
+    for name in ("setup", "encrypt", "keygen", "decrypt", "sparse_inner_kron"):
         counted(fe, name)
 
-    argv = ["train", "--synthetic", "--rows", "16", "--features-per-client", "1,2",
-            "--iters", str(T), "--batch-size", "4", "--tagged",
-            "--out", str(tmp_path / "metrics.jsonl")]
-    assert cli.main(argv) == 0
-    assert calls == {
-        "run_training": 1,
-        "run_iteration": T,
-        "dequantize": T,
-        "send": (2 * N_CLIENTS + 2) * T,
-        "all_gradient_slice_vectors": T,
-        "encrypt": (N_CLIENTS + 1) * T,
-        "keygen": F * T,
-        "decrypt": F * T,
-    }
+    for model, (gradient, loss) in ORACLES.items():
+        calls.clear()
+        argv = ["train", "--synthetic", "--rows", "16", "--features-per-client", "1,2",
+                "--model", model, "--iters", str(T), "--batch-size", "4", "--tagged",
+                "--out", str(tmp_path / "metrics.jsonl")]
+        assert cli.main(argv) == 0
+        # Only this model's oracle pair is called; the other one not at all.
+        assert calls == {
+            "run_training": 1,
+            "run_iteration": T,
+            "dequantize": T,
+            "send": (2 * N_CLIENTS + 2) * T,
+            "all_gradient_slice_vectors": T,
+            "quantize_vector": T,
+            "snap_to_grid": T,
+            "overflow_bound": T,
+            gradient: T,
+            loss: T,
+            "setup": T,
+            "encrypt": (N_CLIENTS + 1) * T,
+            "keygen": F * T,
+            "decrypt": F * T,
+            "sparse_inner_kron": F * T,
+        }

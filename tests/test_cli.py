@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fedquad import cli, protocol
+from fedquad import baseline, cli, protocol
 from fedquad.cli import build_parser, main
 from fedquad.data import load_partition_spec
 
@@ -161,17 +162,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == "fedquad: error: batch_size 100 exceeds dataset rows 16\n"
 
+    # {tmp} is a directory holding a synthesized dataset.csv and partition.json.
     @pytest.mark.parametrize("flags,message", [
-        (["--lr", "nan"], "learning_rate must be finite and > 0, got nan"),
-        (["--lr", "inf"], "learning_rate must be finite and > 0, got inf"),
-        (["--lr", "0"], "learning_rate must be finite and > 0, got 0.0"),
-        (["--lambda", "nan"], "reg_lambda must be finite and >= 0, got nan"),
-        (["--lambda", "inf"], "reg_lambda must be finite and >= 0, got inf"),
-        (["--rows", "-3"], "n_rows must be >= 1, got -3"),
-        (["--rows", "0"], "n_rows must be >= 1, got 0"),
+        (["train", "--synthetic", "--lr", "nan"], "learning_rate must be finite and > 0, got nan"),
+        (["train", "--synthetic", "--lr", "inf"], "learning_rate must be finite and > 0, got inf"),
+        (["train", "--synthetic", "--lr", "0"], "learning_rate must be finite and > 0, got 0.0"),
+        (["train", "--synthetic", "--lambda", "nan"], "reg_lambda must be finite and >= 0, got nan"),
+        (["train", "--synthetic", "--lambda", "inf"], "reg_lambda must be finite and >= 0, got inf"),
+        (["train", "--synthetic", "--rows", "-3"], "n_rows must be >= 1, got -3"),
+        (["train", "--synthetic", "--rows", "0"], "n_rows must be >= 1, got 0"),
+        (["train", "--synthetic", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--dataset", "{tmp}/dataset.csv", "--partition", "{tmp}/partition.json",
+          "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["synth", "--seed", "-1", "--out", "{tmp}/out"], "seed must be >= 0, got -1"),
+        (["verify", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
-    def test_bad_setting_is_named(self, flags, message, capsys):
-        assert main(["train", "--synthetic", *flags]) == 2
+    def test_bad_setting_is_named(self, flags, message, tmp_path, capsys):
+        assert main(["synth", "--rows", "8", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main([f.replace("{tmp}", str(tmp_path)) for f in flags]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"fedquad: error: {message}\n"
         assert captured.out == ""
@@ -233,7 +242,9 @@ class TestStreamedRecords:
         assert [r["iteration"] for r in _strict_records(out.read_text())] == [0, 1]
 
     def test_non_finite_summary_is_refused(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "mse_loss", lambda *args: float("inf"))
+        record = dataclasses.replace(baseline.model(baseline.MODEL_LINEAR),
+                                     loss=lambda *args: float("inf"))
+        monkeypatch.setattr(cli, "model", lambda kind: record)
         assert main(["train", "--synthetic", "--iters", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1

@@ -6,7 +6,6 @@ from fedquad.funcvec import (
     all_gradient_slice_vectors,
     build_layout,
     gradient_slice_vector,
-    logistic_adjust,
     residual_coefficients,
 )
 from fedquad.tensor import dense_kron, sparse_inner_kron, vec_columns
@@ -195,13 +194,3 @@ class TestAllGradientSliceVectors:
                 direct = gradient_slice_vector(weights, 1, layout, i, p)
                 assert vectors[flat_index] == direct
 
-
-class TestLogisticAdjust:
-    def test_quarter_weights_and_shifted_labels(self):
-        w, y = logistic_adjust(np.array([4.0, 8.0]), np.array([1.0, 0.0]))
-        assert np.array_equal(w, np.array([1.0, 2.0]))
-        assert np.array_equal(y, np.array([0.5, -0.5]))
-
-    def test_zero_weights_stay_zero(self):
-        w, _ = logistic_adjust(np.zeros(3), np.ones(2))
-        assert np.array_equal(w, np.zeros(3))

@@ -309,9 +309,11 @@ class TestRunTraining:
         assert [a.tag for a in artifacts] == [0, 1, 2]
 
     def test_batch_size_larger_than_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            run_training(self._shards(rows=4),
-                         TrainingConfig(iterations=1, batch_size=5))
+        # Also with no iterations: the check does not wait for a batch.
+        for iterations in (1, 0):
+            with pytest.raises(ValueError, match="batch_size 5 exceeds dataset rows 4"):
+                run_training(self._shards(rows=4),
+                             TrainingConfig(iterations=iterations, batch_size=5))
 
     @staticmethod
     def _held_after(iterations, **sinks):
@@ -350,6 +352,29 @@ class TestRunTraining:
         long, weights = self._held_after(64)
         assert weights.shape == (16,)
         assert long - short < 4096
+
+    @staticmethod
+    def _peak(iterations):
+        """Peak bytes allocated during run_training, S=16 and F=4, no sinks."""
+        rng = np.random.default_rng(28)
+        labels = rng.integers(-4, 5, size=64).astype(float)
+        shards = [ClientShard(rng.integers(-4, 5, size=(64, 2)).astype(float), labels),
+                  ClientShard(rng.integers(-4, 5, size=(64, 2)).astype(float))]
+        config = TrainingConfig(iterations=iterations, batch_size=16,
+                                learning_rate=0.001, seed=3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_training(shards, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_iterations(self):
+        # A schedule of all T batches held up front costs about 0.2 KB per
+        # iteration at S=16, and so does a tuple built from a generator once
+        # per iteration (CPython keeps it in a free list when it is freed).
+        assert self._peak(2000) - self._peak(2) < 64 * 1024
 
 
 class TestTrainingPlan:
@@ -414,6 +439,26 @@ class TestTrainingPlan:
             weights = metrics.weights
         assert final.tobytes() == weights.tobytes()
         assert bus.header_log() == run_bus.header_log()
+
+    def test_quarter_weights_and_shifted_labels(self):
+        shards = [ClientShard(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 0.0]))]
+        logistic = TrainingPlan(shards, TrainingConfig(
+            model_kind=MODEL_LOGISTIC_TAYLOR, codec=exact_codec(MODEL_LOGISTIC_TAYLOR)))
+        assert np.array_equal(np.array([4.0, 8.0]) * logistic.weight_factor, [1.0, 2.0])
+        assert logistic.quantized[:, -1].tolist() == [1, -1]  # y - 1/2 at one data bit
+        linear = TrainingPlan(shards, TrainingConfig(codec=exact_codec(MODEL_LINEAR)))
+        assert linear.weight_factor == 1.0
+        assert linear.quantized[:, -1].tolist() == [1, 0]
+
+    def test_zero_weights_stay_zero(self):
+        # At w = 0 only the shifted labels reach the decrypted slices:
+        # the gradient is -(y - 1/2)^T X / S, exactly.
+        shards = [ClientShard(np.array([[1.0, -2.0], [3.0, 4.0]]), np.array([1.0, 0.0])),
+                  ClientShard(np.array([[2.0], [-1.0]]))]
+        config = TrainingConfig(model_kind=MODEL_LOGISTIC_TAYLOR,
+                                codec=exact_codec(MODEL_LOGISTIC_TAYLOR))
+        gradient = _step(np.zeros(3), shards, config).gradient
+        assert gradient.tolist() == [0.5, 1.5, -0.75]
 
 
 class TestBatchSchedule:
@@ -500,6 +545,8 @@ class TestActorAndConfig:
             TrainingConfig(reg_lambda=-0.5)
         with pytest.raises(ValueError):
             TrainingConfig(model_kind="cubic")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainingConfig(seed=-1)
         # nan fails every comparison, so it must be refused explicitly.
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate must be finite"):
@@ -540,6 +587,16 @@ class TestActorAndConfig:
                 config.model_kind) == (0.5, 1.0, MODEL_LINEAR)
         with pytest.raises(AttributeError):
             config.learning_rate = 0.1
+
+    def test_codec_and_grid_follow_the_model(self):
+        assert exact_codec(MODEL_LINEAR) == FixedPointConfig(0, 0)
+        assert exact_codec(MODEL_LOGISTIC_TAYLOR) == FixedPointConfig(1, 2)
+        codec = FixedPointConfig(12, 12)
+        assert weight_grid_bits(MODEL_LINEAR, codec) == 12
+        assert weight_grid_bits(MODEL_LOGISTIC_TAYLOR, codec) == 10
+        assert weight_grid_bits(MODEL_LOGISTIC_TAYLOR, FixedPointConfig(12, 1)) == 0
+        with pytest.raises(ValueError, match="unknown model kind 'cubic'"):
+            exact_codec("cubic")
 
     def test_message_header(self):
         # client0 holds the labels, so it gets its own key and the label slot's.
