@@ -9,6 +9,12 @@ incomplete slot set fails with a typed error instead of a value.
 
 Slot convention: one slot per feature-holding client plus one final slot for
 the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
+
+Every decrypt call is checked and counted on its own, but a ciphertext set is
+evaluated once: the instance remembers the last set that passed, the key
+identity it passed with, and the set's concatenated x, shared residual and
+all slice values. A later key on that set pays a few identity comparisons
+and a lookup; any other call runs every check again.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .funcvec import ResidualBlock, SliceVector, SparseFunctionVector
-from .tensor import block_residual, seal, sparse_inner_kron
+from .tensor import block_residual, block_slices, seal, sparse_inner_kron
 
 
 class FEError(Exception):
@@ -46,17 +52,23 @@ _instance_ids = itertools.count()
 
 
 class _Operands(NamedTuple):
-    """Decryption inputs shared by every key that sees the same ciphertexts.
+    """What one ciphertext set gives every key that passes its checks.
 
-    Keyed by the identity of the slot-ordered ciphertexts; holding them
-    keeps those identities from being reused while the entry lives. An
-    entry is replaced whole, never edited.
+    ciphertexts is the validated slot-ordered tuple; holding it keeps
+    those identities from being reused while the entry lives. instance_id
+    and tag are those of the last key that passed every check on it.
+    block, residual and slices are the shared block's residual and all
+    its aligned slice values on x. An entry is replaced whole, never
+    edited.
     """
 
     ciphertexts: tuple[Ciphertext, ...]
+    instance_id: int
+    tag: object
     x: np.ndarray
     block: ResidualBlock | None = None
     residual: tuple | None = None
+    slices: list[int] | None = None
 
 
 class FEInstance:
@@ -97,17 +109,22 @@ class Ciphertext:
     The payload is a read-only copy of the encrypted values (int64 when
     every value fits, Python ints otherwise; see tensor.seal). It has no
     accessor and never appears in repr or header output. Decryption
-    inside this module is the single reader.
+    inside this module is the single reader. Nothing can be reassigned
+    after encrypt, so decrypt may trust a header it has checked once.
     """
 
     __slots__ = ("instance_id", "slot", "tag", "_payload")
 
     def __init__(self, instance_id: int, slot: int, tag: object,
                  payload: np.ndarray) -> None:
-        self.instance_id = instance_id
-        self.slot = slot
-        self.tag = tag
-        self._payload = payload
+        seal_field = object.__setattr__
+        seal_field(self, "instance_id", instance_id)
+        seal_field(self, "slot", slot)
+        seal_field(self, "tag", tag)
+        seal_field(self, "_payload", payload)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ciphertext field {name!r} is read-only")
 
     def header(self) -> dict:
         """Public fields only, safe to serialize or log."""
@@ -203,12 +220,39 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
 
     Checks run in order: every ciphertext must share the key's instance,
     then its tag, then the slots must cover 0..n_slots-1 exactly once.
-    Any violation raises; no partial value is ever returned. The
-    concatenated x, and for a block-structured key the block's residual,
-    are computed once per ciphertext set and reused by the instance's
-    other keys; each call still checks and counts on its own.
+    Any violation raises; no partial value is ever returned. A ciphertext
+    set is checked once: the instance keeps the slot-ordered ciphertexts
+    that passed, with the instance id and tag object of the key that
+    passed, and a later key skips the loops only when it brings the same
+    ciphertext objects in slot order, the same instance id, that very tag
+    object and that very block. Anything else runs every check again.
+    The concatenated x, a shared block's residual and all of its aligned
+    slice values are computed once per ciphertext set, so a later key of
+    that block costs a few identity comparisons and a lookup. Each call
+    counts once.
     """
     cts = tuple(ciphertexts)
+    instance = sk._instance
+    operands = instance._operands
+    block = getattr(sk.funcvec, "block", None)
+    # Ciphertext has no __eq__, so tuple comparison is by identity. The tag
+    # is compared by identity too: an equal tag is checked again, since ==
+    # need not be transitive.
+    if (operands is None or operands.ciphertexts != cts
+            or operands.instance_id != sk.instance_id
+            or operands.tag is not sk.tag or operands.block is not block):
+        operands = _checked_operands(cts, sk, operands, block)
+        instance._operands = operands
+    value = sparse_inner_kron(sk.funcvec, operands.x, residual=operands.residual,
+                              slices=operands.slices)
+    instance._n_decrypt += 1
+    return value
+
+
+def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
+                      operands: _Operands | None,
+                      block: ResidualBlock | None) -> _Operands:
+    """decrypt's checks in their order; the memo entry for a set that passes."""
     instance = sk._instance
     for ct in cts:
         if ct.instance_id != sk.instance_id:
@@ -233,18 +277,16 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
         if missing:
             raise MissingSlot(f"no ciphertext for slots {missing}")
         ordered = tuple(by_slot[slot] for slot in range(instance.n_slots))
-    operands = instance._operands
-    # Ciphertext has no __eq__, so tuple comparison is by identity.
     if operands is None or operands.ciphertexts != ordered:
-        operands = _Operands(ordered, np.concatenate([ct._payload for ct in ordered]))
-    block = getattr(sk.funcvec, "block", None)
-    if block is not None and operands.block is not block:
-        operands = _Operands(operands.ciphertexts, operands.x, block,
-                             block_residual(block, operands.x))
-    instance._operands = operands
-    value = sparse_inner_kron(sk.funcvec, operands.x, residual=operands.residual)
-    instance._n_decrypt += 1
-    return value
+        x, shared = np.concatenate([ct._payload for ct in ordered]), (None, None, None)
+    else:
+        x, shared = operands.x, (operands.block, operands.residual, operands.slices)
+    if block is not None and shared[0] is not block:
+        residual = block_residual(block, x)
+        shared = (block, residual, None if residual is None else block_slices(residual))
+    # Built whole, not by _replace: _make builds a tuple from an iterator,
+    # which feeds CPython's tuple free list one entry per call.
+    return _Operands(ordered, sk.instance_id, sk.tag, x, *shared)
 
 
 def audit_counters(instance: FEInstance) -> tuple[int, int, int]:

@@ -126,6 +126,10 @@ class ResidualBlock:
     rows: int
     coefficients: tuple[int, ...]
     nonzero_columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # L = rows * len(coefficients), the length of x, and L**2, the dimension
+    # of x (x) x: stored once, since each of the F slice vectors reads them.
+    vector_length: int = field(init=False, repr=False, compare=False)
+    dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or not self.coefficients:
@@ -136,10 +140,9 @@ class ResidualBlock:
         # From a list, as in fe.setup: built once per iteration.
         object.__setattr__(self, "nonzero_columns", tuple(
             [c for c, value in enumerate(self.coefficients) if value != 0]))
-
-    @property
-    def vector_length(self) -> int:
-        return self.rows * len(self.coefficients)
+        length = self.rows * len(self.coefficients)
+        object.__setattr__(self, "vector_length", length)
+        object.__setattr__(self, "dimension", length * length)
 
     def entries(self, base_row: int) -> Iterator[tuple[int, int]]:
         """Ascending (flat index, value) pairs of the block placed at base_row.
@@ -188,7 +191,7 @@ class SliceVector:
 
     @property
     def dimension(self) -> int:
-        return self.block.vector_length ** 2
+        return self.block.dimension
 
     @property
     def nnz(self) -> int:

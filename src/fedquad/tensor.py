@@ -16,7 +16,12 @@ every partial sum. The kernel has three paths:
 - Python ints in numpy object arrays, when B < 2**(ACCUMULATOR_BITS - 1).
 
 Past that the per-term loop runs and raises exactly where the
-accumulator leaves its width. Integer vectors enter the kernel through
+accumulator leaves its width. On the int64 and two-limb paths every
+slice of a block is also available at once: block_slices computes the
+slices at all aligned base rows (multiples of S) as one product,
+x.reshape(-1, S) @ r or @ [hi, lo].T, converted to Python ints once, and
+sparse_inner_kron answers an aligned slice from that list. The object
+path and the per-term loop compute each slice on its own. Integer vectors enter the kernel through
 int_vector (int64 when every value fits, otherwise Python ints, never
 uint64 or float); seal is the read-only copy fe.encrypt keeps as a
 ciphertext payload. The dense Kronecker product exists purely as a
@@ -161,7 +166,27 @@ def block_residual(block, x):
     return x, residual
 
 
-def sparse_inner_kron(c, x: Sequence[int], *, residual=None) -> int:
+def block_slices(residual) -> list[int] | None:
+    """Every aligned slice value of one block and input, from one product.
+
+    For (x, r) = block_residual(block, x), entry k is
+    sum_s x[k*S + s] * r_s, the value of the slice vector at base row k*S,
+    for every k in 0..len(x)/S - 1. On the int64 path this is
+    x.reshape(-1, S) @ r; on the two-limb path it is x.reshape(-1, S) @
+    [hi, lo].T, each row recombined as (hi << LIMB_BITS) + lo. Both are
+    the dot products sparse_inner_kron takes per slice, so the same bound
+    keeps them in int64. On the object path the result is None.
+    """
+    x, r = residual
+    if r.dtype == object:
+        return None
+    products = x.reshape(-1, r.shape[-1]) @ r.T
+    if r.ndim == 1:
+        return products.tolist()
+    return [(hi << LIMB_BITS) + lo for hi, lo in products.tolist()]
+
+
+def sparse_inner_kron(c, x: Sequence[int], *, residual=None, slices=None) -> int:
     """Inner product of a sparse coefficient vector with x (x) x.
 
     `c` provides `dimension` (must equal len(x)**2) and `entries`, an
@@ -172,7 +197,9 @@ def sparse_inner_kron(c, x: Sequence[int], *, residual=None) -> int:
     A `c` that also provides `block` and `base_row` evaluates as
     sum_s x[base_row + s] * r_s with (x, r) = block_residual(c.block, x);
     pass that value as `residual` to share it across the vectors of one
-    block and input.
+    block and input. With `slices` = block_slices(residual) as well, a
+    base row that is a multiple of S is a lookup; any other base row
+    takes the dot product.
     """
     length = len(x)
     if c.dimension != length * length:
@@ -181,6 +208,10 @@ def sparse_inner_kron(c, x: Sequence[int], *, residual=None) -> int:
         )
     block = getattr(c, "block", None)
     if block is not None:
+        if slices is not None:
+            row, offset = divmod(c.base_row, block.rows)
+            if offset == 0:
+                return slices[row]
         if residual is None:
             residual = block_residual(block, x)
         if residual is not None:

@@ -272,3 +272,164 @@ class TestSealing:
             "tag": 5,
             "length": 2,
         }
+
+
+class _Near:
+    """A tag equal to any _Near at most 1 away: == is not transitive."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Near) and abs(self.value - other.value) <= 1
+
+    def __hash__(self):
+        return 0
+
+    def __repr__(self):
+        return f"_Near({self.value})"
+
+
+class TestCheckedOnce:
+    """A warm ciphertext set answers every call exactly as a cold one would."""
+
+    S, COUNTS = 2, [2, 1]
+
+    def _set(self, tag, key_tag=None, seed=3):
+        """Tagged set on a fresh instance, and one key per slice under key_tag."""
+        S, counts = self.S, self.COUNTS
+        layout = build_layout(len(counts), S, counts)
+        instance, eks = fe.setup(len(counts) + 1, [S * f for f in counts] + [S])
+        x = [int(v) for v in np.random.default_rng(seed).integers(
+            -9, 10, size=layout.vector_length)]
+        bounds = np.cumsum([0] + [S * f for f in counts] + [S])
+        cts = [fe.encrypt(ek, tag, x[a:b]) for ek, a, b in zip(eks, bounds, bounds[1:])]
+        vectors = all_gradient_slice_vectors([[2, -1], [3]], 1, layout)
+        key_tag = tag if key_tag is None else key_tag
+        sks = [fe.keygen(instance, key_tag, c) for c in vectors]
+        kron = dense_kron(x)
+        expected = [sum(a * b for a, b in zip(c.to_dense(), kron)) for c in vectors]
+        return instance, eks, cts, vectors, sks, x, expected
+
+    @staticmethod
+    def _counted(instance, call):
+        """("value", v) or (error type, message); counts only a success, once."""
+        before = fe.audit_counters(instance)[2]
+        try:
+            outcome = ("value", call())
+        except fe.FEError as err:
+            outcome = (type(err), str(err))
+        assert fe.audit_counters(instance)[2] - before == (outcome[0] == "value")
+        return outcome
+
+    def _cold_equals_warm(self, instance, cts, sks, expected, call):
+        cold = self._counted(instance, call)
+        for _ in range(2):
+            assert [self._counted(instance, lambda: fe.decrypt(cts, sk))
+                    for sk in sks] == [("value", v) for v in expected]
+        assert self._counted(instance, call) == cold
+        # The memo still serves the warm set after the odd call.
+        assert [fe.decrypt(cts, sk) for sk in sks] == expected
+        return cold
+
+    def test_one_check_per_set_and_one_count_per_key(self, monkeypatch):
+        instance, _, cts, _, sks, _, expected = self._set("t")
+        checks = []
+        checked = fe._checked_operands
+        monkeypatch.setattr(fe, "_checked_operands",
+                            lambda *args: checks.append(1) or checked(*args))
+        for rounds in (1, 2):
+            assert [fe.decrypt(list(cts), sk) for sk in sks] == expected
+            assert fe.audit_counters(instance)[2] == rounds * len(sks)
+        assert len(checks) == 1
+
+    def test_checked_headers_cannot_change(self):
+        instance, _, cts, _, sks, _, expected = self._set("t")
+        assert [fe.decrypt(cts, sk) for sk in sks] == expected
+        for name, value in (("tag", "u"), ("slot", 1), ("instance_id", -1),
+                            ("_payload", cts[1]._payload)):
+            with pytest.raises(AttributeError):
+                setattr(cts[0], name, value)
+        assert [fe.decrypt(cts, sk) for sk in sks] == expected
+
+    def test_key_from_another_instance(self):
+        instance, _, cts, vectors, sks, _, expected = self._set("t")
+        other, _ = fe.setup(instance.n_slots, instance.slot_lengths)
+        foreign = fe.keygen(other, "t", vectors[0])
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(cts, foreign))[0] is fe.InstanceMismatch
+        # The key's instance id is its binding, even with a handle to this
+        # instance's memo.
+        named = fe.SecretKey(instance, "t", vectors[0])
+        named.instance_id = other.instance_id
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(cts, named))[0] is fe.InstanceMismatch
+
+    def test_another_tag(self):
+        instance, _, cts, vectors, sks, _, expected = self._set("t")
+        wrong = fe.keygen(instance, "u", vectors[0])
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(cts, wrong))[0] is fe.TagMismatch
+
+    def test_equal_tag_object_is_checked_again(self):
+        tag = tuple(["iteration", 7])
+        instance, _, cts, vectors, sks, _, expected = self._set(tag)
+        twin = fe.keygen(instance, tuple(["iteration", 7]), vectors[1])
+        assert twin.tag == tag and twin.tag is not tag
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(cts, twin)) == ("value", expected[1])
+
+    def test_non_transitive_tag_equality(self):
+        # Ciphertexts under _Near(0), warm keys under _Near(1): both pass.
+        # _Near(2) equals the warm keys' tag but not the ciphertexts'.
+        instance, _, cts, vectors, sks, _, expected = self._set(_Near(0), _Near(1))
+        far = fe.keygen(instance, _Near(2), vectors[0])
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(cts, far))[0] is fe.TagMismatch
+
+    @pytest.mark.parametrize("fault,kind", [
+        ("reordered", "value"), ("missing", fe.MissingSlot),
+        ("duplicate", fe.DuplicateSlot),
+    ])
+    def test_slot_faults(self, fault, kind):
+        instance, _, cts, _, sks, _, expected = self._set("t")
+        group = {"reordered": cts[::-1], "missing": cts[:-1],
+                 "duplicate": cts + [cts[0]]}[fault]
+        outcome = self._cold_equals_warm(instance, cts, sks, expected,
+                                         lambda: fe.decrypt(group, sks[2]))
+        assert outcome[0] == kind
+        assert kind != "value" or outcome[1] == expected[2]
+
+    def test_new_list_of_other_ciphertexts(self):
+        instance, eks, cts, vectors, sks, x, expected = self._set(None)
+        other = list(cts)
+        other[0] = fe.encrypt(eks[0], None, [v + 1 for v in x[:4]])
+        kron = dense_kron([v + 1 for v in x[:4]] + x[4:])
+        changed = sum(a * b for a, b in zip(vectors[0].to_dense(), kron))
+        assert changed != expected[0]
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(other, sks[0])) == ("value", changed)
+
+    def test_key_of_another_block(self):
+        instance, _, cts, _, sks, x, expected = self._set("t")
+        layout = build_layout(len(self.COUNTS), self.S, self.COUNTS)
+        c = all_gradient_slice_vectors([[0, 5], [-4]], 3, layout)[0]
+        value = sum(a * b for a, b in zip(c.to_dense(), dense_kron(x)))
+        assert value != expected[0]
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(cts, fe.keygen(instance, "t", c))) == ("value", value)
+
+    def test_hand_built_vector(self):
+        instance, _, cts, vectors, sks, _, expected = self._set("t")
+        loose = fe.keygen(instance, "t", SparseFunctionVector(
+            vectors[1].dimension, tuple(vectors[1].entries)))
+        assert self._cold_equals_warm(
+            instance, cts, sks, expected,
+            lambda: fe.decrypt(cts, loose)) == ("value", expected[1])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fedquad import fe
 from fedquad.baseline import MODEL_LINEAR
 from fedquad.funcvec import (
+    ResidualBlock,
     SliceVector,
     SparseFunctionVector,
     all_gradient_slice_vectors,
@@ -28,6 +29,7 @@ from fedquad.tensor import (
     ACCUMULATOR_BITS,
     AccumulatorOverflow,
     block_residual,
+    block_slices,
     dense_kron,
     int_vector,
     sparse_inner_kron,
@@ -348,3 +350,79 @@ class TestDecryptMemo:
                 key = b.secret_keys[0]
                 assert (fe.decrypt(a.ciphertexts, key)
                         == _reference(key.funcvec, inputs[a.iteration]))
+
+
+def _one_set(x, S):
+    """An untagged instance holding x as a feature slot and an S-long label slot."""
+    instance, keys = fe.setup(2, [len(x) - S, S])
+    return instance, [fe.encrypt(keys[0], None, x[:-S]), fe.encrypt(keys[1], None, x[-S:])]
+
+
+def _every_aligned_slice(block):
+    """The slice vector at each base row k*S, the label row included."""
+    return [SliceVector(k * block.rows, block)
+            for k in range(len(block.coefficients))]
+
+
+class TestFusedSlices:
+    """All aligned slices of a block from one product, each key a lookup."""
+
+    def _check_warm_decrypts(self, layout, weights, one, x, path):
+        vectors = _every_aligned_slice(
+            all_gradient_slice_vectors(weights, one, layout)[0].block)
+        residual = block_residual(vectors[0].block, x)
+        assert _path(residual) == path
+        kron = dense_kron(x)
+        expected = [_reference(c, x) for c in vectors]
+        assert expected == [sum(a * b for a, b in zip(c.to_dense(), kron))
+                            for c in vectors]
+        instance, cts = _one_set(x, layout.batch_size)
+        # The first key fills the memo; every later one reads its slice from it.
+        assert [fe.decrypt(cts, fe.keygen(instance, None, c))
+                for c in vectors] == expected
+        slices = instance._operands.slices
+        if path == "object":
+            assert slices is None and block_slices(residual) is None
+        else:
+            assert slices == block_slices(residual) == expected
+            assert all(type(v) is int for v in slices)
+        assert fe.audit_counters(instance)[2] == len(vectors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(layouts_and_inputs())
+    def test_every_path_matches_per_term_loop(self, case):
+        layout, weights, one, x = case
+        path = _path(block_residual(
+            all_gradient_slice_vectors(weights, one, layout)[0].block, x))
+        self._check_warm_decrypts(layout, weights, one, x, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(limb_band_inputs())
+    def test_limb_path_matches_per_term_loop(self, case):
+        self._check_warm_decrypts(*case, "limbs")
+
+    # (S, x, coefficients): an int64-path and a limb-path block, S >= 2.
+    @pytest.mark.parametrize("S,coefficients,magnitude,path", [
+        (3, (2, -5, 1), 9, "int64"),
+        (3, (1 << 24, -(1 << 24) + 3, 1 << 16), 1 << 28, "limbs"),
+    ], ids=["int64", "limbs"])
+    def test_unaligned_base_row_takes_the_dot_product(self, S, coefficients,
+                                                      magnitude, path):
+        block = ResidualBlock(rows=S, coefficients=coefficients)
+        rng = np.random.default_rng(41)
+        x = [int(v) for v in rng.integers(-magnitude, magnitude + 1,
+                                          size=block.vector_length)]
+        residual = block_residual(block, x)
+        assert _path(residual) == path
+        slices = block_slices(residual)
+        instance, cts = _one_set(x, S)
+        fe.decrypt(cts, fe.keygen(instance, None, SliceVector(0, block)))
+        assert instance._operands.slices == slices
+        last = block.vector_length - S
+        for base in range(last + 1):
+            c = SliceVector(base, block)
+            expected = _reference(c, x)
+            assert sparse_inner_kron(c, x, residual=residual, slices=slices) == expected
+            assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
+        # Unaligned rows straddle two slices, so a lookup would be wrong.
+        assert _reference(SliceVector(1, block), x) not in slices
