@@ -119,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_shards(args: argparse.Namespace, model_kind: str):
     if args.synthetic:
         if args.dataset or args.partition:
-            raise SystemExit("--synthetic cannot be combined with --dataset/--partition")
+            raise ValueError("--synthetic cannot be combined with --dataset/--partition")
         dataset = synthesize(model_kind, args.rows, args.features_per_client,
                              args.seed)
         return partition_dataset(dataset.header, dataset.rows, dataset.spec)
     if not args.dataset or not args.partition:
-        raise SystemExit("train needs either --synthetic or both --dataset and --partition")
+        raise ValueError("train needs either --synthetic or both --dataset and --partition")
     header, rows = load_csv(args.dataset)
     spec = load_partition_spec(args.partition)
     return partition_dataset(header, rows, spec)

@@ -123,19 +123,34 @@ def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
 
 
 def load_partition_spec(path) -> PartitionSpec:
-    """Parse and structurally validate a partition spec document."""
+    """Parse and structurally validate a partition spec document.
+
+    Client names and label fields must be strings and each client's
+    features a list of strings; a string is not split into columns.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        clients = tuple(
-            ClientSpec(name=c["name"], feature_columns=tuple(c["features"]))
-            for c in doc["clients"]
-        )
+        clients = [(c["name"], c["features"]) for c in doc["clients"]]
         label_client = doc["label"]["client"]
         label_column = doc["label"]["column"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: malformed partition spec ({err})") from None
-    return PartitionSpec(clients, label_client, label_column)
+    for name, features in clients:
+        if not (isinstance(name, str) and isinstance(features, list)
+                and all(isinstance(f, str) for f in features)):
+            raise ValueError(
+                f"{path}: malformed partition spec (client {name!r} needs a "
+                f"string name and a list of string features, got {features!r})"
+            )
+    if not (isinstance(label_client, str) and isinstance(label_column, str)):
+        raise ValueError(
+            f"{path}: malformed partition spec (label client and column must be "
+            f"strings, got {label_client!r} and {label_column!r})"
+        )
+    return PartitionSpec(
+        tuple(ClientSpec(name, tuple(features)) for name, features in clients),
+        label_client, label_column)
 
 
 def save_partition_spec(spec: PartitionSpec, path) -> None:

@@ -12,9 +12,9 @@ the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 
 Every decrypt call is checked and counted on its own, but a ciphertext set is
 evaluated once: the instance remembers the last set that passed, the key
-identity it passed with, and the set's concatenated x, shared residual and
-all slice values. A later key on that set pays a few identity comparisons
-and a lookup; any other call runs every check again.
+identity it passed with, and the set's concatenated x and the shared
+block's slice values. A later key on that set pays a few identity
+comparisons and a lookup; any other call runs every check again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .funcvec import ResidualBlock, SliceVector, SparseFunctionVector
-from .tensor import block_residual, block_slices, seal, sparse_inner_kron
+from .tensor import block_slices, seal, sparse_inner_kron
 
 
 class FEError(Exception):
@@ -57,9 +57,9 @@ class _Operands(NamedTuple):
     ciphertexts is the validated slot-ordered tuple; holding it keeps
     those identities from being reused while the entry lives. instance_id
     and tag are those of the last key that passed every check on it.
-    block, residual and slices are the shared block's residual and all
-    its aligned slice values on x. An entry is replaced whole, never
-    edited.
+    x is the set's concatenated payload, and slices holds all aligned
+    slice values of block on x (None past the accumulator width). An
+    entry is replaced whole, never edited.
     """
 
     ciphertexts: tuple[Ciphertext, ...]
@@ -67,7 +67,6 @@ class _Operands(NamedTuple):
     tag: object
     x: np.ndarray
     block: ResidualBlock | None = None
-    residual: tuple | None = None
     slices: list[int] | None = None
 
 
@@ -226,10 +225,10 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     passed, and a later key skips the loops only when it brings the same
     ciphertext objects in slot order, the same instance id, that very tag
     object and that very block. Anything else runs every check again.
-    The concatenated x, a shared block's residual and all of its aligned
-    slice values are computed once per ciphertext set, so a later key of
-    that block costs a few identity comparisons and a lookup. Each call
-    counts once.
+    The concatenated x and all aligned slice values of a shared block are
+    computed once per ciphertext set and block, so a later key of that
+    block costs a few identity comparisons and a lookup. Each call counts
+    once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance
@@ -243,8 +242,7 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
             or operands.tag is not sk.tag or operands.block is not block):
         operands = _checked_operands(cts, sk, operands, block)
         instance._operands = operands
-    value = sparse_inner_kron(sk.funcvec, operands.x, residual=operands.residual,
-                              slices=operands.slices)
+    value = sparse_inner_kron(sk.funcvec, operands.x, slices=operands.slices)
     instance._n_decrypt += 1
     return value
 
@@ -278,12 +276,11 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
             raise MissingSlot(f"no ciphertext for slots {missing}")
         ordered = tuple(by_slot[slot] for slot in range(instance.n_slots))
     if operands is None or operands.ciphertexts != ordered:
-        x, shared = np.concatenate([ct._payload for ct in ordered]), (None, None, None)
+        x, shared = np.concatenate([ct._payload for ct in ordered]), (None, None)
     else:
-        x, shared = operands.x, (operands.block, operands.residual, operands.slices)
+        x, shared = operands.x, (operands.block, operands.slices)
     if block is not None and shared[0] is not block:
-        residual = block_residual(block, x)
-        shared = (block, residual, None if residual is None else block_slices(residual))
+        shared = (block, block_slices(block, x))
     # Built whole, not by _replace: _make builds a tuple from an iterator,
     # which feeds CPython's tuple free list one entry per call.
     return _Operands(ordered, sk.instance_id, sk.tag, x, *shared)

@@ -3,29 +3,25 @@
 Arithmetic on quantized data is exact. The per-term sparse loop works on
 Python integers and checks the accumulator width as it goes; it is the
 reference. Block-structured vectors (one shared coefficient block on a
-row block, see funcvec.SliceVector) take a residual kernel instead: the
-block's residual r = coef·x is computed once per input and each slice is
-a dot product of S input values with r. Write S for the block's rows,
-C = max(1, sum|coef|), X = max(1, max|x|) and B = S·C·X², which bounds
-every partial sum. The kernel has three paths:
+row block, see funcvec.SliceVector) take the block kernel instead:
+block_slices computes the block's residual r = coef·x once per input and
+every aligned slice (base row k·S) from one (F+1)×S matrix-vector product
+per limb of r. Write S for the block's rows, C = max(1, sum|coef|),
+X = max(1, max|x|) and B = S·C·X², which bounds every partial sum. Past
+B >= 2**127 the per-term loop runs and raises exactly where the
+accumulator leaves its width. Otherwise limb_plan picks one of two paths:
 
-- int64, when B < 2**63;
-- two limbs, when B >= 2**63 but C·X < 2**63 and S·X < 2**31: r is
-  computed in int64 and split into hi = r >> 32 and lo = r & (2**32 - 1),
-  and a slice is (x·hi << 32) + x·lo with both dot products in int64;
-- Python ints in numpy object arrays, when B < 2**(ACCUMULATOR_BITS - 1).
+- int64 limbs, when C·X < 2**63 and S·X < 2**62: r is computed in int64
+  and split into k = ceil(bitlen(C·X) / b) limbs of b = 63 - bitlen(S·X)
+  bits, so each limb's dot product stays below S·X·2**b <= 2**63, and the
+  limb products are recombined in Python ints;
+- Python ints in numpy object arrays.
 
-Past that the per-term loop runs and raises exactly where the
-accumulator leaves its width. On the int64 and two-limb paths every
-slice of a block is also available at once: block_slices computes the
-slices at all aligned base rows (multiples of S) as one product,
-x.reshape(-1, S) @ r or @ [hi, lo].T, converted to Python ints once, and
-sparse_inner_kron answers an aligned slice from that list. The object
-path and the per-term loop compute each slice on its own. Integer vectors enter the kernel through
-int_vector (int64 when every value fits, otherwise Python ints, never
-uint64 or float); seal is the read-only copy fe.encrypt keeps as a
-ciphertext payload. The dense Kronecker product exists purely as a
-desk-scale oracle for tests and is size-guarded accordingly.
+Integer vectors enter the kernel through int_vector (int64 when every
+value fits, otherwise Python ints, never uint64 or float); seal is the
+read-only copy fe.encrypt keeps as a ciphertext payload. The dense
+Kronecker product exists purely as a desk-scale oracle for tests and is
+size-guarded accordingly.
 """
 
 from __future__ import annotations
@@ -38,14 +34,8 @@ import numpy as np
 # hard error, never a silent wrap.
 ACCUMULATOR_BITS = 128
 
-# The residual kernel runs in int64 when its a-priori bound stays below this.
+# Values and partial sums below this fit int64.
 INT64_LIMIT = 1 << 63
-
-# The two-limb path splits r at this bit and needs S·max|x| below LIMB_LIMIT,
-# so that S·max|x|·2**LIMB_BITS stays below INT64_LIMIT.
-LIMB_BITS = 32
-LIMB_LIMIT = 1 << (63 - LIMB_BITS)
-LIMB_MASK = (1 << LIMB_BITS) - 1
 
 # dense_kron materializes len(x)**2 entries; oracle use only.
 DENSE_KRON_MAX_LEN = 256
@@ -130,63 +120,65 @@ def seal(values) -> np.ndarray:
     return sealed
 
 
-def block_residual(block, x):
-    """(x, r) as numpy arrays for a coefficient block, or None past the width.
+def limb_plan(rows: int, total: int, largest: int) -> tuple[int, int] | None:
+    """(b, k) for the int64 limb kernel, or None for Python-int object arrays.
 
-    `block` provides `rows` (S) and `coefficients` (one per S-long column of
-    the integer vector x). r_s = sum_c coefficients[c] * x[c*S + s] is
-    the residual every slice vector on that block shares.
+    For S = rows, C = total and X = largest, every |r_s| and partial sum of
+    r is at most C·X, so r fits int64 when C·X < 2**63. A low limb of b
+    bits lies in [0, 2**b) and the signed top limb in [-2**b, 2**b), so
+    with b = 63 - bitlen(S·X) every partial sum of a limb's dot product
+    with S values of x stays below S·X·2**b < 2**63; S·X < 2**62 keeps
+    b >= 1. k = ceil(bitlen(C·X) / b) limbs cover r.
+    """
+    spread, reach = rows * largest, total * largest
+    if reach >= INT64_LIMIT or spread >= 1 << 62:
+        return None
+    bits = 63 - spread.bit_length()
+    return bits, -(-reach.bit_length() // bits)
+
+
+def block_slices(block, x) -> list[int] | None:
+    """Every aligned slice value of one coefficient block on x, as Python ints.
+
+    `block` provides `rows` (S) and `coefficients` (one per S-long column
+    of the integer vector x). r_s = sum_c coefficients[c] * x[c*S + s] is
+    the residual every slice vector on that block shares, and entry k is
+    sum_s x[k*S + s] * r_s, the value of the slice vector at base row k*S.
     B = S * sum|coefficients| * max|x|**2 (each factor at least 1) bounds
-    every partial sum of r and of any slice's sum_s x[base + s] * r_s, as
-    well as every single x and coefficient. Below 2**63 both arrays are
-    int64. On the two-limb path x is int64 and r is a (2, S) int64 array
-    holding hi = r >> LIMB_BITS and lo = r & LIMB_MASK. Below
-    2**(ACCUMULATOR_BITS - 1) both hold Python ints. Otherwise the result
-    is None, and callers fall back to the per-term loop, which raises
-    exactly where the accumulator leaves its width.
+    every partial sum of r and of each slice. At B >= 2**(ACCUMULATOR_BITS
+    - 1) the result is None, and callers fall back to the per-term loop,
+    which raises exactly where the accumulator leaves its width. Otherwise
+    r = coefficients @ x.reshape(-1, S) and the slices x.reshape(-1, S) @ r
+    are computed on object arrays when limb_plan gives None, and in int64
+    when it gives (b, k): one x.reshape(-1, S) @ limb product per limb of
+    r, recombined Horner-style in Python ints.
     """
     x = int_vector(x)
     coefficients = block.coefficients
     rows = block.rows
     largest = max(1, int(x.max()), -int(x.min()))
     total = max(1, sum(map(abs, coefficients)))
-    bound = rows * total * largest * largest
-    if bound >= 1 << (ACCUMULATOR_BITS - 1):
+    if rows * total * largest * largest >= 1 << (ACCUMULATOR_BITS - 1):
         return None
-    if bound < INT64_LIMIT or (total * largest < INT64_LIMIT
-                               and rows * largest < LIMB_LIMIT):
-        # |r_s| and its partial sums are at most total * largest.
-        residual = (np.array(coefficients, dtype=np.int64)
-                    @ x.reshape(len(coefficients), rows))
-        if bound >= INT64_LIMIT:
-            residual = np.stack((residual >> LIMB_BITS, residual & LIMB_MASK))
-        return x, residual
-    x = x.astype(object)
-    residual = np.array(coefficients, dtype=object) @ x.reshape(len(coefficients), rows)
-    return x, residual
+    plan = limb_plan(rows, total, largest)
+    dtype = object if plan is None else np.int64
+    x = x.astype(dtype, copy=False)
+    residual = np.array(coefficients, dtype=dtype) @ x.reshape(len(coefficients), rows)
+    columns = x.reshape(-1, rows)
+    if plan is None:
+        return (columns @ residual).tolist()
+    bits, count = plan
+    mask = (1 << bits) - 1
+    # An arithmetic shift floors, so the top limb keeps the sign and the
+    # masked low limbs are unsigned.
+    values = (columns @ (residual >> bits * (count - 1))).tolist()
+    for i in reversed(range(count - 1)):
+        low = (columns @ ((residual >> bits * i) & mask)).tolist()
+        values = [(v << bits) + w for v, w in zip(values, low)]
+    return values
 
 
-def block_slices(residual) -> list[int] | None:
-    """Every aligned slice value of one block and input, from one product.
-
-    For (x, r) = block_residual(block, x), entry k is
-    sum_s x[k*S + s] * r_s, the value of the slice vector at base row k*S,
-    for every k in 0..len(x)/S - 1. On the int64 path this is
-    x.reshape(-1, S) @ r; on the two-limb path it is x.reshape(-1, S) @
-    [hi, lo].T, each row recombined as (hi << LIMB_BITS) + lo. Both are
-    the dot products sparse_inner_kron takes per slice, so the same bound
-    keeps them in int64. On the object path the result is None.
-    """
-    x, r = residual
-    if r.dtype == object:
-        return None
-    products = x.reshape(-1, r.shape[-1]) @ r.T
-    if r.ndim == 1:
-        return products.tolist()
-    return [(hi << LIMB_BITS) + lo for hi, lo in products.tolist()]
-
-
-def sparse_inner_kron(c, x: Sequence[int], *, residual=None, slices=None) -> int:
+def sparse_inner_kron(c, x: Sequence[int], *, slices=None) -> int:
     """Inner product of a sparse coefficient vector with x (x) x.
 
     `c` provides `dimension` (must equal len(x)**2) and `entries`, an
@@ -194,12 +186,10 @@ def sparse_inner_kron(c, x: Sequence[int], *, residual=None, slices=None) -> int
     materialized: entry k contributes value * x[k // L] * x[k % L].
     Accumulation is exact; leaving the accumulator width raises.
 
-    A `c` that also provides `block` and `base_row` evaluates as
-    sum_s x[base_row + s] * r_s with (x, r) = block_residual(c.block, x);
-    pass that value as `residual` to share it across the vectors of one
-    block and input. With `slices` = block_slices(residual) as well, a
-    base row that is a multiple of S is a lookup; any other base row
-    takes the dot product.
+    A `c` that also provides `block` and a `base_row` that is a multiple
+    of S is looked up in block_slices(c.block, x); pass that list as
+    `slices` to share it across the vectors of one block and input. Any
+    other vector, and a block past the width, takes the per-term loop.
     """
     length = len(x)
     if c.dimension != length * length:
@@ -208,19 +198,12 @@ def sparse_inner_kron(c, x: Sequence[int], *, residual=None, slices=None) -> int
         )
     block = getattr(c, "block", None)
     if block is not None:
-        if slices is not None:
-            row, offset = divmod(c.base_row, block.rows)
-            if offset == 0:
+        row, offset = divmod(c.base_row, block.rows)
+        if offset == 0:
+            if slices is None:
+                slices = block_slices(block, x)
+            if slices is not None:
                 return slices[row]
-        if residual is None:
-            residual = block_residual(block, x)
-        if residual is not None:
-            xa, r = residual
-            xs = xa[c.base_row:c.base_row + block.rows]
-            if r.ndim == 1:
-                return int(xs @ r)
-            hi, lo = r @ xs
-            return (int(hi) << LIMB_BITS) + int(lo)
     xs = [int(v) for v in x]
     limit = ACCUMULATOR_BITS - 1
     acc = 0

@@ -81,13 +81,18 @@ class TestTrain:
         assert records[-1]["record"] == "summary"
         assert len(records) == 3
 
-    def test_synthetic_conflicts_with_dataset(self):
-        with pytest.raises(SystemExit):
-            main(["train", "--synthetic", "--dataset", "x.csv"])
+    def test_synthetic_conflicts_with_dataset(self, capsys):
+        assert main(["train", "--synthetic", "--dataset", "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "fedquad: error: --synthetic cannot be combined with --dataset/--partition\n")
 
-    def test_dataset_requires_partition(self):
-        with pytest.raises(SystemExit):
-            main(["train", "--dataset", "x.csv"])
+    def test_dataset_requires_partition(self, capsys):
+        # Also when no source is given at all.
+        for flags in (["--dataset", "x.csv"], []):
+            assert main(["train", *flags]) == 2
+            assert capsys.readouterr().err == (
+                "fedquad: error: train needs either --synthetic or both --dataset "
+                "and --partition\n")
 
     def test_lambda_flag_parses(self):
         args = build_parser().parse_args(
@@ -155,6 +160,28 @@ class TestErrors:
         assert proc.stderr.startswith("fedquad: error: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    # Each document is malformed in one field of a spec for header a,b,y.
+    @pytest.mark.parametrize("doc", [
+        {"clients": [{"name": "c", "features": "ab"}],
+         "label": {"client": "c", "column": "y"}},
+        {"clients": [{"name": "c", "features": ["a", 2]}],
+         "label": {"client": "c", "column": "y"}},
+        {"clients": [{"name": 7, "features": ["a", "b"]}],
+         "label": {"client": 7, "column": "y"}},
+        {"clients": [{"name": "c", "features": ["a", "b"]}],
+         "label": {"client": "c", "column": ["y"]}},
+    ], ids=["string-features", "number-feature", "number-name", "list-label"])
+    def test_malformed_partition_spec_exits_2(self, doc, tmp_path, capsys):
+        dataset, spec = tmp_path / "dataset.csv", tmp_path / "partition.json"
+        dataset.write_text("a,b,y\n1,2,3\n4,5,6\n")
+        spec.write_text(json.dumps(doc))
+        assert main(["train", "--dataset", str(dataset), "--partition", str(spec),
+                     "--batch-size", "2", "--iters", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"fedquad: error: {spec}: malformed partition spec")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",

@@ -1,4 +1,4 @@
-"""The residual kernel for block-structured slice vectors against the per-term loop.
+"""The block kernel for block-structured slice vectors against the per-term loop.
 
 The per-term loop over a SparseFunctionVector built from the same entries
 is the reference; the dense Kronecker product is the second oracle.
@@ -28,10 +28,10 @@ from fedquad.protocol import (
 from fedquad.tensor import (
     ACCUMULATOR_BITS,
     AccumulatorOverflow,
-    block_residual,
     block_slices,
     dense_kron,
     int_vector,
+    limb_plan,
     sparse_inner_kron,
     vec_columns,
 )
@@ -42,12 +42,10 @@ def _reference(c, x):
     return sparse_inner_kron(SparseFunctionVector(c.dimension, tuple(c.entries)), x)
 
 
-def _path(residual):
-    """Which kernel path block_residual took: int64, limbs or object."""
-    _, r = residual
-    if r.dtype == object:
-        return "object"
-    return "int64" if r.ndim == 1 else "limbs"
+def _plan(block, x):
+    """limb_plan for a block and input: (b, k) for int64 limbs, None for objects."""
+    largest = max(1, max(abs(int(v)) for v in x))
+    return limb_plan(block.rows, max(1, sum(map(abs, block.coefficients))), largest)
 
 
 def _outcome(evaluate):
@@ -64,8 +62,9 @@ def layouts_and_inputs(draw):
     counts = [draw(st.integers(1, 3)) for _ in range(n)]
     weights = [[draw(st.integers(-5, 5)) for _ in range(f)] for f in counts]
     one = draw(st.sampled_from([0, 1, 16, -3]))
-    # 9 keeps the bound in int64; 2**40 pushes it onto Python ints.
-    magnitude = draw(st.sampled_from([9, 1 << 40]))
+    # 9 plans one limb, 2**40 up to three; 2**58 plans up to 21 limbs, or
+    # object arrays once C·X reaches 2**63.
+    magnitude = draw(st.sampled_from([9, 1 << 40, 1 << 58]))
     length = S * (sum(counts) + 1)
     x = draw(st.lists(st.integers(-magnitude, magnitude),
                       min_size=length, max_size=length))
@@ -90,9 +89,9 @@ class TestStructuredKernel:
         layout = build_layout(2, 3, [2, 1])
         vectors = all_gradient_slice_vectors([[1, -2], [0]], 5, layout)
         x = list(range(-6, 6))
-        residual = block_residual(vectors[0].block, x)
+        slices = block_slices(vectors[0].block, x)
         for c in vectors:
-            assert sparse_inner_kron(c, x, residual=residual) == _reference(c, x)
+            assert sparse_inner_kron(c, x, slices=slices) == _reference(c, x)
 
 
 def _one_slice(w, one):
@@ -103,36 +102,44 @@ def _one_slice(w, one):
 
 
 class TestInt64Boundary:
-    @pytest.mark.parametrize("w,one,dtype", [
-        (-(1 << 62), (1 << 62) - 1, np.int64),   # bound 2**63 - 1
-        (1 << 62, -((1 << 62) - 1), np.int64),
-        (-(1 << 62), 1 << 62, object),           # bound 2**63
-        (1 << 62, -(1 << 62), object),
+    # S = X = 1, so b = 62 and C·X = bound: r fits int64 in two limbs up to
+    # 2**63 - 1, and takes object arrays from 2**63.
+    @pytest.mark.parametrize("w,one,plan", [
+        (-(1 << 62), (1 << 62) - 1, (62, 2)),    # bound 2**63 - 1
+        (1 << 62, -((1 << 62) - 1), (62, 2)),
+        (-(1 << 62), 1 << 62, None),             # bound 2**63
+        (1 << 62, -(1 << 62), None),
     ], ids=["2**63-1", "2**63-1-negated", "2**63", "2**63-negated"])
-    def test_bound_edge_matches_reference(self, w, one, dtype):
+    def test_bound_edge_matches_reference(self, w, one, plan):
         c = _one_slice(w, one)
         x = [1, 1]
-        _, r = block_residual(c.block, x)
-        assert r.dtype == dtype
+        assert _plan(c.block, x) == plan
         expected = _reference(c, x)
         assert expected == one - w
         assert sparse_inner_kron(c, x) == expected
+        assert block_slices(c.block, x)[0] == expected
 
     def test_negative_x_counts_in_the_bound(self):
         # sum|coef| = 2**61 and max|x| = 2 comes from the negative entry:
-        # bound 2**63, so not the plain int64 path (C·X = 2**62 and S·X = 2
-        # put it on the two limbs).
+        # C·X = 2**62 and S·X = 2 plan two 61-bit limbs (read as 1, one limb).
         c = _one_slice(-(1 << 60), 1 << 60)
-        assert _path(block_residual(c.block, [-2, 1])) != "int64"
+        assert _plan(c.block, [-2, 1]) == (61, 2)
         assert sparse_inner_kron(c, [-2, 1]) == _reference(c, [-2, 1])
+        # max|x| = 2**40 from the negative entry: S·X = 2**40 leaves 22-bit
+        # limbs for C·X = 2**60. Read as 1 it would be one limb, where
+        # x0 * r0 = 2**100 wraps.
+        c = _one_slice(-(1 << 20), 0)
+        x = [-(1 << 40), 1]
+        assert _plan(c.block, x) == (22, 3)
+        assert sparse_inner_kron(c, x) == _reference(c, x) == 1 << 100
 
     def test_negative_x_counts_in_the_limb_precondition(self):
         # sum|coef| = 2**62 and max|x| = 2 from the negative entry: C·X = 2**63,
-        # so the object path. Read as 1 it would be int64, where x0 * r0 =
-        # (-2) * (-2**63) = 2**64 wraps.
+        # so the object path. Read as 1 it would be int64 limbs, where r0 =
+        # (-2**62) * (-2) = 2**63 wraps.
         c = _one_slice(-(1 << 62), 0)
         x = [-2, 1]
-        assert _path(block_residual(c.block, x)) == "object"
+        assert _plan(c.block, x) is None
         assert sparse_inner_kron(c, x) == _reference(c, x) == 1 << 64
 
     def test_bound_edge_across_rows(self):
@@ -143,17 +150,17 @@ class TestInt64Boundary:
         (c,) = all_gradient_slice_vectors([[-(per_row // 2)]],
                                           per_row - per_row // 2, layout)
         x = [1] * 14
-        assert block_residual(c.block, x)[1].dtype == np.int64
+        assert _plan(c.block, x) == (60, 2)
         assert sparse_inner_kron(c, x) == _reference(c, x) == 2 ** 63 - 1
 
 
 @st.composite
 def limb_band_inputs(draw):
-    """Layouts and inputs whose bound lies in the two-limb band.
+    """Layouts and inputs that plan two limbs.
 
     One x entry of magnitude 2**28 and one weight of magnitude 2**24 put
-    B = S·C·X² at 2**80 or more; with S <= 4 and at most 9 coefficients
-    C·X stays below 2**56 and S·X below 2**31.
+    C·X at 2**52 or more; with S <= 4 and at most 9 coefficients C·X stays
+    below 2**56 and S·X at most 2**30, so limbs of b >= 32 bits.
     """
     n = draw(st.integers(1, 3))
     S = draw(st.integers(1, 4))
@@ -175,11 +182,11 @@ class TestLimbKernel:
         layout, weights, one, x = case
         kron = dense_kron(x)
         vectors = all_gradient_slice_vectors(weights, one, layout)
-        residual = block_residual(vectors[0].block, x)
-        assert _path(residual) == "limbs"
+        assert _plan(vectors[0].block, x)[1] == 2
+        slices = block_slices(vectors[0].block, x)
         for c in vectors:
             dense = sum(a * b for a, b in zip(c.to_dense(), kron))
-            assert sparse_inner_kron(c, x, residual=residual) == _reference(c, x) == dense
+            assert sparse_inner_kron(c, x, slices=slices) == _reference(c, x) == dense
 
     # S=7 rows of x = ±1, so X = 1 and S·X = 7; C = |w| + |one|.
     @pytest.mark.parametrize("w,one,path", [
@@ -191,48 +198,80 @@ class TestLimbKernel:
         (c,) = all_gradient_slice_vectors([[w]], one, layout)
         # Signs that push every row's residual to ±C and the slice past int64.
         x = [1, -1, 1, 1, -1, 1, 1] + [1, -1, 1, 1, -1, 1, 1]
-        residual = block_residual(c.block, x)
-        assert _path(residual) == path
+        assert (_plan(c.block, x) is None) == (path == "object")
         expected = _reference(c, x)
         assert abs(expected) >= 1 << 63
         assert sparse_inner_kron(c, x) == expected
-        assert sparse_inner_kron(c, x, residual=residual) == expected
+        assert sparse_inner_kron(c, x, slices=block_slices(c.block, x)) == expected
 
     @pytest.mark.parametrize("S,largest,path", [
-        (1, (1 << 31) - 1, "limbs"),   # S·X = 2**31 - 1
-        (1, 1 << 31, "object"),        # S·X = 2**31
-        (2, (1 << 30) - 1, "limbs"),   # S·X = 2**31 - 2
-        (2, 1 << 30, "object"),        # S·X = 2**31
-    ])
+        (1, (1 << 62) - 1, "limbs"),   # S·X = 2**62 - 1
+        (1, 1 << 62, "object"),        # S·X = 2**62
+        (2, (1 << 61) - 1, "limbs"),   # S·X = 2**62 - 2
+        (2, 1 << 61, "object"),        # S·X = 2**62
+    ], ids=["SX=2**62-1", "SX=2**62", "S=2-SX=2**62-2", "S=2-SX=2**62"])
     def test_row_edge(self, S, largest, path):
-        # C = 2**32 - 1 keeps C·X below 2**63 and |r| near 2**63, so hi and
-        # lo both carry large values.
+        # C = 1 keeps C·X below 2**63; just under S·X = 2**62 the limbs are
+        # one bit wide, so r splits into as many limbs as C·X has bits.
         layout = build_layout(1, S, [1])
-        (c,) = all_gradient_slice_vectors([[-((1 << 32) - 2)]], 1, layout)
+        (c,) = all_gradient_slice_vectors([[-1]], 0, layout)
         for sign in (1, -1):
             x = [sign * largest] * S + [sign * (largest - 1)] * S
-            residual = block_residual(c.block, x)
-            assert _path(residual) == path
+            plan = _plan(c.block, x)
+            assert plan == (None if path == "object" else (1, largest.bit_length()))
             expected = _reference(c, x)
             assert sparse_inner_kron(c, x) == expected
-            assert sparse_inner_kron(c, x, residual=residual) == expected
+            assert block_slices(c.block, x)[0] == expected
+
+    # (S, X, C, plan): one limb up to bitlen(C·X) = b, three past 2·b.
+    @pytest.mark.parametrize("S,largest,total,plan", [
+        (1, 1, (1 << 62) - 1, (62, 1)),
+        (1, 1, 1 << 62, (62, 2)),
+        (2, 1 << 30, (1 << 32) - 1, (31, 2)),
+        (2, 1 << 30, 1 << 32, (31, 3)),
+    ], ids=["k=1", "k=1-to-2", "k=2", "k=2-to-3"])
+    def test_limb_count_edge(self, S, largest, total, plan):
+        # Coefficients (-a, C - a): r_0 = -C·X, the most negative residual,
+        # and for S = 2 r_1 = C·X - (C - a), below the top with low bits set.
+        share = total // 3
+        block = ResidualBlock(rows=S, coefficients=(-share, total - share))
+        x = [largest, -largest][:S] + [-largest, largest - 1][:S]
+        assert _plan(block, x) == plan
+        vectors = _every_aligned_slice(block)
+        kron = dense_kron(x)
+        expected = [_reference(c, x) for c in vectors]
+        assert expected == [sum(a * b for a, b in zip(c.to_dense(), kron))
+                            for c in vectors]
+        assert block_slices(block, x) == expected
 
     def test_negative_residuals_split_by_floor(self):
         # Residuals of both signs, some with low bits set and some exact
-        # multiples of 2**32: hi = floor(r / 2**32), 0 <= lo < 2**32.
-        # r_s = -3 x_s + 2**32 y_s; X = 2**28, so S·X = 2**30 and B >= 2**92.
-        layout = build_layout(1, 4, [1])
-        (c,) = all_gradient_slice_vectors([[3]], 1 << 32, layout)
+        # multiples of 2**32, the limb size here: the top limb is
+        # floor(r / 2**32) and the low limb r mod 2**32.
+        # r_s = -3 x_s + 2**32 y_s; X = 2**28, so S·X = 2**30 and b = 32.
+        # Four more columns, with zero coefficients, hold the unit vectors,
+        # so the slice at column 2 + s is r_s itself.
+        block = ResidualBlock(rows=4, coefficients=(-3, 1 << 32, 0, 0, 0, 0))
         x = [0, 1, 1 << 28, -(1 << 28)] + [-1, 0, -(1 << 28), (1 << 28) - 1]
-        residual = block_residual(c.block, x)
-        assert _path(residual) == "limbs"
-        hi, lo = residual[1].tolist()
+        x += [int(s == t) for s in range(4) for t in range(4)]
+        assert _plan(block, x) == (32, 2)
         exact = [-3 * x[s] + (1 << 32) * x[4 + s] for s in range(4)]
         assert exact[0] == -(1 << 32) and -(1 << 32) < exact[1] < 0
-        assert [(h << 32) + low for h, low in zip(hi, lo)] == exact
-        assert hi[:2] == [-1, -1] and lo[:2] == [0, (1 << 32) - 3]
-        assert all(0 <= low < 1 << 32 for low in lo)
-        assert sparse_inner_kron(c, x) == _reference(c, x)
+        assert exact[2] < 0 < exact[3]
+        slices = block_slices(block, x)
+        assert slices[2:] == exact
+        assert slices == [_reference(c, x) for c in _every_aligned_slice(block)]
+
+    def test_large_geometry_plans_limbs(self):
+        # S = 4096 and F = 512 with the 12-bit codec: quantized |x| < 2**21,
+        # and weights of magnitude below 2 give C < 512·2**13 + 2**12 < 2**23
+        # (the label coefficient is 2**12). S·X < 2**33
+        # leaves 30-bit limbs: two cover C·X, and r stays in int64 limbs
+        # while C·X < 2**63, past C = 2**42.
+        rows, largest = 4096, (1 << 21) - 1
+        assert limb_plan(rows, (1 << 23) - 1, largest) == (30, 2)
+        assert limb_plan(rows, 1 << 42, largest) == (30, 3)
+        assert limb_plan(rows, 1 << 43, largest) is None
 
 
 class TestIntVector:
@@ -291,7 +330,7 @@ class TestAccumulatorWidth:
         c = _one_slice(-self.top, self.top)
         with pytest.raises(AccumulatorOverflow):
             sparse_inner_kron(c, [1, 1])
-        assert block_residual(c.block, [1, 1]) is None
+        assert block_slices(c.block, [1, 1]) is None
 
 
 class TestDecryptMemo:
@@ -311,7 +350,7 @@ class TestDecryptMemo:
         second = all_gradient_slice_vectors([[0, 3]], 4, layout)
         sk = fe.keygen(instance, None, first[1])
         other = fe.keygen(instance, None, second[0])
-        # a stale x or residual would then show as a wrong value
+        # a stale x or slice would then show as a wrong value
         assert _reference(first[1], x_a) != _reference(first[1], x_b)
         assert _reference(first[1], x_a) != _reference(second[0], x_a)
         for cts, x in ((set_a, x_a), (set_b, x_b), (set_a, x_a)):
@@ -367,11 +406,9 @@ def _every_aligned_slice(block):
 class TestFusedSlices:
     """All aligned slices of a block from one product, each key a lookup."""
 
-    def _check_warm_decrypts(self, layout, weights, one, x, path):
+    def _check_warm_decrypts(self, layout, weights, one, x):
         vectors = _every_aligned_slice(
             all_gradient_slice_vectors(weights, one, layout)[0].block)
-        residual = block_residual(vectors[0].block, x)
-        assert _path(residual) == path
         kron = dense_kron(x)
         expected = [_reference(c, x) for c in vectors]
         assert expected == [sum(a * b for a, b in zip(c.to_dense(), kron))
@@ -380,41 +417,47 @@ class TestFusedSlices:
         # The first key fills the memo; every later one reads its slice from it.
         assert [fe.decrypt(cts, fe.keygen(instance, None, c))
                 for c in vectors] == expected
+        # On every path, the object path included, the memo holds them all.
         slices = instance._operands.slices
-        if path == "object":
-            assert slices is None and block_slices(residual) is None
-        else:
-            assert slices == block_slices(residual) == expected
-            assert all(type(v) is int for v in slices)
+        assert slices == block_slices(vectors[0].block, x) == expected
+        assert all(type(v) is int for v in slices)
         assert fe.audit_counters(instance)[2] == len(vectors)
 
     @settings(max_examples=150, deadline=None)
     @given(layouts_and_inputs())
     def test_every_path_matches_per_term_loop(self, case):
-        layout, weights, one, x = case
-        path = _path(block_residual(
-            all_gradient_slice_vectors(weights, one, layout)[0].block, x))
-        self._check_warm_decrypts(layout, weights, one, x, path)
+        self._check_warm_decrypts(*case)
 
     @settings(max_examples=150, deadline=None)
     @given(limb_band_inputs())
     def test_limb_path_matches_per_term_loop(self, case):
-        self._check_warm_decrypts(*case, "limbs")
+        layout, weights, one, x = case
+        block = all_gradient_slice_vectors(weights, one, layout)[0].block
+        assert _plan(block, x)[1] == 2
+        self._check_warm_decrypts(*case)
 
-    # (S, x, coefficients): an int64-path and a limb-path block, S >= 2.
-    @pytest.mark.parametrize("S,coefficients,magnitude,path", [
-        (3, (2, -5, 1), 9, "int64"),
-        (3, (1 << 24, -(1 << 24) + 3, 1 << 16), 1 << 28, "limbs"),
+    def test_object_path_fills_the_memo(self):
+        # C·X = 2**63: object arrays, still one evaluation per set.
+        layout = build_layout(1, 2, [1])
+        x = [1 << 62, -(1 << 62) + 1, 5, -(1 << 62)]
+        block = all_gradient_slice_vectors([[2]], 0, layout)[0].block
+        assert _plan(block, x) is None
+        self._check_warm_decrypts(layout, [[2]], 0, x)
+
+    # (S, x, coefficients): a one-limb and a two-limb block, S >= 2. An
+    # unaligned base row is no lookup: it takes the per-term loop.
+    @pytest.mark.parametrize("S,coefficients,magnitude,limbs", [
+        (3, (2, -5, 1), 9, 1),
+        (3, (1 << 24, -(1 << 24) + 3, 1 << 16), 1 << 28, 2),
     ], ids=["int64", "limbs"])
     def test_unaligned_base_row_takes_the_dot_product(self, S, coefficients,
-                                                      magnitude, path):
+                                                      magnitude, limbs):
         block = ResidualBlock(rows=S, coefficients=coefficients)
         rng = np.random.default_rng(41)
         x = [int(v) for v in rng.integers(-magnitude, magnitude + 1,
                                           size=block.vector_length)]
-        residual = block_residual(block, x)
-        assert _path(residual) == path
-        slices = block_slices(residual)
+        assert _plan(block, x)[1] == limbs
+        slices = block_slices(block, x)
         instance, cts = _one_set(x, S)
         fe.decrypt(cts, fe.keygen(instance, None, SliceVector(0, block)))
         assert instance._operands.slices == slices
@@ -422,7 +465,7 @@ class TestFusedSlices:
         for base in range(last + 1):
             c = SliceVector(base, block)
             expected = _reference(c, x)
-            assert sparse_inner_kron(c, x, residual=residual, slices=slices) == expected
+            assert sparse_inner_kron(c, x, slices=slices) == expected
             assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
         # Unaligned rows straddle two slices, so a lookup would be wrong.
         assert _reference(SliceVector(1, block), x) not in slices
