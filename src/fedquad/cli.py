@@ -53,6 +53,14 @@ def _parse_feature_counts(text: str) -> list[int]:
     return counts
 
 
+class _SyntheticOnly(argparse.Action):
+    """Stores a flag that only shapes --synthetic data and notes that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.synthetic_only = (*namespace.synthetic_only, self.option_strings[0])
+
+
 def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-bits", type=int, default=12,
                         help="fractional bits for features and labels")
@@ -82,11 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--partition", help="JSON partition spec")
     train.add_argument("--synthetic", action="store_true",
                        help="generate a seeded dataset instead of loading files")
-    train.add_argument("--rows", type=int, default=64,
+    train.add_argument("--rows", type=int, default=64, action=_SyntheticOnly,
                        help="synthetic dataset rows")
     train.add_argument("--features-per-client", type=_parse_feature_counts,
-                       default=[2, 2, 2], metavar="N,N,...",
+                       default=[2, 2, 2], metavar="N,N,...", action=_SyntheticOnly,
                        help="synthetic per-client feature counts")
+    train.set_defaults(synthetic_only=())
     train.add_argument("--model", choices=sorted(MODEL_BY_FLAG), default="linear")
     train.add_argument("--iters", type=int, default=10)
     train.add_argument("--batch-size", type=int, default=8)
@@ -125,6 +134,9 @@ def _load_shards(args: argparse.Namespace, model_kind: str):
         return partition_dataset(dataset.header, dataset.rows, dataset.spec)
     if not args.dataset or not args.partition:
         raise ValueError("train needs either --synthetic or both --dataset and --partition")
+    if args.synthetic_only:
+        raise ValueError(f"{args.synthetic_only[0]} applies to --synthetic only, "
+                         f"not to --dataset/--partition")
     header, rows = load_csv(args.dataset)
     spec = load_partition_spec(args.partition)
     return partition_dataset(header, rows, spec)

@@ -11,10 +11,10 @@ Slot convention: one slot per feature-holding client plus one final slot for
 the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 
 Every decrypt call is checked and counted on its own, but a ciphertext set is
-evaluated once: the instance remembers the last set that passed, the key
-identity it passed with, and the set's concatenated x and the shared
-block's slice values. A later key on that set pays a few identity
-comparisons and a lookup; any other call runs every check again.
+evaluated once: the instance remembers the last set that passed, as it was
+passed, the key identity it passed with, and the set's concatenated x and
+the shared block's slice values. A later key on that set pays a few
+identity comparisons and a lookup; any other call runs every check again.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ _instance_ids = itertools.count()
 class _Operands(NamedTuple):
     """What one ciphertext set gives every key that passes its checks.
 
-    ciphertexts is the validated slot-ordered tuple; holding it keeps
-    those identities from being reused while the entry lives. instance_id
-    and tag are those of the last key that passed every check on it.
-    x is the set's concatenated payload, and slices holds all aligned
-    slice values of block on x (None past the accumulator width). An
-    entry is replaced whole, never edited.
+    ciphertexts is the validated tuple as decrypt was given it; holding
+    it keeps those identities from being reused while the entry lives.
+    instance_id and tag are those of the last key that passed every
+    check on it. x is the payloads concatenated in slot order, and
+    slices holds all aligned slice values of block on x (None past the
+    accumulator width). An entry is replaced whole, never edited.
     """
 
     ciphertexts: tuple[Ciphertext, ...]
@@ -219,16 +219,17 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
 
     Checks run in order: every ciphertext must share the key's instance,
     then its tag, then the slots must cover 0..n_slots-1 exactly once.
-    Any violation raises; no partial value is ever returned. A ciphertext
-    set is checked once: the instance keeps the slot-ordered ciphertexts
-    that passed, with the instance id and tag object of the key that
-    passed, and a later key skips the loops only when it brings the same
-    ciphertext objects in slot order, the same instance id, that very tag
+    Any violation raises; no partial value is ever returned. The
+    ciphertexts may come in any order. A set is checked once: the
+    instance keeps the ciphertexts that passed, as they were passed,
+    with the instance id and tag object of the key that passed, and a
+    later key skips the checks only when it brings the same ciphertext
+    objects in the same order, the same instance id, that very tag
     object and that very block. Anything else runs every check again.
-    The concatenated x and all aligned slice values of a shared block are
-    computed once per ciphertext set and block, so a later key of that
-    block costs a few identity comparisons and a lookup. Each call counts
-    once.
+    The concatenated x and all aligned slice values of a shared block
+    are computed once per ciphertext set and block, so a later key of
+    that block costs a few identity comparisons and a lookup. Each
+    call counts once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance
@@ -240,7 +241,7 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     if (operands is None or operands.ciphertexts != cts
             or operands.instance_id != sk.instance_id
             or operands.tag is not sk.tag or operands.block is not block):
-        operands = _checked_operands(cts, sk, operands, block)
+        operands = _checked_operands(cts, sk, block)
         instance._operands = operands
     value = sparse_inner_kron(sk.funcvec, operands.x, slices=operands.slices)
     instance._n_decrypt += 1
@@ -248,7 +249,6 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
 
 
 def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
-                      operands: _Operands | None,
                       block: ResidualBlock | None) -> _Operands:
     """decrypt's checks in their order; the memo entry for a set that passes."""
     instance = sk._instance
@@ -263,27 +263,19 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
             raise TagMismatch(
                 f"ciphertext tag {ct.tag!r} does not match key tag {sk.tag!r}"
             )
-    if [ct.slot for ct in cts] == list(range(instance.n_slots)):
-        ordered = cts
-    else:
-        by_slot: dict[int, Ciphertext] = {}
-        for ct in cts:
-            if ct.slot in by_slot:
-                raise DuplicateSlot(f"slot {ct.slot} appears more than once")
-            by_slot[ct.slot] = ct
-        missing = [slot for slot in range(instance.n_slots) if slot not in by_slot]
-        if missing:
-            raise MissingSlot(f"no ciphertext for slots {missing}")
-        ordered = tuple(by_slot[slot] for slot in range(instance.n_slots))
-    if operands is None or operands.ciphertexts != ordered:
-        x, shared = np.concatenate([ct._payload for ct in ordered]), (None, None)
-    else:
-        x, shared = operands.x, (operands.block, operands.slices)
-    if block is not None and shared[0] is not block:
-        shared = (block, block_slices(block, x))
+    by_slot: dict[int, Ciphertext] = {}
+    for ct in cts:
+        if ct.slot in by_slot:
+            raise DuplicateSlot(f"slot {ct.slot} appears more than once")
+        by_slot[ct.slot] = ct
+    missing = [slot for slot in range(instance.n_slots) if slot not in by_slot]
+    if missing:
+        raise MissingSlot(f"no ciphertext for slots {missing}")
+    x = np.concatenate([by_slot[slot]._payload for slot in range(instance.n_slots)])
+    slices = None if block is None else block_slices(block, x)
     # Built whole, not by _replace: _make builds a tuple from an iterator,
     # which feeds CPython's tuple free list one entry per call.
-    return _Operands(ordered, sk.instance_id, sk.tag, x, *shared)
+    return _Operands(cts, sk.instance_id, sk.tag, x, block, slices)
 
 
 def audit_counters(instance: FEInstance) -> tuple[int, int, int]:

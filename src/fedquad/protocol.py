@@ -216,7 +216,8 @@ class TrainingPlan:
     its largest magnitude for the overflow bound (y_eff is y minus the
     model's label shift). Quantization is elementwise, so the rows
     of a batch sliced from here are exactly the integers each client
-    would quantize from that batch itself.
+    would quantize from that batch itself. shared_fe is None, or under the
+    debug reuse_fe_instance flag the one fe.setup every iteration reuses.
     """
 
     def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
@@ -246,6 +247,10 @@ class TrainingPlan:
         edges = list(accumulate((*self.features_per_client, 1), initial=0))
         self.columns = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
         self._layouts: dict[int, Layout] = {}
+        self.shared_fe = None
+        if config.reuse_fe_instance:
+            self.shared_fe = fe.setup(len(self.columns), [
+                config.batch_size * (c.stop - c.start) for c in self.columns])
 
     def layout(self, batch_size: int) -> Layout:
         if batch_size not in self._layouts:
@@ -256,15 +261,14 @@ class TrainingPlan:
 
 def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: int = 0,
                   bus: MessageBus | None = None,
-                  fe_setup: tuple[fe.FEInstance, list[fe.EncryptionKey]] | None = None,
                   artifacts_out: list[IterationArtifacts] | None = None,
                   ) -> IterationMetrics:
     """One secure gradient step on the plan's rows: setup, encrypt, keygen, decrypt, update.
 
     Settings come from plan.config; weights are only read, and the
-    updated ones are returned in the metrics. fe_setup reuses an existing
-    instance instead of a fresh one; that is a debug hook for
-    demonstrating the mix-and-match attack and must not be used otherwise.
+    updated ones are returned in the metrics. Each call sets up a fresh
+    FE instance, unless the plan holds a shared one (plan.shared_fe, the
+    debug hook for demonstrating the mix-and-match attack).
     """
     if bus is None:
         bus = MessageBus()
@@ -294,11 +298,8 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     x = vec_columns(plan.quantized[rows])
     payloads = [x[c.start * S:c.stop * S] for c in plan.columns]
 
-    # TTP: fresh instance with one slot per client plus the label slot.
-    if fe_setup is None:
-        instance, eks = fe.setup(n_clients + 1, [len(p) for p in payloads])
-    else:
-        instance, eks = fe_setup
+    # TTP: fresh (or the plan's shared) instance, a slot per client plus labels.
+    instance, eks = plan.shared_fe or fe.setup(n_clients + 1, [len(p) for p in payloads])
     for i in range(n_clients):
         keys = (eks[i], eks[n_clients]) if i == plan.label_index else (eks[i],)
         bus.send(Header(TTP, client_name(i), iteration, "deliver_keys", len(keys)))
@@ -314,7 +315,6 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
                         "client_ciphertexts", len(cts)))
         all_cts.extend(cts)
         encryptions_per_client.append(len(cts))
-    all_cts.sort(key=lambda ct: ct.slot)
 
     # Aggregator: coefficient vectors from its (effective) weights.
     w_q = quantize_vector(w_eff, codec.weight_bits)
@@ -420,15 +420,9 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
     else:
         weights = np.array(initial_weights, dtype=float)
     batches = iter_batches(plan.n_rows, config.batch_size, config.iterations, config.seed)
-
-    fe_setup = None
-    if config.reuse_fe_instance and config.iterations > 0:
-        slot_lengths = [config.batch_size * (c.stop - c.start) for c in plan.columns]
-        fe_setup = fe.setup(len(slot_lengths), slot_lengths)
-
     for t, rows in enumerate(batches):
         metrics = run_iteration(weights, plan, rows, iteration=t, bus=bus,
-                                fe_setup=fe_setup, artifacts_out=artifacts_out)
+                                artifacts_out=artifacts_out)
         if not (math.isfinite(metrics.loss) and np.isfinite(metrics.gradient).all()):
             raise ValueError(f"iteration {t} diverged: loss {metrics.loss!r} or its "
                              f"gradient is not finite; lower the learning rate")

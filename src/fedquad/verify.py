@@ -16,7 +16,7 @@ import numpy as np
 from . import fe
 from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, finite_difference_gradient, model
 from .data import partition_dataset, synthesize
-from .fixedpoint import FixedPointConfig, inner_product_error_bound, quantize
+from .fixedpoint import FixedPointConfig, inner_product_error_bound
 from .funcvec import all_gradient_slice_vectors, build_layout
 from .protocol import (
     ClientShard,

@@ -94,6 +94,29 @@ class TestTrain:
                 "fedquad: error: train needs either --synthetic or both --dataset "
                 "and --partition\n")
 
+    # "--rows 64" is the default value, given explicitly: still refused.
+    @pytest.mark.parametrize("flags", [
+        ["--rows", "5", "--features-per-client", "9,9"],
+        ["--features-per-client", "9,9"],
+        ["--rows", "64"],
+    ], ids=["both", "features", "default-rows"])
+    def test_synthetic_only_flags_refused_with_files(self, flags, tmp_path, capsys):
+        assert main(["synth", "--rows", "8", "--features-per-client", "1,1",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "metrics.jsonl"
+        assert main(["train", "--dataset", str(tmp_path / "dataset.csv"),
+                     "--partition", str(tmp_path / "partition.json"), *flags,
+                     "--iters", "1", "--batch-size", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"fedquad: error: {flags[0]} applies to --synthetic only, "
+            "not to --dataset/--partition\n")
+        assert not out.exists()
+
+    def test_synthetic_defaults(self):
+        args = build_parser().parse_args(["train", "--synthetic"])
+        assert (args.rows, args.features_per_client) == (64, [2, 2, 2])
+
     def test_lambda_flag_parses(self):
         args = build_parser().parse_args(
             ["train", "--synthetic", "--lambda", "0.5"])

@@ -342,6 +342,13 @@ class TestCheckedOnce:
             assert [fe.decrypt(list(cts), sk) for sk in sks] == expected
             assert fe.audit_counters(instance)[2] == rounds * len(sks)
         assert len(checks) == 1
+        # The order the clients send in when client 0 holds the labels: the
+        # label slot second, not last. One check for that set too.
+        sent = [cts[0], cts[2], cts[1]]
+        for rounds in (3, 4):
+            assert [fe.decrypt(list(sent), sk) for sk in sks] == expected
+            assert fe.audit_counters(instance)[2] == rounds * len(sks)
+        assert len(checks) == 2
 
     def test_checked_headers_cannot_change(self):
         instance, _, cts, _, sks, _, expected = self._set("t")

@@ -514,6 +514,15 @@ class TestMixAndMatch:
         assert len(report.cross_successes) == 6
         assert not report.defended
 
+    def test_reused_instance_is_set_up_once_per_plan(self, monkeypatch):
+        setups = []
+        setup = fe.setup
+        monkeypatch.setattr(fe, "setup",
+                            lambda *args: setups.append(setup(*args)) or setups[-1])
+        artifacts = self._artifacts(3, reuse=True)
+        assert len(setups) == 1
+        assert all(a.instance is setups[0][0] for a in artifacts)
+
     def test_tags_defend_even_with_reused_instance(self):
         report = mix_and_match_probe(self._artifacts(3, reuse=True, tagged=True))
         assert report.cross_successes == []
