@@ -69,7 +69,7 @@ def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exact", action="store_true",
                         help="lossless codec for integer data (overrides bit flags)")
     parser.add_argument("--tagged", action="store_true",
-                        help="tag ciphertexts and keys with the iteration index")
+                        help="one FE setup per run, iteration t's ciphertexts and keys tagged t")
 
 
 def _codec_for(args: argparse.Namespace, model_kind: str) -> FixedPointConfig:
@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the self-check battery")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tagged", action="store_true",
-                        help="run the attack probe with iteration tags")
+                        help="probe one tagged FE setup per run (the paper's deployment)")
     verify.add_argument("--debug-reuse-instance", action="store_true",
-                        help="deliberately reuse one FE instance across "
+                        help="deliberately reuse one untagged FE instance across "
                              "iterations (negative control; verify must fail)")
     verify.add_argument("--out", help="write the report here as well as stdout")
 
@@ -153,7 +153,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         reg_lambda=args.reg_lambda,
         seed=args.seed,
         codec=_codec_for(args, model_kind),
-        tagged=args.tagged,
+        fe_policy="tagged" if args.tagged else "fresh",
     )
     out = None
 
@@ -190,8 +190,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all_checks(seed=args.seed, tagged=args.tagged,
-                             reuse_fe_instance=args.debug_reuse_instance)
+    # Tags keep a reused instance's iterations apart, so --tagged wins.
+    policy = "tagged" if args.tagged else "reused" if args.debug_reuse_instance else "fresh"
+    results = run_all_checks(seed=args.seed, fe_policy=policy)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -5,7 +5,8 @@ exact input/output behavior a secure scheme would provide: a ciphertext
 reveals nothing but its header; a secret key bound to a coefficient vector c
 decrypts a full set of slot ciphertexts to <c, x (x) x> for the concatenated
 x, and to nothing else; decryption across instances, across tags, or with an
-incomplete slot set fails with a typed error instead of a value.
+incomplete slot set fails with a typed error instead of a value. A slot's
+tags must increase, so an instance serving a whole run holds one tag per slot.
 
 Slot convention: one slot per feature-holding client plus one final slot for
 the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
@@ -81,7 +82,7 @@ class FEInstance:
         self._n_encrypt = 0
         self._n_keygen = 0
         self._n_decrypt = 0
-        self._tagged_slots: set[tuple[int, object]] = set()
+        self._last_tags: list[object] = [None] * n_slots
         self._operands: _Operands | None = None
 
     def __repr__(self) -> str:
@@ -178,10 +179,11 @@ def setup(n_slots: int, slot_lengths: Sequence[int]) -> tuple[FEInstance, list[E
 def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext:
     """Seal an integer vector into the key's slot under the given tag.
 
-    With a non-None tag, at most one ciphertext may exist per (slot, tag)
-    within an instance; re-encryption raises DuplicateSlot. Untagged use
-    (tag None) has no such restriction. The ciphertext keeps a read-only
-    copy, so later changes to `values` do not reach it.
+    A non-None tag must order strictly after the slot's last tag (last <
+    tag); an equal, older or incomparable tag raises DuplicateSlot, so each
+    (slot, tag) is used once and the instance keeps one tag per slot.
+    Untagged use (tag None) has no such restriction. The ciphertext keeps a
+    read-only copy, so later changes to `values` do not reach it.
     """
     instance = ek._instance
     payload = seal(values)
@@ -191,12 +193,15 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
             f"slot {ek.slot} expects a vector of length {expected}, got {len(payload)}"
         )
     if tag is not None:
-        claim = (ek.slot, tag)
-        if claim in instance._tagged_slots:
-            raise DuplicateSlot(
-                f"slot {ek.slot} already holds a ciphertext under tag {tag!r}"
-            )
-        instance._tagged_slots.add(claim)
+        last = instance._last_tags[ek.slot]
+        try:
+            later = last is None or bool(last < tag)
+        except (TypeError, ValueError):
+            later = False
+        if not later:
+            raise DuplicateSlot(f"slot {ek.slot} was last encrypted under tag "
+                                f"{last!r}; tag {tag!r} does not order after it")
+        instance._last_tags[ek.slot] = tag
     instance._n_encrypt += 1
     return Ciphertext(instance.instance_id, ek.slot, tag, payload)
 

@@ -1,7 +1,7 @@
 """Secure vertical-federated training over the ideal FE layer.
 
 Three kinds of actors run a fixed single-threaded schedule each iteration:
-the trusted third party sets up a fresh FE instance and hands out keys,
+the trusted third party hands out keys of the iteration's FE instance,
 every client encrypts its quantized feature block (the label holder also
 encrypts the label block), and the aggregator builds the coefficient
 vectors from its weights, obtains secret keys, and decrypts one gradient
@@ -126,11 +126,14 @@ class TrainingConfig:
     reg_lambda: float = 0.0
     seed: int = 0
     codec: FixedPointConfig = field(default_factory=FixedPointConfig)
-    tagged: bool = False
-    reuse_fe_instance: bool = False
+    # "fresh" (an instance per iteration), "tagged" (one per run, iteration t
+    # tagged t) or "reused" (one untagged instance: the attack's control).
+    fe_policy: str = "fresh"
 
     def __post_init__(self) -> None:
         model(self.model_kind)  # ValueError for an unknown kind
+        if self.fe_policy not in ("fresh", "tagged", "reused"):
+            raise ValueError(f"unknown fe_policy {self.fe_policy!r}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 1:
@@ -173,7 +176,6 @@ class IterationArtifacts:
     instance: fe.FEInstance
     ciphertexts: tuple[fe.Ciphertext, ...]
     secret_keys: tuple[fe.SecretKey, ...]
-    tag: object
 
 
 @dataclass
@@ -216,8 +218,8 @@ class TrainingPlan:
     its largest magnitude for the overflow bound (y_eff is y minus the
     model's label shift). Quantization is elementwise, so the rows
     of a batch sliced from here are exactly the integers each client
-    would quantize from that batch itself. shared_fe is None, or under the
-    debug reuse_fe_instance flag the one fe.setup every iteration reuses.
+    would quantize from that batch itself. shared_fe is None under fe_policy
+    "fresh", else the run's one fe.setup (batch_size rows per slot).
     """
 
     def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
@@ -248,7 +250,7 @@ class TrainingPlan:
         self.columns = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
         self._layouts: dict[int, Layout] = {}
         self.shared_fe = None
-        if config.reuse_fe_instance:
+        if config.fe_policy != "fresh":
             self.shared_fe = fe.setup(len(self.columns), [
                 config.batch_size * (c.stop - c.start) for c in self.columns])
 
@@ -267,8 +269,8 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
 
     Settings come from plan.config; weights are only read, and the
     updated ones are returned in the metrics. Each call sets up a fresh
-    FE instance, unless the plan holds a shared one (plan.shared_fe, the
-    debug hook for demonstrating the mix-and-match attack).
+    FE instance unless the plan holds the run's one (plan.shared_fe); under
+    fe_policy "tagged" the iteration tags every ciphertext and key.
     """
     if bus is None:
         bus = MessageBus()
@@ -293,7 +295,7 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
             f"reduce batch size, magnitudes, or fractional bits"
         )
 
-    tag = iteration if config.tagged else None
+    tag = iteration if config.fe_policy == "tagged" else None
     # Each slot's quantized batch columns, stacked: x = [x_0||...||x_{N-1}||y].
     x = vec_columns(plan.quantized[rows])
     payloads = [x[c.start * S:c.stop * S] for c in plan.columns]
@@ -359,7 +361,6 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
             instance=instance,
             ciphertexts=tuple(all_cts),
             secret_keys=tuple(secret_keys),
-            tag=tag,
         ))
     return metrics
 
@@ -405,8 +406,8 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
                  ) -> np.ndarray:
     """T secure iterations over seeded mini-batches of the shards; returns the final weights.
 
-    Every iteration uses a fresh FE instance unless the debug
-    reuse_fe_instance flag is set. Exact-mode guarantees assume the
+    Every iteration uses a fresh FE instance unless config.fe_policy asks
+    for one per run (plan.shared_fe). Exact-mode guarantees assume the
     initial weights sit on the weight grid (the zero default always
     does). Only the weights carry over between iterations; on_iteration
     gets each iteration's metrics as soon as they are made, bus the
@@ -452,7 +453,7 @@ def mix_and_match_probe(artifacts: Sequence[IterationArtifacts]) -> ProbeReport:
     Uses the first secret key of each iteration. Same-iteration pairs are
     the controls and must succeed. A successful cross decryption is the
     mix-and-match attack going through, which fresh per-iteration
-    instances (or tags) are there to stop.
+    instances, or iteration tags on one instance, are there to stop.
     """
     if len(artifacts) < 2:
         raise ValueError(f"need at least 2 iterations to probe, got {len(artifacts)}")

@@ -231,14 +231,12 @@ def check_counts(seed: int = 3) -> CheckResult:
                        f"3 iterations at 1/2 encryptions per client, {F} decryptions")
 
 
-def check_mix_and_match(seed: int = 4, *, reuse_fe_instance: bool = False,
-                        tagged: bool = False) -> CheckResult:
+def check_mix_and_match(seed: int = 4, *, fe_policy: str = "fresh") -> CheckResult:
     """Cross-iteration decryptions must all be rejected (controls must pass)."""
     shards, _ = _synthetic_shards(MODEL_LINEAR, seed)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5, batch_size=4,
                             learning_rate=0.01, seed=seed,
-                            codec=exact_codec(MODEL_LINEAR),
-                            tagged=tagged, reuse_fe_instance=reuse_fe_instance)
+                            codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy)
     artifacts = []
     run_training(shards, config, artifacts_out=artifacts)
     report = mix_and_match_probe(artifacts)
@@ -321,9 +319,8 @@ def check_determinism(seed: int = 5) -> CheckResult:
                        "metrics and message logs identical across two runs")
 
 
-def run_all_checks(*, seed: int = 0, tagged: bool = False,
-                   reuse_fe_instance: bool = False) -> list[CheckResult]:
-    """The full battery; reuse_fe_instance is the deliberate negative control."""
+def run_all_checks(*, seed: int = 0, fe_policy: str = "fresh") -> list[CheckResult]:
+    """The full battery; fe_policy "reused" is the deliberate negative control."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return [
@@ -332,8 +329,7 @@ def run_all_checks(*, seed: int = 0, tagged: bool = False,
         check_gradient_oracle(MODEL_LOGISTIC_TAYLOR, seed + 2),
         check_gradient_finite_difference(seed + 3),
         check_counts(seed + 4),
-        check_mix_and_match(seed + 5, reuse_fe_instance=reuse_fe_instance,
-                            tagged=tagged),
+        check_mix_and_match(seed + 5, fe_policy=fe_policy),
         check_tag_gating(),
         check_ciphertext_sealing(),
         check_determinism(seed + 6),

@@ -184,7 +184,7 @@ def test_05_mix_and_match_rejected(tmp_path):
     reuse = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5,
                            batch_size=8, learning_rate=0.01, seed=51,
                            codec=exact_codec(MODEL_LINEAR),
-                           reuse_fe_instance=True)
+                           fe_policy="reused")
     reused = []
     run_training(shards, reuse, artifacts_out=reused)
     leaked = mix_and_match_probe(reused)

@@ -11,6 +11,7 @@ nothing, so this test counts the calls through the same attributes.
 """
 
 from collections import Counter
+from itertools import product
 
 from fedquad import cli, fe, protocol
 
@@ -43,10 +44,11 @@ def test_train_calls_every_hooked_name(monkeypatch, tmp_path):
     for name in ("setup", "encrypt", "keygen", "decrypt", "sparse_inner_kron"):
         counted(fe, name)
 
-    for model, (gradient, loss) in ORACLES.items():
+    for (model, (gradient, loss)), tagged in product(ORACLES.items(), (False, True)):
         calls.clear()
         argv = ["train", "--synthetic", "--rows", "16", "--features-per-client", "1,2",
-                "--model", model, "--iters", str(T), "--batch-size", "4", "--tagged",
+                "--model", model, "--iters", str(T), "--batch-size", "4",
+                *(["--tagged"] if tagged else []),
                 "--out", str(tmp_path / "metrics.jsonl")]
         assert cli.main(argv) == 0
         # Only this model's oracle pair is called; the other one not at all.
@@ -61,7 +63,8 @@ def test_train_calls_every_hooked_name(monkeypatch, tmp_path):
             "overflow_bound": T,
             gradient: T,
             loss: T,
-            "setup": T,
+            # --tagged sets up one instance per run and tags each iteration.
+            "setup": 1 if tagged else T,
             "encrypt": (N_CLIENTS + 1) * T,
             "keygen": F * T,
             "decrypt": F * T,

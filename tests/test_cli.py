@@ -336,6 +336,13 @@ class TestVerify:
         assert "FAIL mix_and_match" in out
         assert "8/9 checks passed" in out
 
+    def test_tagged_deployment_rejects_by_tag(self, capsys):
+        # One setup per run: the probe's cross pairs fail on their tags.
+        assert main(["verify", "--tagged"]) == 0
+        out = capsys.readouterr().out
+        assert "failure kinds {'TagMismatch': 20}" in out
+        assert "9/9 checks passed" in out
+
     def test_tags_rescue_reused_instance(self, capsys):
         assert main(["verify", "--debug-reuse-instance", "--tagged"]) == 0
         assert "9/9 checks passed" in capsys.readouterr().out

@@ -68,6 +68,23 @@ class TestEncrypt:
         # a different tag opens a new slot claim
         fe.encrypt(keys[0], 8, [3])
 
+    def test_slot_tags_must_increase(self):
+        instance, keys = fe.setup(2, [1, 1])
+        fe.encrypt(keys[0], 8, [1])
+        # An older tag would re-open one already used, so it is refused too.
+        with pytest.raises(fe.DuplicateSlot, match="tag 7 does not order after it"):
+            fe.encrypt(keys[0], 7, [2])
+        # A tag that cannot be compared with the last one is refused, not a TypeError.
+        with pytest.raises(fe.DuplicateSlot, match="tag 'nine'"):
+            fe.encrypt(keys[0], "nine", [2])
+        fe.encrypt(keys[0], 9, [3])
+        # Other slots keep their own last tag, and untagged use is unaffected.
+        fe.encrypt(keys[1], 7, [4])
+        fe.encrypt(keys[1], None, [5])
+        fe.encrypt(keys[0], None, [6])
+        assert instance._last_tags == [9, 7]
+        assert fe.audit_counters(instance)[0] == 5
+
 
 class TestSealedPayload:
     def _product_of_two(self, first, second):

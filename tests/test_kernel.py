@@ -368,7 +368,7 @@ class TestDecryptMemo:
                   ClientShard(rng.integers(-4, 5, size=(rows, 1)).astype(float))]
         config = TrainingConfig(iterations=T, batch_size=batch, seed=seed,
                                 learning_rate=0.05, codec=exact_codec(MODEL_LINEAR),
-                                reuse_fe_instance=True)
+                                fe_policy="reused")
         artifacts = []
         run_training(shards, config, initial_weights=[1.0, -2.0, 1.0],
                      artifacts_out=artifacts)

@@ -161,11 +161,13 @@ class TestRunIteration:
 
 
 class TestMessageLog:
-    def _run(self, tagged=False):
+    def _run(self, fe_policy="fresh"):
         rng = np.random.default_rng(23)
         shards, weights = random_exact_instance(rng, max_clients=3)
         bus = MessageBus()
-        config = TrainingConfig(codec=exact_codec(MODEL_LINEAR), tagged=tagged)
+        # A run's one setup fixes the slot lengths at batch_size rows.
+        config = TrainingConfig(codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy,
+                                batch_size=shards[0].features.shape[0])
         _step(weights, shards, config, bus=bus, iteration=4)
         return shards, bus
 
@@ -188,7 +190,7 @@ class TestMessageLog:
             assert set(record) == {"from", "to", "iteration", "kind", "size"}
 
     def test_export_is_json_lines(self):
-        _, bus = self._run(tagged=True)
+        _, bus = self._run("tagged")
         lines = bus.export_jsonl().splitlines()
         assert len(lines) == len(bus.messages)
         for line in lines:
@@ -301,12 +303,29 @@ class TestRunTraining:
             assert metrics.decryptions == 4
             assert fe.audit_counters(art.instance) == (3, 4, 4)
 
+    def test_fe_policy_changes_no_record_or_header(self):
+        # The policy decides which instances and tags the FE layer sees;
+        # metrics, weights and the message log do not depend on it.
+        runs = []
+        for fe_policy in ("fresh", "tagged", "reused"):
+            config = TrainingConfig(iterations=5, batch_size=4, learning_rate=0.05,
+                                    seed=6, fe_policy=fe_policy)
+            history, bus = [], MessageBus()
+            final = run_training(self._shards(), config, on_iteration=history.append,
+                                 bus=bus)
+            records = [json.dumps(iteration_record(m), sort_keys=True) for m in history]
+            runs.append((records, bus.export_jsonl(), final.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_tagged_mode_tags_with_iteration(self):
         shards = self._shards()
-        config = TrainingConfig(iterations=3, batch_size=4, tagged=True)
+        config = TrainingConfig(iterations=3, batch_size=4, fe_policy="tagged")
         artifacts = []
         run_training(shards, config, artifacts_out=artifacts)
-        assert [a.tag for a in artifacts] == [0, 1, 2]
+        for t, art in enumerate(artifacts):
+            assert {ct.tag for ct in art.ciphertexts} == {t}
+            assert {sk.tag for sk in art.secret_keys} == {t}
+        assert len({id(a.instance) for a in artifacts}) == 1
 
     def test_batch_size_larger_than_dataset_rejected(self):
         # Also with no iterations: the check does not wait for a batch.
@@ -354,14 +373,14 @@ class TestRunTraining:
         assert long - short < 4096
 
     @staticmethod
-    def _peak(iterations):
+    def _peak(iterations, fe_policy):
         """Peak bytes allocated during run_training, S=16 and F=4, no sinks."""
         rng = np.random.default_rng(28)
         labels = rng.integers(-4, 5, size=64).astype(float)
         shards = [ClientShard(rng.integers(-4, 5, size=(64, 2)).astype(float), labels),
                   ClientShard(rng.integers(-4, 5, size=(64, 2)).astype(float))]
         config = TrainingConfig(iterations=iterations, batch_size=16,
-                                learning_rate=0.001, seed=3)
+                                learning_rate=0.001, seed=3, fe_policy=fe_policy)
         gc.collect()
         tracemalloc.start()
         try:
@@ -370,11 +389,13 @@ class TestRunTraining:
         finally:
             tracemalloc.stop()
 
-    def test_peak_memory_does_not_grow_with_iterations(self):
+    @pytest.mark.parametrize("fe_policy", ["fresh", "tagged"])
+    def test_peak_memory_does_not_grow_with_iterations(self, fe_policy):
         # A schedule of all T batches held up front costs about 0.2 KB per
         # iteration at S=16, and so does a tuple built from a generator once
         # per iteration (CPython keeps it in a free list when it is freed).
-        assert self._peak(2000) - self._peak(2) < 64 * 1024
+        # A run's one tagged instance keeps one tag per slot, not every tag.
+        assert self._peak(2000, fe_policy) - self._peak(2, fe_policy) < 64 * 1024
 
 
 class TestTrainingPlan:
@@ -402,7 +423,7 @@ class TestTrainingPlan:
         codec = exact_codec(model_kind) if codec == "exact" else FixedPointConfig(16, 16)
         config = TrainingConfig(model_kind=model_kind, iterations=6, batch_size=4,
                                 learning_rate=0.05, reg_lambda=0.1, seed=8,
-                                codec=codec, tagged=tagged)
+                                codec=codec, fe_policy="tagged" if tagged else "fresh")
         initial = np.array([0.5, -1.5, 2.0, -0.25, 1.0])
         history, run_bus = [], MessageBus()
         final = run_training(shards, config, initial_weights=initial,
@@ -483,14 +504,13 @@ class TestBatchSchedule:
 
 
 class TestMixAndMatch:
-    def _artifacts(self, iterations, reuse=False, tagged=False):
+    def _artifacts(self, iterations, fe_policy="fresh"):
         rng = np.random.default_rng(25)
         labels = rng.integers(-3, 4, size=12).astype(float)
         shards = [ClientShard(rng.integers(-3, 4, size=(12, 2)).astype(float),
                               labels)]
         config = TrainingConfig(iterations=iterations, batch_size=3,
-                                codec=exact_codec(MODEL_LINEAR),
-                                reuse_fe_instance=reuse, tagged=tagged)
+                                codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy)
         artifacts = []
         run_training(shards, config, artifacts_out=artifacts)
         return artifacts
@@ -510,7 +530,7 @@ class TestMixAndMatch:
         assert report.defended
 
     def test_instance_reuse_lets_the_attack_through(self):
-        report = mix_and_match_probe(self._artifacts(3, reuse=True))
+        report = mix_and_match_probe(self._artifacts(3, "reused"))
         assert len(report.cross_successes) == 6
         assert not report.defended
 
@@ -519,12 +539,12 @@ class TestMixAndMatch:
         setup = fe.setup
         monkeypatch.setattr(fe, "setup",
                             lambda *args: setups.append(setup(*args)) or setups[-1])
-        artifacts = self._artifacts(3, reuse=True)
+        artifacts = self._artifacts(3, "reused")
         assert len(setups) == 1
         assert all(a.instance is setups[0][0] for a in artifacts)
 
     def test_tags_defend_even_with_reused_instance(self):
-        report = mix_and_match_probe(self._artifacts(3, reuse=True, tagged=True))
+        report = mix_and_match_probe(self._artifacts(3, "tagged"))
         assert report.cross_successes == []
         assert report.failure_kinds == {"TagMismatch": 6}
         assert report.defended
@@ -556,6 +576,8 @@ class TestActorAndConfig:
             TrainingConfig(model_kind="cubic")
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainingConfig(seed=-1)
+        with pytest.raises(ValueError, match="unknown fe_policy 'shared'"):
+            TrainingConfig(fe_policy="shared")
         # nan fails every comparison, so it must be refused explicitly.
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate must be finite"):

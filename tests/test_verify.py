@@ -92,6 +92,6 @@ class TestBattery:
         assert all(r.detail for r in results)
 
     def test_reuse_control_fails_exactly_mix_and_match(self):
-        results = run_all_checks(seed=7, reuse_fe_instance=True)
+        results = run_all_checks(seed=7, fe_policy="reused")
         failed = [r.name for r in results if not r.passed]
         assert failed == ["mix_and_match"]
