@@ -151,7 +151,7 @@ def block_slices(block, x) -> list[int] | None:
     r = coefficients @ x.reshape(-1, S) and the slices x.reshape(-1, S) @ r
     are computed on object arrays when limb_plan gives None, and in int64
     when it gives (b, k): one x.reshape(-1, S) @ limb product per limb of
-    r, recombined Horner-style in Python ints.
+    r, recombined Horner-style in Python ints (one limb is r itself).
     """
     x = int_vector(x)
     coefficients = block.coefficients
@@ -165,7 +165,7 @@ def block_slices(block, x) -> list[int] | None:
     x = x.astype(dtype, copy=False)
     residual = np.array(coefficients, dtype=dtype) @ x.reshape(len(coefficients), rows)
     columns = x.reshape(-1, rows)
-    if plan is None:
+    if plan is None or plan[1] == 1:
         return (columns @ residual).tolist()
     bits, count = plan
     mask = (1 << bits) - 1

@@ -81,6 +81,34 @@ class TestTrain:
         assert records[-1]["record"] == "summary"
         assert len(records) == 3
 
+    def test_file_based_train_does_not_import_numpy_random(self, tmp_path):
+        import subprocess
+        import sys
+
+        # numpy.random (and secrets, hashlib, OpenSSL with it) is imported
+        # lazily on first use; training from files has no use for it.
+        (tmp_path / "dataset.csv").write_text(
+            "a,b,c,y\n" + "".join(f"{i % 3},{i % 5 - 2},{i % 2},{i % 4}\n"
+                                   for i in range(12)))
+        (tmp_path / "partition.json").write_text(json.dumps({
+            "clients": [{"name": "p", "features": ["a", "b"]},
+                        {"name": "q", "features": ["c"]}],
+            "label": {"client": "p", "column": "y"}}))
+        script = (
+            "import sys\n"
+            "from fedquad.cli import main\n"
+            "code = main(['train', '--dataset', sys.argv[1], '--partition', sys.argv[2],\n"
+            "             '--iters', '5', '--batch-size', '4', '--out', sys.argv[3]])\n"
+            "print(code, [m for m in ('numpy.random', 'secrets') if m in sys.modules])\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "dataset.csv"),
+             str(tmp_path / "partition.json"), str(tmp_path / "metrics.jsonl")],
+            capture_output=True, text=True,
+        )
+        assert proc.stderr == ""
+        assert proc.stdout == "0 []\n"
+        assert len((tmp_path / "metrics.jsonl").read_text().splitlines()) == 6
+
     def test_synthetic_conflicts_with_dataset(self, capsys):
         assert main(["train", "--synthetic", "--dataset", "x.csv"]) == 2
         assert capsys.readouterr().err == (

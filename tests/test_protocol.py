@@ -21,6 +21,7 @@ from fedquad.protocol import (
     TrainingConfig,
     TrainingPlan,
     exact_codec,
+    iter_batches,
     iteration_record,
     make_batch_schedule,
     mix_and_match_probe,
@@ -501,6 +502,40 @@ class TestBatchSchedule:
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
             make_batch_schedule(4, 5, 1, seed=0)
+
+    def test_schedule_is_pinned(self):
+        # Stable argsort of random.Random(2).randbytes keys, epoch by epoch:
+        # a change of the generator or of the sort changes these rows.
+        schedule = [rows.tolist() for rows in make_batch_schedule(10, 3, 7, seed=2)]
+        assert schedule == [[9, 2, 4], [8, 7, 3], [5, 1, 6],
+                            [6, 8, 5], [2, 0, 3], [4, 9, 7],
+                            [6, 9, 7]]
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_negative_seed_is_refused_by_name(self, iterations):
+        # random.Random would take -1 as 1; refused before any batch is drawn.
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            iter_batches(10, 3, iterations, -1)
+
+    @pytest.mark.parametrize("seed", [2.5, "3"])
+    def test_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(TypeError):
+            iter_batches(10, 3, 0, seed)
+
+    def test_each_epoch_is_a_permutation_and_the_leftover_is_dropped(self):
+        # 10 rows in batches of 3: an epoch is three batches of nine distinct
+        # rows, the tenth is dropped and the next batch starts a new epoch.
+        for seed in range(20):
+            schedule = make_batch_schedule(10, 3, 9, seed)
+            for epoch in range(3):
+                rows = np.concatenate(schedule[3 * epoch:3 * epoch + 3])
+                assert len(set(rows.tolist())) == 9
+                assert rows.min() >= 0 and rows.max() < 10
+            # A batch size that divides the rows uses every row once per epoch.
+            halves = make_batch_schedule(10, 5, 4, seed)
+            for epoch in range(2):
+                rows = np.concatenate(halves[2 * epoch:2 * epoch + 2])
+                assert sorted(rows.tolist()) == list(range(10))
 
 
 class TestMixAndMatch:
