@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -227,12 +228,21 @@ def main(argv=None) -> int:
     """Run one subcommand.
 
     Bad input, a missing or unreadable file and a diverging run each end
-    with one error line on stderr and exit code 2.
+    with one error line on stderr and exit code 2. A reader that closes
+    stdout early (``fedquad train ... | head -1``) ends the command
+    quietly with exit code 0.
     """
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "verify": cmd_verify, "synth": cmd_synth}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's flush of what is
+        # still buffered at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OverflowError, OSError) as err:
         sys.stderr.write(f"fedquad: error: {err}\n")
         return 2

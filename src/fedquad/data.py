@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, CentralDataset
+from .draws import seeded, uniform_ints
 from .protocol import ClientShard
 
 
@@ -219,12 +220,6 @@ class SyntheticDataset:
     true_weights: np.ndarray
 
 
-def _feature_frame(rng: np.random.Generator, n_rows: int, n_features: int,
-                   feature_range: int) -> np.ndarray:
-    return rng.integers(-feature_range, feature_range + 1,
-                        size=(n_rows, n_features)).astype(float)
-
-
 def _partition_for(features_per_client: Sequence[int]) -> tuple[list[str], PartitionSpec]:
     names = []
     clients = []
@@ -248,11 +243,11 @@ def synthesize_linear(n_rows: int, features_per_client: Sequence[int], seed: int
     quantization, so secure runs on it can be compared bitwise against
     plaintext descent.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     F = sum(features_per_client)
-    X = _feature_frame(rng, n_rows, F, feature_range)
-    w = rng.integers(-weight_range, weight_range + 1, size=F).astype(float)
-    noise = rng.integers(-noise_range, noise_range + 1, size=n_rows).astype(float)
+    X = uniform_ints(rng, -feature_range, feature_range, (n_rows, F))
+    w = uniform_ints(rng, -weight_range, weight_range, F)
+    noise = uniform_ints(rng, -noise_range, noise_range, n_rows)
     y = X @ w + noise
     header, spec = _partition_for(features_per_client)
     rows = np.column_stack([X, y])
@@ -263,10 +258,10 @@ def synthesize_logistic(n_rows: int, features_per_client: Sequence[int], seed: i
                         feature_range: int = 2,
                         weight_range: int = 2) -> SyntheticDataset:
     """Integer features with 0/1 labels from the sign of a linear score."""
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     F = sum(features_per_client)
-    X = _feature_frame(rng, n_rows, F, feature_range)
-    w = rng.integers(-weight_range, weight_range + 1, size=F).astype(float)
+    X = uniform_ints(rng, -feature_range, feature_range, (n_rows, F))
+    w = uniform_ints(rng, -weight_range, weight_range, F)
     y = (X @ w > 0).astype(float)
     header, spec = _partition_for(features_per_client)
     rows = np.column_stack([X, y])
@@ -275,10 +270,15 @@ def synthesize_logistic(n_rows: int, features_per_client: Sequence[int], seed: i
 
 def synthesize(model_kind: str, n_rows: int, features_per_client: Sequence[int],
                seed: int) -> SyntheticDataset:
+    """The seeded dataset of a model kind.
+
+    Values come from draws.uniform_ints on draws.seeded(seed): the
+    features row by row, then the weights, then (linear only) the noise.
+    A seed that is not an int raises TypeError and a negative one
+    ValueError.
+    """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     if model_kind == MODEL_LINEAR:
         return synthesize_linear(n_rows, features_per_client, seed)
     if model_kind == MODEL_LOGISTIC_TAYLOR:

@@ -22,12 +22,10 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import json
 import math
-import operator
-import random
 
 import numpy as np
 
-from . import fe
+from . import draws, fe
 from .baseline import (
     MODEL_LINEAR,
     centralized_gradient_linear,
@@ -376,24 +374,19 @@ def iter_batches(n_rows: int, batch_size: int, n_iterations: int,
     batch_size rows remain, the leftover is dropped and a new epoch
     starts. Fully determined by (n_rows, batch_size, n_iterations, seed).
     A permutation is the stable argsort of n_rows little-endian 64-bit
-    keys from random.Random(seed).randbytes, so drawing batches does not
-    import numpy.random; a tie (probability below n_rows**2 / 2**65) goes
-    to the lower row. A seed that is not an int raises TypeError and a
-    negative one (which random.Random would take as -seed) ValueError, as
-    does batch_size > n_rows, all before any batch is drawn.
+    keys (draws.keys of draws.seeded(seed)); a tie (probability below
+    n_rows**2 / 2**65) goes to the lower row. A seed that is not an int
+    raises TypeError and a negative one ValueError, as does
+    batch_size > n_rows, all before any batch is drawn.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = draws.seeded(seed)
     if batch_size > n_rows:
         raise ValueError(f"batch_size {batch_size} exceeds dataset rows {n_rows}")
-    rng = random.Random(seed)
 
     def permutation() -> np.ndarray:
-        keys = np.frombuffer(rng.randbytes(8 * n_rows), dtype="<u8")
-        return np.argsort(keys, kind="stable")
+        return np.argsort(draws.keys(rng, n_rows, "<u8"), kind="stable")
 
-    def draws() -> Iterator[np.ndarray]:
+    def batches() -> Iterator[np.ndarray]:
         order = permutation()
         pos = 0
         for _ in range(n_iterations):
@@ -403,7 +396,7 @@ def iter_batches(n_rows: int, batch_size: int, n_iterations: int,
             yield order[pos:pos + batch_size].copy()
             pos += batch_size
 
-    return draws()
+    return batches()
 
 
 def make_batch_schedule(n_rows: int, batch_size: int, n_iterations: int,

@@ -6,6 +6,7 @@ through an oracle that is independent of the code path under test.
 
 import itertools
 import json
+import random
 import time
 
 import numpy as np
@@ -68,7 +69,7 @@ def _slice_instances(rng, count, nonzero_weights=False):
 
 def test_01_function_vector_identity():
     """function-vector identity across three oracles, 500 instances in <10s"""
-    rng = np.random.default_rng(100)
+    rng = random.Random(100)
     start = time.perf_counter()
     slices_checked = 0
     for shards, weights, layout, vectors in _slice_instances(rng, 500):
@@ -130,14 +131,14 @@ def _assert_gradient_equivalence(model_kind, rng):
 
 def test_02_linear_gradient_equivalence():
     """linear protocol gradient equals the plaintext formula in both modes"""
-    _assert_gradient_equivalence(MODEL_LINEAR, np.random.default_rng(201))
+    _assert_gradient_equivalence(MODEL_LINEAR, random.Random(201))
 
 
 def test_03_logistic_taylor_gradient_equivalence():
     """logistic surrogate gradient equals formula and finite differences"""
     _assert_gradient_equivalence(MODEL_LOGISTIC_TAYLOR,
-                                 np.random.default_rng(200))
-    rng = np.random.default_rng(300)
+                                 random.Random(200))
+    rng = random.Random(300)
     for _ in range(50):
         shards, weights = random_unit_instance(rng, binary_labels=True)
         X = np.hstack([sh.features for sh in shards])
@@ -216,7 +217,7 @@ def test_06_tag_gating():
 
 def test_07_sparsity_and_structure():
     """each slice vector has S(F+1) entries, all inside its diagonal block"""
-    rng = np.random.default_rng(700)
+    rng = random.Random(700)
     for shards, _, layout, vectors in _slice_instances(rng, 500,
                                                        nonzero_weights=True):
         S = layout.batch_size

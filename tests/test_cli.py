@@ -81,12 +81,14 @@ class TestTrain:
         assert records[-1]["record"] == "summary"
         assert len(records) == 3
 
-    def test_file_based_train_does_not_import_numpy_random(self, tmp_path):
+    @pytest.mark.parametrize("command", ["train-files", "train-synthetic", "synth",
+                                         "verify"])
+    def test_command_does_not_import_numpy_random(self, tmp_path, command):
         import subprocess
         import sys
 
         # numpy.random (and secrets, hashlib, OpenSSL with it) is imported
-        # lazily on first use; training from files has no use for it.
+        # lazily on first use; no command has a use for it.
         (tmp_path / "dataset.csv").write_text(
             "a,b,c,y\n" + "".join(f"{i % 3},{i % 5 - 2},{i % 2},{i % 4}\n"
                                    for i in range(12)))
@@ -94,20 +96,27 @@ class TestTrain:
             "clients": [{"name": "p", "features": ["a", "b"]},
                         {"name": "q", "features": ["c"]}],
             "label": {"client": "p", "column": "y"}}))
+        metrics = tmp_path / "metrics.jsonl"
+        train = ["--iters", "5", "--batch-size", "4", "--out", str(metrics)]
+        argv = {
+            "train-files": ["train", "--dataset", str(tmp_path / "dataset.csv"),
+                            "--partition", str(tmp_path / "partition.json"), *train],
+            "train-synthetic": ["train", "--synthetic", "--rows", "12", *train],
+            "synth": ["synth", "--rows", "12", "--out", str(tmp_path / "bundle")],
+            "verify": ["verify"],
+        }[command]
         script = (
-            "import sys\n"
+            "import contextlib, io, json, sys\n"
             "from fedquad.cli import main\n"
-            "code = main(['train', '--dataset', sys.argv[1], '--partition', sys.argv[2],\n"
-            "             '--iters', '5', '--batch-size', '4', '--out', sys.argv[3]])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(json.loads(sys.argv[1]))\n"
             "print(code, [m for m in ('numpy.random', 'secrets') if m in sys.modules])\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "dataset.csv"),
-             str(tmp_path / "partition.json"), str(tmp_path / "metrics.jsonl")],
-            capture_output=True, text=True,
-        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True)
         assert proc.stderr == ""
         assert proc.stdout == "0 []\n"
-        assert len((tmp_path / "metrics.jsonl").read_text().splitlines()) == 6
+        if command.startswith("train"):
+            assert len(metrics.read_text().splitlines()) == 6
 
     def test_synthetic_conflicts_with_dataset(self, capsys):
         assert main(["train", "--synthetic", "--dataset", "x.csv"]) == 2
@@ -188,6 +197,26 @@ class TestErrors:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("fedquad: error: ")
         assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+
+    def test_reader_closing_stdout_early_ends_quietly(self):
+        import subprocess
+        import sys
+
+        # `fedquad train ... | head -1`: the reader takes one line and goes.
+        # 1000 records are far more than the pipe holds, so later writes
+        # meet the closed pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fedquad", "train", "--synthetic", "--rows", "12",
+             "--features-per-client", "1,1", "--iters", "1000", "--batch-size", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert stderr == b""
+        assert json.loads(first)["iteration"] == 0
 
     @pytest.mark.parametrize("missing", ["dataset", "partition", "directory"])
     def test_unreadable_input_file_exits_2_with_one_line(self, tmp_path, missing):

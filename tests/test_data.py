@@ -329,6 +329,17 @@ class TestSynthesize:
         assert np.array_equal(a.rows, b.rows)
         assert not np.array_equal(a.rows, c.rows)
 
+    # random.Random would hash these silently (default_rng raised).
+    @pytest.mark.parametrize("seed", [1.5, "3", None], ids=["float", "str", "none"])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(TypeError):
+            synthesize(MODEL_LINEAR, 8, [2], seed=seed)
+
+    def test_negative_seed_rejected(self):
+        # random.Random would take -1 as 1.
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            synthesize(MODEL_LOGISTIC_TAYLOR, 8, [2], seed=-1)
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="model kind"):
             synthesize("cubic", 8, [2], seed=0)

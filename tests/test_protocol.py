@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -78,7 +79,7 @@ class TestRunIteration:
         assert np.array_equal(gradient, np.array([270.0, 378.0]) + weights)
 
     def test_exact_equality_on_random_instances(self):
-        rng = np.random.default_rng(20)
+        rng = random.Random(20)
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR))
         for _ in range(60):
             shards, weights = random_exact_instance(rng)
@@ -89,7 +90,7 @@ class TestRunIteration:
             assert metrics.max_abs_grad_diff_vs_oracle == 0.0
 
     def test_exact_equality_logistic(self):
-        rng = np.random.default_rng(21)
+        rng = random.Random(21)
         config = TrainingConfig(model_kind=MODEL_LOGISTIC_TAYLOR,
                                 codec=exact_codec(MODEL_LOGISTIC_TAYLOR))
         for _ in range(60):
@@ -105,7 +106,7 @@ class TestRunIteration:
         (MODEL_LOGISTIC_TAYLOR, True),
     ])
     def test_fixed_point_error_within_bound(self, model_kind, binary):
-        rng = np.random.default_rng(22)
+        rng = random.Random(22)
         codec = FixedPointConfig()
         config = TrainingConfig(model_kind=model_kind, codec=codec)
         for _ in range(40):
@@ -163,7 +164,7 @@ class TestRunIteration:
 
 class TestMessageLog:
     def _run(self, fe_policy="fresh"):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         shards, weights = random_exact_instance(rng, max_clients=3)
         bus = MessageBus()
         # A run's one setup fixes the slot lengths at batch_size rows.

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fedquad.protocol import ClientShard
 
 class TestInstanceGenerators:
     def test_exact_instances_respect_ranges(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for _ in range(50):
             shards, weights = random_exact_instance(rng)
             assert 1 <= len(shards) <= 3
@@ -30,12 +32,12 @@ class TestInstanceGenerators:
             assert len(weights) == sum(sh.features.shape[1] for sh in shards)
 
     def test_binary_labels(self):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         shards, _ = random_exact_instance(rng, binary_labels=True)
         assert set(shards[0].labels) <= {0.0, 1.0}
 
     def test_unit_instances_stay_in_unit_box(self):
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         for _ in range(50):
             shards, weights = random_unit_instance(rng)
             for sh in shards:
@@ -56,7 +58,7 @@ class TestConcatenatedInput:
 
 class TestGradientErrorBound:
     def _instance(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         return random_unit_instance(rng)
 
     def test_positive(self):
