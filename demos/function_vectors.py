@@ -8,9 +8,11 @@ concatenation x = [x_0 || x_1 || y], and the coefficient vector c is
 sparse: one entry per (residual term, batch row) pair.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
-from fedquad.funcvec import all_gradient_slice_vectors, build_layout
+from fedquad.funcvec import all_gradient_slice_vectors
 from fedquad.tensor import dense_kron, kron_unflat, sparse_inner_kron
 
 # one batch row, two clients with one feature each
@@ -19,20 +21,23 @@ X1 = np.array([[7.0]])
 y = np.array([4.0])
 w = [2, 3]
 
-layout = build_layout(n_clients=2, batch_size=1, features_per_client=[1, 1])
-print("concatenated input length:", layout.vector_length)
-print("client offsets:", layout.offsets, "label offset:", layout.label_offset)
+S = 1
+# x stacks the columns in order, S entries each: client 0's, client 1's, then y
+starts = list(accumulate([1, 1], initial=0))
+length = S * (starts[-1] + 1)
+print("concatenated input length:", length)
+print("client offsets:", tuple(S * c for c in starts[:-1]),
+      "label offset:", S * starts[-1])
 
 # exact mode: weights are already integers, so the codec scale is 1
-vectors = all_gradient_slice_vectors([[w[0]], [w[1]]], one_quantized=1,
-                                     layout=layout)
+vectors = all_gradient_slice_vectors(w, one_quantized=1, rows=S)
 x = [5, 7, 4]
 xx = dense_kron(x)
 
 for k, c in enumerate(vectors):
     print(f"\nslice vector for feature {k}: {c.nnz} nonzero entries")
     for flat, coeff in c.entries:
-        row, col = kron_unflat(flat, layout.vector_length)
+        row, col = kron_unflat(flat, length)
         print(f"  coefficient {coeff:+d} at x[{row}]*x[{col}]"
               f" = {x[row]}*{x[col]}")
     value = sparse_inner_kron(c, x)

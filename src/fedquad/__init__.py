@@ -28,13 +28,10 @@ from .fixedpoint import (
     quantize,
 )
 from .funcvec import (
-    Layout,
     ResidualBlock,
     SliceVector,
     SparseFunctionVector,
     all_gradient_slice_vectors,
-    build_layout,
-    gradient_slice_vector,
     residual_coefficients,
 )
 from .protocol import (
@@ -58,21 +55,18 @@ __all__ = [
     "ClientShard",
     "FixedPointConfig",
     "IterationMetrics",
-    "Layout",
     "ResidualBlock",
     "SliceVector",
     "SparseFunctionVector",
     "TrainingConfig",
     "TrainingPlan",
     "all_gradient_slice_vectors",
-    "build_layout",
     "centralized_gradient_linear",
     "centralized_gradient_logistic_taylor",
     "centralized_training",
     "dequantize",
     "exact_codec",
     "finite_difference_gradient",
-    "gradient_slice_vector",
     "inner_product_error_bound",
     "make_batch_schedule",
     "mix_and_match_probe",

@@ -53,19 +53,22 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     quoted with ``"``; blank lines are skipped. Each value is bitwise the
     ``float`` of its cell, as numpy parses through the same routine.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in header {header}")
-        try:
-            rows = _loadtxt(fh, quotechar='"', ndmin=2)
-        except ValueError as err:
-            problem = _first_bad_cell(path, header) or " ".join(str(err).split())
-            raise ValueError(f"{path}: {problem}") from None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file, expected a header row") from None
+            if len(set(header)) != len(header):
+                raise ValueError(f"{path}: duplicate column names in header {header}")
+            try:
+                rows = _loadtxt(fh, quotechar='"', ndmin=2)
+            except ValueError as err:
+                problem = _first_bad_cell(path, header) or " ".join(str(err).split())
+                raise ValueError(f"{path}: {problem}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
     if rows.shape[1] != len(header):
@@ -130,7 +133,10 @@ def load_partition_spec(path) -> PartitionSpec:
     features a list of strings; a string is not split into columns.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"{path}: {err}") from None
     try:
         clients = [(c["name"], c["features"]) for c in doc["clients"]]
         label_client = doc["label"]["client"]

@@ -16,6 +16,11 @@ all F slices of one weight vector, plus its base row; its sorted
 (index, value) entries and dense form are derived on demand for the
 oracles. SparseFunctionVector keeps an explicit entry list for vectors
 built by hand.
+
+The builders need only the flat quantized weights, in the column order of
+x, and the batch size S: feature column k starts at x[k*S], so slice k's
+base row is k*S. Which columns belong to which client is the caller's
+record (TrainingPlan.columns), not this module's.
 """
 
 from __future__ import annotations
@@ -25,51 +30,6 @@ from typing import Iterator, Sequence
 
 # to_dense exists for test oracles; this caps it at desk scale.
 DENSE_DIMENSION_LIMIT = 65536
-
-
-@dataclass(frozen=True)
-class Layout:
-    """Index geometry of the concatenated vector x and its Kronecker square."""
-
-    n_clients: int
-    batch_size: int
-    features_per_client: tuple[int, ...]
-    feature_total: int
-    offsets: tuple[int, ...]
-    label_offset: int
-    vector_length: int
-
-
-def build_layout(n_clients: int, batch_size: int,
-                 features_per_client: Sequence[int]) -> Layout:
-    """Compute block offsets for N clients, batch size S, and per-client features."""
-    counts = tuple(int(f) for f in features_per_client)
-    if n_clients < 1 or batch_size < 1:
-        raise ValueError(
-            f"need n_clients >= 1 and batch_size >= 1, got {n_clients}, {batch_size}"
-        )
-    if len(counts) != n_clients:
-        raise ValueError(
-            f"features_per_client has {len(counts)} entries for {n_clients} clients"
-        )
-    if any(f < 1 for f in counts):
-        raise ValueError(f"every client needs at least one feature, got {counts}")
-    offsets = []
-    off = 0
-    for f in counts:
-        offsets.append(off)
-        off += batch_size * f
-    feature_total = sum(counts)
-    label_offset = off
-    return Layout(
-        n_clients=n_clients,
-        batch_size=batch_size,
-        features_per_client=counts,
-        feature_total=feature_total,
-        offsets=tuple(offsets),
-        label_offset=label_offset,
-        vector_length=label_offset + batch_size,
-    )
 
 
 @dataclass(frozen=True)
@@ -206,76 +166,38 @@ class SliceVector:
         return _to_dense(self)
 
 
-def residual_block(quantized_weights: Sequence[Sequence[int]],
-                   one_quantized: int,
-                   layout: Layout) -> ResidualBlock:
+def residual_block(quantized_weights: Sequence[int], one_quantized: int,
+                   rows: int) -> ResidualBlock:
     """The shared block: minus each quantized weight, then one_quantized for y.
 
-    Coefficient order is the column order of x: client ascending, feature
-    ascending, label last.
+    quantized_weights is in the column order of x (client ascending,
+    feature ascending) and rows is the batch size S.
     """
-    if len(quantized_weights) != layout.n_clients:
-        raise ValueError(
-            f"got weight segments for {len(quantized_weights)} clients, "
-            f"layout has {layout.n_clients}"
-        )
-    for j, segment in enumerate(quantized_weights):
-        if len(segment) != layout.features_per_client[j]:
-            raise ValueError(
-                f"client {j} weight segment has length {len(segment)}, "
-                f"expected {layout.features_per_client[j]}"
-            )
-    coefficients = [-int(w) for segment in quantized_weights for w in segment]
+    coefficients = [-int(w) for w in quantized_weights]
     coefficients.append(int(one_quantized))
-    return ResidualBlock(rows=layout.batch_size, coefficients=tuple(coefficients))
+    return ResidualBlock(rows=rows, coefficients=tuple(coefficients))
 
 
-def residual_coefficients(quantized_weights: Sequence[Sequence[int]],
-                          one_quantized: int,
-                          layout: Layout) -> tuple[tuple[int, int], ...]:
+def residual_coefficients(quantized_weights: Sequence[int], one_quantized: int,
+                          rows: int) -> tuple[tuple[int, int], ...]:
     """Coefficient entries of one row block, relative to that block's origin.
 
     For each sample s the entries pair position s of the block's rows with
     the s-th component of every feature column (value: minus the quantized
     weight) and of the label vector (value: the quantized constant 1), so a
     row's inner product with x is the quantized residual of sample s.
-    Relative index of (row s, column c) is s*L + c. Zero weights are dropped.
+    Relative index of (row s, column c) is s*L + c*S + s. Zero weights are dropped.
     """
-    return tuple(residual_block(quantized_weights, one_quantized, layout).entries(0))
+    return tuple(residual_block(quantized_weights, one_quantized, rows).entries(0))
 
 
-def gradient_slice_vector(quantized_weights: Sequence[Sequence[int]],
-                          one_quantized: int,
-                          layout: Layout,
-                          client: int,
-                          feature: int) -> SliceVector:
-    """The coefficient vector whose decryption is gradient slice (client, feature).
+def all_gradient_slice_vectors(quantized_weights: Sequence[int], one_quantized: int,
+                               rows: int) -> list[SliceVector]:
+    """All F slice vectors, in the order of quantized_weights.
 
-    The shared residual block lands in the row block of client's feature
-    column `feature` (rows off_client + feature*S .. + S), every other block
-    of x (x) x is zero.
+    Slice k's decryption is gradient component k: the shared block sits on
+    the rows of x's column k, which start at base row k*S. All F vectors
+    share one block.
     """
-    if not (0 <= client < layout.n_clients):
-        raise ValueError(f"client index {client} out of range for {layout.n_clients}")
-    if not (0 <= feature < layout.features_per_client[client]):
-        raise ValueError(
-            f"feature index {feature} out of range for client {client} "
-            f"with {layout.features_per_client[client]} features"
-        )
-    block = residual_block(quantized_weights, one_quantized, layout)
-    return SliceVector(layout.offsets[client] + feature * layout.batch_size, block)
-
-
-def all_gradient_slice_vectors(quantized_weights: Sequence[Sequence[int]],
-                               one_quantized: int,
-                               layout: Layout) -> list[SliceVector]:
-    """All F slice vectors, ordered (client ascending, feature ascending).
-
-    The order matches the flat gradient layout: slice (i, p) sits at global
-    index k = sum(F_j for j < i) + p, and its rows start at
-    off_i + p*S = k*S. All F vectors share one block.
-    """
-    block = residual_block(quantized_weights, one_quantized, layout)
-    S = layout.batch_size
-    return [SliceVector(k * S, block) for k in range(layout.feature_total)]
-
+    block = residual_block(quantized_weights, one_quantized, rows)
+    return [SliceVector(k * rows, block) for k in range(len(quantized_weights))]

@@ -44,7 +44,7 @@ from .fixedpoint import (  # noqa: F401
     quantize_vector,
     snap_to_grid,
 )
-from .funcvec import Layout, all_gradient_slice_vectors, build_layout
+from .funcvec import all_gradient_slice_vectors
 from .tensor import vec_columns
 
 OVERFLOW_LIMIT_BITS = 126
@@ -105,7 +105,8 @@ class ClientShard:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2 or self.features.shape[1] < 1:
-            raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
+            raise ValueError(f"features must be 2-D with at least one column, got shape "
+                             f"{self.features.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=float)
             if self.labels.shape != (self.features.shape[0],):
@@ -212,14 +213,15 @@ def iteration_record(metrics: IterationMetrics) -> dict:
 class TrainingPlan:
     """What a run needs from its shards, computed once before the first iteration.
 
-    It holds the label holder and the checked row counts, one Layout per
-    batch size, the central X and y for the oracle, and every row of
-    [X_0 | ... | X_{N-1} | y_eff] quantized at data scale together with
-    its largest magnitude for the overflow bound (y_eff is y minus the
-    model's label shift). Quantization is elementwise, so the rows
-    of a batch sliced from here are exactly the integers each client
-    would quantize from that batch itself. shared_fe is None under fe_policy
-    "fresh", else the run's one fe.setup (batch_size rows per slot).
+    It holds the label holder and the checked row counts, the central X
+    and y for the oracle, and every row of [X_0 | ... | X_{N-1} | y_eff]
+    quantized at data scale together with its largest magnitude for the
+    overflow bound (y_eff is y minus the model's label shift).
+    Quantization is elementwise, so the rows of a batch sliced from here
+    are exactly the integers each client would quantize from that batch
+    itself. columns is the one record of where each slot's columns sit in
+    x: one slice per client, then the label's. shared_fe is None under
+    fe_policy "fresh", else the run's one fe.setup (batch_size rows per slot).
     """
 
     def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
@@ -236,7 +238,6 @@ class TrainingPlan:
         self.model = model(config.model_kind)
         self.n_rows = n_rows
         self.label_index = holders[0]
-        self.features_per_client = tuple(sh.features.shape[1] for sh in shards)
         self.y = shards[self.label_index].labels
         self.weight_factor = math.ldexp(1.0, -self.model.weight_shift)
         data = np.column_stack([*(sh.features for sh in shards),
@@ -246,19 +247,13 @@ class TrainingPlan:
         self.row_max_abs = np.maximum(data.max(axis=1), -data.min(axis=1))
         self.quantized = quantize_array(data, config.codec.data_bits)
         # Each slot's columns of `quantized`: one per client, then the label.
-        edges = list(accumulate((*self.features_per_client, 1), initial=0))
+        counts = [sh.features.shape[1] for sh in shards]
+        edges = list(accumulate((*counts, 1), initial=0))
         self.columns = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
-        self._layouts: dict[int, Layout] = {}
         self.shared_fe = None
         if config.fe_policy != "fresh":
             self.shared_fe = fe.setup(len(self.columns), [
                 config.batch_size * (c.stop - c.start) for c in self.columns])
-
-    def layout(self, batch_size: int) -> Layout:
-        if batch_size not in self._layouts:
-            self._layouts[batch_size] = build_layout(
-                len(self.features_per_client), batch_size, self.features_per_client)
-        return self._layouts[batch_size]
 
 
 def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: int = 0,
@@ -277,9 +272,10 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     config = plan.config
     codec = config.codec
     S = len(rows)
-    layout = plan.layout(S)
-    n_clients = layout.n_clients
-    F = layout.feature_total
+    if S < 1:
+        raise ValueError("the batch has no rows; an iteration needs at least one")
+    n_clients = len(plan.columns) - 1
+    F = plan.X.shape[1]
     w = np.asarray(weights, dtype=float)
     if w.shape != (F,):
         raise ValueError(f"weights have shape {w.shape}, expected ({F},)")
@@ -319,9 +315,8 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
         encryptions_per_client.append(len(cts))
 
     # Aggregator: coefficient vectors from its (effective) weights.
-    w_q = quantize_vector(w_eff, codec.weight_bits)
-    segments = [w_q[c] for c in plan.columns[:-1]]
-    funcvecs = all_gradient_slice_vectors(segments, codec.one_weight, layout)
+    funcvecs = all_gradient_slice_vectors(quantize_vector(w_eff, codec.weight_bits),
+                                          codec.one_weight, S)
     bus.send(Header(AGGREGATOR, TTP, iteration, "funcvec_request", len(funcvecs)))
     secret_keys = [fe.keygen(instance, tag, c) for c in funcvecs]
     bus.send(Header(TTP, AGGREGATOR, iteration, "secret_keys", len(secret_keys)))

@@ -19,7 +19,7 @@ from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, finite_difference_gra
 from .data import partition_dataset, synthesize
 from .draws import seeded, uniform_ints, uniform_unit
 from .fixedpoint import FixedPointConfig, inner_product_error_bound
-from .funcvec import all_gradient_slice_vectors, build_layout
+from .funcvec import all_gradient_slice_vectors
 from .protocol import (
     ClientShard,
     MessageBus,
@@ -123,15 +123,8 @@ def check_funcvec_identity(seed: int = 0, rounds: int = 60) -> CheckResult:
     for _ in range(rounds):
         shards, weights = random_exact_instance(rng)
         labels = shards[0].labels
-        layout = build_layout(len(shards), shards[0].features.shape[0],
-                              [sh.features.shape[1] for sh in shards])
-        segments = []
-        start = 0
-        for sh in shards:
-            f = sh.features.shape[1]
-            segments.append([int(v) for v in weights[start:start + f]])
-            start += f
-        vectors = all_gradient_slice_vectors(segments, 1, layout)
+        vectors = all_gradient_slice_vectors([int(v) for v in weights], 1,
+                                             shards[0].features.shape[0])
         x = concatenated_input(shards, labels)
         u = labels - np.hstack([sh.features for sh in shards]) @ weights
         direct = np.hstack([u @ sh.features for sh in shards])

@@ -26,11 +26,7 @@ from fedquad.baseline import (
 from fedquad.cli import main
 from fedquad.data import partition_dataset, synthesize_linear
 from fedquad.fixedpoint import FixedPointConfig
-from fedquad.funcvec import (
-    SparseFunctionVector,
-    all_gradient_slice_vectors,
-    build_layout,
-)
+from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors
 from fedquad.protocol import (
     TrainingConfig,
     TrainingPlan,
@@ -56,15 +52,9 @@ def _slice_instances(rng, count, nonzero_weights=False):
         shards, weights = random_exact_instance(rng)
         if nonzero_weights:
             weights[weights == 0] = 1.0
-        layout = build_layout(len(shards), shards[0].features.shape[0],
-                              [sh.features.shape[1] for sh in shards])
-        segments = []
-        start = 0
-        for sh in shards:
-            f = sh.features.shape[1]
-            segments.append([int(v) for v in weights[start:start + f]])
-            start += f
-        yield shards, weights, layout, all_gradient_slice_vectors(segments, 1, layout)
+        vectors = all_gradient_slice_vectors([int(v) for v in weights], 1,
+                                             shards[0].features.shape[0])
+        yield shards, weights, vectors
 
 
 def test_01_function_vector_identity():
@@ -72,7 +62,7 @@ def test_01_function_vector_identity():
     rng = random.Random(100)
     start = time.perf_counter()
     slices_checked = 0
-    for shards, weights, layout, vectors in _slice_instances(rng, 500):
+    for shards, weights, vectors in _slice_instances(rng, 500):
         x = concatenated_input(shards, shards[0].labels)
         xx = dense_kron(x)
         X = np.hstack([sh.features for sh in shards])
@@ -218,20 +208,22 @@ def test_06_tag_gating():
 def test_07_sparsity_and_structure():
     """each slice vector has S(F+1) entries, all inside its diagonal block"""
     rng = random.Random(700)
-    for shards, _, layout, vectors in _slice_instances(rng, 500,
-                                                       nonzero_weights=True):
-        S = layout.batch_size
-        F = layout.feature_total
-        L = layout.vector_length
+    for shards, _, vectors in _slice_instances(rng, 500, nonzero_weights=True):
+        S = shards[0].features.shape[0]
+        counts = [sh.features.shape[1] for sh in shards]
+        F = sum(counts)
+        L = S * (F + 1)
         assert len(vectors) == F
         k = 0
-        for i, f_count in enumerate(layout.features_per_client):
+        for i, f_count in enumerate(counts):
+            # client i's block of x starts after every earlier client's S*F_j
+            offset = S * sum(counts[:i])
             for p in range(f_count):
                 # slice order: position k == sum of earlier clients' F_j + p
-                assert k == layout.offsets[i] // S + p
+                assert k == offset // S + p
                 c = vectors[k]
                 assert c.nnz == S * (F + 1)
-                block_start = layout.offsets[i] + p * S
+                block_start = offset + p * S
                 for flat, _ in c.entries:
                     row, _ = kron_unflat(flat, L)
                     assert block_start <= row < block_start + S

@@ -263,6 +263,27 @@ class TestErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    # (file, bytes): one file of a good a,b,y dataset and spec made unreadable.
+    @pytest.mark.parametrize("broken,content", [
+        ("partition.json", b'{"clients":\n'),
+        ("partition.json", b'{"clients": "\xff"}'),
+        ("dataset.csv", b"a,b,y\n1,\xff,3\n"),
+        ("dataset.csv", b"a,\xff,y\n1,2,3\n"),
+    ], ids=["spec-broken-json", "spec-not-utf8", "csv-body-not-utf8", "csv-header-not-utf8"])
+    def test_undecodable_file_is_named(self, broken, content, tmp_path, capsys):
+        (tmp_path / "dataset.csv").write_text("a,b,y\n1,2,3\n4,5,6\n")
+        (tmp_path / "partition.json").write_text(json.dumps(
+            {"clients": [{"name": "c", "features": ["a", "b"]}],
+             "label": {"client": "c", "column": "y"}}))
+        (tmp_path / broken).write_bytes(content)
+        assert main(["train", "--dataset", str(tmp_path / "dataset.csv"),
+                     "--partition", str(tmp_path / "partition.json"),
+                     "--batch-size", "1", "--iters", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"fedquad: error: {tmp_path / broken}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",
                      "--batch-size", "100"]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedquad import fe
-from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors, build_layout
+from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors
 from fedquad.tensor import dense_kron, kron_flat, vec_columns
 
 
@@ -108,9 +108,8 @@ class TestSealedPayload:
         assert value == -3 * int(big[0])
 
     def test_object_and_int64_slots_decrypt_a_slice_vector(self):
-        layout = build_layout(1, 1, [1])
         # C = 1 and X = 2**63: the bound is 2**126, the object path.
-        (c,) = all_gradient_slice_vectors([[0]], 1, layout)
+        (c,) = all_gradient_slice_vectors([0], 1, 1)
         instance, keys = fe.setup(2, [1, 1])
         x = [1 << 63, -7]
         cts = [fe.encrypt(keys[0], None, x[:1]), fe.encrypt(keys[1], None, x[1:])]
@@ -215,10 +214,9 @@ class TestDecrypt:
             n = int(rng.integers(1, 4))
             S = int(rng.integers(1, 5))
             counts = [int(rng.integers(1, 4)) for _ in range(n)]
-            layout = build_layout(n, S, counts)
             blocks = [rng.integers(-6, 7, size=(S, f)).astype(int) for f in counts]
             y = [int(v) for v in rng.integers(-6, 7, size=S)]
-            weights = [list(map(int, rng.integers(-4, 5, size=f))) for f in counts]
+            weights = [int(v) for f in counts for v in rng.integers(-4, 5, size=f)]
 
             instance, keys = fe.setup(n + 1, [S * f for f in counts] + [S])
             cts = [fe.encrypt(keys[i], None, [int(v) for v in vec_columns(blocks[i])])
@@ -227,7 +225,7 @@ class TestDecrypt:
 
             x = [int(v) for block in blocks for v in vec_columns(block)] + y
             kron = dense_kron(x)
-            for c in all_gradient_slice_vectors(weights, 1, layout):
+            for c in all_gradient_slice_vectors(weights, 1, S):
                 sk = fe.keygen(instance, None, c)
                 expected = sum(a * b for a, b in zip(c.to_dense(), kron))
                 assert fe.decrypt(cts, sk) == expected
@@ -242,7 +240,6 @@ class TestAuditCounters:
         # N=3 clients, F=6 features: label client encrypts twice,
         # aggregator decrypts once per feature.
         n, S, counts = 3, 2, [2, 2, 2]
-        layout = build_layout(n, S, counts)
         instance, keys = fe.setup(n + 1, [S * f for f in counts] + [S])
         rng = np.random.default_rng(8)
         cts = []
@@ -251,8 +248,8 @@ class TestAuditCounters:
             cts.append(fe.encrypt(keys[i], None,
                                   [int(v) for v in vec_columns(block)]))
         cts.append(fe.encrypt(keys[n], None, [1, -1]))
-        weights = [[1, 2], [3, 4], [5, 6]]
-        for c in all_gradient_slice_vectors(weights, 1, layout):
+        weights = [1, 2, 3, 4, 5, 6]
+        for c in all_gradient_slice_vectors(weights, 1, S):
             sk = fe.keygen(instance, None, c)
             fe.decrypt(cts, sk)
         assert fe.audit_counters(instance) == (n + 1, 6, 6)
@@ -315,13 +312,12 @@ class TestCheckedOnce:
     def _set(self, tag, key_tag=None, seed=3):
         """Tagged set on a fresh instance, and one key per slice under key_tag."""
         S, counts = self.S, self.COUNTS
-        layout = build_layout(len(counts), S, counts)
         instance, eks = fe.setup(len(counts) + 1, [S * f for f in counts] + [S])
         x = [int(v) for v in np.random.default_rng(seed).integers(
-            -9, 10, size=layout.vector_length)]
+            -9, 10, size=S * (sum(counts) + 1))]
         bounds = np.cumsum([0] + [S * f for f in counts] + [S])
         cts = [fe.encrypt(ek, tag, x[a:b]) for ek, a, b in zip(eks, bounds, bounds[1:])]
-        vectors = all_gradient_slice_vectors([[2, -1], [3]], 1, layout)
+        vectors = all_gradient_slice_vectors([2, -1, 3], 1, S)
         key_tag = tag if key_tag is None else key_tag
         sks = [fe.keygen(instance, key_tag, c) for c in vectors]
         kron = dense_kron(x)
@@ -442,8 +438,7 @@ class TestCheckedOnce:
 
     def test_key_of_another_block(self):
         instance, _, cts, _, sks, x, expected = self._set("t")
-        layout = build_layout(len(self.COUNTS), self.S, self.COUNTS)
-        c = all_gradient_slice_vectors([[0, 5], [-4]], 3, layout)[0]
+        c = all_gradient_slice_vectors([0, 5, -4], 3, self.S)[0]
         value = sum(a * b for a, b in zip(c.to_dense(), dense_kron(x)))
         assert value != expected[0]
         assert self._cold_equals_warm(

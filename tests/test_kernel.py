@@ -15,7 +15,6 @@ from fedquad.funcvec import (
     SliceVector,
     SparseFunctionVector,
     all_gradient_slice_vectors,
-    build_layout,
 )
 from fedquad.protocol import (
     ClientShard,
@@ -56,7 +55,7 @@ def _outcome(evaluate):
 
 
 @st.composite
-def layouts_and_inputs(draw):
+def weights_and_inputs(draw):
     n = draw(st.integers(1, 3))
     S = draw(st.integers(1, 4))
     counts = [draw(st.integers(1, 3)) for _ in range(n)]
@@ -68,17 +67,17 @@ def layouts_and_inputs(draw):
     length = S * (sum(counts) + 1)
     x = draw(st.lists(st.integers(-magnitude, magnitude),
                       min_size=length, max_size=length))
-    return build_layout(n, S, counts), weights, one, x
+    return S, [w for segment in weights for w in segment], one, x
 
 
 class TestStructuredKernel:
     @settings(max_examples=150, deadline=None)
-    @given(layouts_and_inputs())
+    @given(weights_and_inputs())
     def test_matches_per_term_loop_and_dense_oracle(self, case):
-        layout, weights, one, x = case
+        S, weights, one, x = case
         kron = dense_kron(x)
-        vectors = all_gradient_slice_vectors(weights, one, layout)
-        assert len(vectors) == layout.feature_total
+        vectors = all_gradient_slice_vectors(weights, one, S)
+        assert len(vectors) == len(weights)
         for c in vectors:
             assert isinstance(c, SliceVector)
             assert c.nnz == len(c.entries) == len(list(c.entries))
@@ -86,8 +85,7 @@ class TestStructuredKernel:
             assert sparse_inner_kron(c, x) == _reference(c, x) == dense
 
     def test_shared_residual_gives_the_same_values(self):
-        layout = build_layout(2, 3, [2, 1])
-        vectors = all_gradient_slice_vectors([[1, -2], [0]], 5, layout)
+        vectors = all_gradient_slice_vectors([1, -2, 0], 5, 3)
         x = list(range(-6, 6))
         slices = block_slices(vectors[0].block, x)
         for c in vectors:
@@ -97,7 +95,7 @@ class TestStructuredKernel:
 def _one_slice(w, one):
     """S=1, F=1: the slice is x0 * (-w*x0 + one*y); with x = [1, 1] the
     bound is |w| + |one|."""
-    (c,) = all_gradient_slice_vectors([[w]], one, build_layout(1, 1, [1]))
+    (c,) = all_gradient_slice_vectors([w], one, 1)
     return c
 
 
@@ -145,10 +143,9 @@ class TestInt64Boundary:
     def test_bound_edge_across_rows(self):
         # S=7 rows, sum|coef| = (2**63 - 1) / 7, |x| = 1: bound 2**63 - 1,
         # and every row pushes the sum the same way.
-        layout = build_layout(1, 7, [1])
         per_row = (2 ** 63 - 1) // 7
-        (c,) = all_gradient_slice_vectors([[-(per_row // 2)]],
-                                          per_row - per_row // 2, layout)
+        (c,) = all_gradient_slice_vectors([-(per_row // 2)],
+                                          per_row - per_row // 2, 7)
         x = [1] * 14
         assert _plan(c.block, x) == (60, 2)
         assert sparse_inner_kron(c, x) == _reference(c, x) == 2 ** 63 - 1
@@ -156,7 +153,7 @@ class TestInt64Boundary:
 
 @st.composite
 def limb_band_inputs(draw):
-    """Layouts and inputs that plan two limbs.
+    """Weights and inputs that plan two limbs.
 
     One x entry of magnitude 2**28 and one weight of magnitude 2**24 put
     C·X at 2**52 or more; with S <= 4 and at most 9 coefficients C·X stays
@@ -172,16 +169,16 @@ def limb_band_inputs(draw):
     length = S * (sum(counts) + 1)
     x = draw(st.lists(st.integers(-top_x, top_x), min_size=length, max_size=length))
     x[draw(st.integers(0, length - 1))] = draw(st.sampled_from([-top_x, top_x]))
-    return build_layout(n, S, counts), weights, one, x
+    return S, [w for segment in weights for w in segment], one, x
 
 
 class TestLimbKernel:
     @settings(max_examples=150, deadline=None)
     @given(limb_band_inputs())
     def test_matches_per_term_loop_and_dense_oracle(self, case):
-        layout, weights, one, x = case
+        S, weights, one, x = case
         kron = dense_kron(x)
-        vectors = all_gradient_slice_vectors(weights, one, layout)
+        vectors = all_gradient_slice_vectors(weights, one, S)
         assert _plan(vectors[0].block, x)[1] == 2
         slices = block_slices(vectors[0].block, x)
         for c in vectors:
@@ -194,8 +191,7 @@ class TestLimbKernel:
         (1 << 62, -(1 << 62), "object"),         # C·X = 2**63
     ], ids=["CX=2**63-1", "CX=2**63"])
     def test_coefficient_edge(self, w, one, path):
-        layout = build_layout(1, 7, [1])
-        (c,) = all_gradient_slice_vectors([[w]], one, layout)
+        (c,) = all_gradient_slice_vectors([w], one, 7)
         # Signs that push every row's residual to ±C and the slice past int64.
         x = [1, -1, 1, 1, -1, 1, 1] + [1, -1, 1, 1, -1, 1, 1]
         assert (_plan(c.block, x) is None) == (path == "object")
@@ -213,8 +209,7 @@ class TestLimbKernel:
     def test_row_edge(self, S, largest, path):
         # C = 1 keeps C·X below 2**63; just under S·X = 2**62 the limbs are
         # one bit wide, so r splits into as many limbs as C·X has bits.
-        layout = build_layout(1, S, [1])
-        (c,) = all_gradient_slice_vectors([[-1]], 0, layout)
+        (c,) = all_gradient_slice_vectors([-1], 0, S)
         for sign in (1, -1):
             x = [sign * largest] * S + [sign * (largest - 1)] * S
             plan = _plan(c.block, x)
@@ -335,19 +330,18 @@ class TestAccumulatorWidth:
 
 class TestDecryptMemo:
     def test_reused_instance_without_tags(self):
-        S, counts = 3, [2]
-        layout = build_layout(1, S, counts)
+        S = 3
         instance, keys = fe.setup(2, [S * 2, S])
         rng = np.random.default_rng(13)
 
         def encrypted_set():
-            x = [int(v) for v in rng.integers(-9, 10, size=layout.vector_length)]
+            x = [int(v) for v in rng.integers(-9, 10, size=3 * S)]
             return x, [fe.encrypt(keys[0], None, x[:2 * S]),
                        fe.encrypt(keys[1], None, x[2 * S:])]
 
         (x_a, set_a), (x_b, set_b) = encrypted_set(), encrypted_set()
-        first = all_gradient_slice_vectors([[2, -1]], 1, layout)
-        second = all_gradient_slice_vectors([[0, 3]], 4, layout)
+        first = all_gradient_slice_vectors([2, -1], 1, S)
+        second = all_gradient_slice_vectors([0, 3], 4, S)
         sk = fe.keygen(instance, None, first[1])
         other = fe.keygen(instance, None, second[0])
         # a stale x or slice would then show as a wrong value
@@ -406,14 +400,14 @@ def _every_aligned_slice(block):
 class TestFusedSlices:
     """All aligned slices of a block from one product, each key a lookup."""
 
-    def _check_warm_decrypts(self, layout, weights, one, x):
+    def _check_warm_decrypts(self, S, weights, one, x):
         vectors = _every_aligned_slice(
-            all_gradient_slice_vectors(weights, one, layout)[0].block)
+            all_gradient_slice_vectors(weights, one, S)[0].block)
         kron = dense_kron(x)
         expected = [_reference(c, x) for c in vectors]
         assert expected == [sum(a * b for a, b in zip(c.to_dense(), kron))
                             for c in vectors]
-        instance, cts = _one_set(x, layout.batch_size)
+        instance, cts = _one_set(x, S)
         # The first key fills the memo; every later one reads its slice from it.
         assert [fe.decrypt(cts, fe.keygen(instance, None, c))
                 for c in vectors] == expected
@@ -424,25 +418,24 @@ class TestFusedSlices:
         assert fe.audit_counters(instance)[2] == len(vectors)
 
     @settings(max_examples=150, deadline=None)
-    @given(layouts_and_inputs())
+    @given(weights_and_inputs())
     def test_every_path_matches_per_term_loop(self, case):
         self._check_warm_decrypts(*case)
 
     @settings(max_examples=150, deadline=None)
     @given(limb_band_inputs())
     def test_limb_path_matches_per_term_loop(self, case):
-        layout, weights, one, x = case
-        block = all_gradient_slice_vectors(weights, one, layout)[0].block
+        S, weights, one, x = case
+        block = all_gradient_slice_vectors(weights, one, S)[0].block
         assert _plan(block, x)[1] == 2
         self._check_warm_decrypts(*case)
 
     def test_object_path_fills_the_memo(self):
         # C·X = 2**63: object arrays, still one evaluation per set.
-        layout = build_layout(1, 2, [1])
         x = [1 << 62, -(1 << 62) + 1, 5, -(1 << 62)]
-        block = all_gradient_slice_vectors([[2]], 0, layout)[0].block
+        block = all_gradient_slice_vectors([2], 0, 2)[0].block
         assert _plan(block, x) is None
-        self._check_warm_decrypts(layout, [[2]], 0, x)
+        self._check_warm_decrypts(2, [2], 0, x)
 
     # (S, x, coefficients): a one-limb and a two-limb block, S >= 2. An
     # unaligned base row is no lookup: it takes the per-term loop.

@@ -140,6 +140,16 @@ class TestRunIteration:
         with pytest.raises(ValueError):
             _step(np.zeros(3), shards, TrainingConfig())
 
+    def test_empty_batch_refused_by_name(self):
+        shards, weights = _hand_instance()
+        plan = TrainingPlan(shards, TrainingConfig())
+        with pytest.raises(ValueError, match="the batch has no rows"):
+            run_iteration(weights, plan, np.arange(0))
+
+    def test_zero_feature_shard_rejected(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            ClientShard(np.ones((2, 0)), np.ones(2))
+
     @pytest.mark.parametrize("call", [
         lambda: _step(np.zeros(1), [], TrainingConfig()),
         lambda: run_training([], TrainingConfig()),
@@ -462,6 +472,16 @@ class TestTrainingPlan:
             weights = metrics.weights
         assert final.tobytes() == weights.tobytes()
         assert bus.header_log() == run_bus.header_log()
+
+    def test_columns_follow_one_another_in_slot_order(self):
+        # Clients with 3, 1 and 4 features, then the label: slot k's columns
+        # start where slot k-1's end, and a slot holds S entries per column.
+        shards = [ClientShard(np.ones((5, f)), np.ones(5) if i == 1 else None)
+                  for i, f in enumerate((3, 1, 4))]
+        plan = TrainingPlan(shards, TrainingConfig(batch_size=5, fe_policy="tagged"))
+        assert plan.columns == (slice(0, 3), slice(3, 4), slice(4, 8), slice(8, 9))
+        assert plan.X.shape[1] == 8
+        assert plan.shared_fe[0].slot_lengths == (15, 5, 20, 5)
 
     def test_quarter_weights_and_shifted_labels(self):
         shards = [ClientShard(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 0.0]))]
