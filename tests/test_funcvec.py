@@ -6,9 +6,59 @@ from fedquad.funcvec import (
     all_gradient_slice_vectors,
     residual_coefficients,
 )
-from fedquad.protocol import ClientShard
+from fedquad import fe
+from fedquad.protocol import ClientShard, TrainingConfig, TrainingPlan
 from fedquad.tensor import dense_kron, sparse_inner_kron
 from fedquad.verify import concatenated_input
+
+
+def build_layout(n_clients, batch_size, features_per_client):
+    """x's geometry as the protocol builds it: client offsets, label offset, length.
+
+    The plan's columns give each slot's column range; the FE instance for
+    N clients has N + 1 slots of batch_size entries per column, so it
+    refuses columns that do not make N + 1 slots.
+    """
+    shards = [ClientShard(np.ones((batch_size, f)), np.ones(batch_size) if i == 0 else None)
+              for i, f in enumerate(features_per_client)]
+    plan = TrainingPlan(shards, TrainingConfig(batch_size=batch_size))
+    instance, _ = fe.setup(n_clients + 1, [batch_size * (c.stop - c.start)
+                                           for c in plan.columns])
+    starts = tuple(c.start * batch_size for c in plan.columns)
+    return starts[:-1], starts[-1], sum(instance.slot_lengths)
+
+
+class TestBuildLayout:
+    def test_minimal(self):
+        offsets, label_offset, vector_length = build_layout(1, 1, [1])
+        assert offsets == (0,)
+        assert label_offset == 1
+        assert vector_length == 2
+
+    def test_two_clients(self):
+        offsets, label_offset, vector_length = build_layout(2, 2, [1, 2])
+        assert offsets == (0, 2)
+        assert label_offset == 6
+        assert vector_length == 8
+
+    def test_three_clients(self):
+        _, _, vector_length = build_layout(3, 4, [2, 2, 2])
+        assert vector_length == 4 * 7
+
+    def test_offset_recurrence(self):
+        counts = [3, 1, 4]
+        offsets, label_offset, vector_length = build_layout(3, 5, counts)
+        for i in range(2):
+            assert offsets[i + 1] == offsets[i] + 5 * counts[i]
+        assert label_offset == offsets[-1] + 5 * 4
+        assert vector_length == label_offset + 5
+
+    @pytest.mark.parametrize("args", [
+        (0, 1, []), (1, 0, [1]), (2, 1, [1]), (1, 1, [0]),
+    ])
+    def test_rejects_bad_counts(self, args):
+        with pytest.raises(ValueError):
+            build_layout(*args)
 
 
 class TestSparseFunctionVector:
