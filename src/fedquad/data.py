@@ -68,7 +68,7 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
                 problem = _first_bad_cell(path, header) or " ".join(str(err).split())
                 raise ValueError(f"{path}: {problem}") from None
     except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise ValueError(f"{path}: {_undecodable_byte(path, err)}") from None
     if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
     if rows.shape[1] != len(header):
@@ -76,6 +76,25 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
                    or f"rows have {rows.shape[1]} cells, expected {len(header)}")
         raise ValueError(f"{path}: {problem}")
     return header, rows
+
+
+def _undecodable_byte(path, err: UnicodeDecodeError) -> str:
+    """err's message with the file line of the byte in place of its position.
+
+    The position counts from the start of the text layer's read chunk, so
+    the whole file is decoded again to find the byte's file offset.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode(err.encoding)
+    except UnicodeDecodeError as whole:
+        err = whole
+    # The byte is no line break, so it ends the last of the lines up to it;
+    # splitlines ends lines at LF, CRLF and CR, as the reader does.
+    line = len(raw[:err.start + 1].splitlines())
+    return (f"line {line}: {err.encoding!r} codec can't decode byte "
+            f"0x{raw[err.start]:02x}: {err.reason}")
 
 
 def _loadtxt(lines, **kwargs) -> np.ndarray:

@@ -8,6 +8,12 @@ x, and to nothing else; decryption across instances, across tags, or with an
 incomplete slot set fails with a typed error instead of a value. A slot's
 tags must increase, so an instance serving a whole run holds one tag per slot.
 
+Only setup issues encryption keys, only encrypt issues ciphertexts and
+only keygen issues secret keys: calling one of the three classes raises,
+and no field of an issued handle can be assigned or deleted. So a key's
+instance, tag and function are the ones keygen bound, and the instance
+keeps no record of the keys it issued.
+
 Slot convention: one slot per feature-holding client plus one final slot for
 the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 
@@ -59,7 +65,7 @@ class _Operands(NamedTuple):
     it keeps those identities from being reused while the entry lives.
     instance_id and tag are those of the last key that passed every
     check on it. x is the payloads concatenated in slot order, and
-    slices holds all aligned slice values of block on x (None past the
+    slices holds every slice value of block on x (None past the
     accumulator width). An entry is replaced whole, never edited.
     """
 
@@ -89,22 +95,53 @@ class FEInstance:
         return f"FEInstance(instance_id={self.instance_id}, n_slots={self.n_slots})"
 
 
-class EncryptionKey:
-    """Capability to encrypt into one slot of one instance."""
+# setup, encrypt and keygen pass this to the handle classes; a handle
+# built without it is refused, so only those three issue handles.
+_ISSUER = object()
+
+_seal_field = object.__setattr__
+
+
+class _Issued:
+    """A handle whose fields are set once, when this module issues it.
+
+    Each subclass's __init__ refuses a call whose `issuer` is not _ISSUER
+    with _not_issued, and sets its fields with _seal_field. Assigning or
+    deleting a field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} field {name!r} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} field {name!r} is read-only")
+
+
+def _not_issued(handle: _Issued) -> FEError:
+    return FEError(f"{type(handle).__name__} is issued by fe.setup, fe.encrypt "
+                   f"or fe.keygen only")
+
+
+class EncryptionKey(_Issued):
+    """Capability to encrypt into one slot of one instance; issued by setup."""
 
     __slots__ = ("instance_id", "slot", "_instance")
 
-    def __init__(self, instance: FEInstance, slot: int) -> None:
-        self.instance_id = instance.instance_id
-        self.slot = slot
-        self._instance = instance
+    def __init__(self, instance: FEInstance, slot: int, *, issuer: object = None) -> None:
+        if issuer is not _ISSUER:
+            raise _not_issued(self)
+        _seal_field(self, "instance_id", instance.instance_id)
+        _seal_field(self, "slot", slot)
+        _seal_field(self, "_instance", instance)
 
     def __repr__(self) -> str:
         return f"EncryptionKey(instance_id={self.instance_id}, slot={self.slot})"
 
 
-class Ciphertext:
-    """Sealed integer vector; only the header is public.
+class Ciphertext(_Issued):
+    """Sealed integer vector; only the header is public. Issued by encrypt.
 
     The payload is a read-only copy of the encrypted values (int64 when
     every value fits, Python ints otherwise; see tensor.seal). It has no
@@ -115,16 +152,14 @@ class Ciphertext:
 
     __slots__ = ("instance_id", "slot", "tag", "_payload")
 
-    def __init__(self, instance_id: int, slot: int, tag: object,
-                 payload: np.ndarray) -> None:
-        seal_field = object.__setattr__
-        seal_field(self, "instance_id", instance_id)
-        seal_field(self, "slot", slot)
-        seal_field(self, "tag", tag)
-        seal_field(self, "_payload", payload)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"ciphertext field {name!r} is read-only")
+    def __init__(self, instance_id: int, slot: int, tag: object, payload: np.ndarray,
+                 *, issuer: object = None) -> None:
+        if issuer is not _ISSUER:
+            raise _not_issued(self)
+        _seal_field(self, "instance_id", instance_id)
+        _seal_field(self, "slot", slot)
+        _seal_field(self, "tag", tag)
+        _seal_field(self, "_payload", payload)
 
     def header(self) -> dict:
         """Public fields only, safe to serialize or log."""
@@ -140,17 +175,23 @@ class Ciphertext:
                 f"tag={self.tag!r}, length={len(self._payload)})")
 
 
-class SecretKey:
-    """Decryption key bound to one instance, one tag, one coefficient vector."""
+class SecretKey(_Issued):
+    """Decryption key bound to one instance, one tag, one coefficient vector.
+
+    Issued by keygen; the binding cannot change afterwards.
+    """
 
     __slots__ = ("instance_id", "tag", "funcvec", "_instance")
 
     def __init__(self, instance: FEInstance, tag: object,
-                 funcvec: SparseFunctionVector | SliceVector) -> None:
-        self.instance_id = instance.instance_id
-        self.tag = tag
-        self.funcvec = funcvec
-        self._instance = instance
+                 funcvec: SparseFunctionVector | SliceVector, *,
+                 issuer: object = None) -> None:
+        if issuer is not _ISSUER:
+            raise _not_issued(self)
+        _seal_field(self, "instance_id", instance.instance_id)
+        _seal_field(self, "tag", tag)
+        _seal_field(self, "funcvec", funcvec)
+        _seal_field(self, "_instance", instance)
 
     def __repr__(self) -> str:
         return (f"SecretKey(instance_id={self.instance_id}, tag={self.tag!r}, "
@@ -172,7 +213,7 @@ def setup(n_slots: int, slot_lengths: Sequence[int]) -> tuple[FEInstance, list[E
     if any(n < 1 for n in lengths):
         raise ValueError(f"every slot length must be >= 1, got {lengths}")
     instance = FEInstance(n_slots, lengths)
-    keys = [EncryptionKey(instance, slot) for slot in range(n_slots)]
+    keys = [EncryptionKey(instance, slot, issuer=_ISSUER) for slot in range(n_slots)]
     return instance, keys
 
 
@@ -183,9 +224,24 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
     tag); an equal, older or incomparable tag raises DuplicateSlot, so each
     (slot, tag) is used once and the instance keeps one tag per slot.
     Untagged use (tag None) has no such restriction. The ciphertext keeps a
-    read-only copy, so later changes to `values` do not reach it.
+    read-only copy, so later changes to `values` do not reach it. A value
+    that is not an integer raises ValueError; it is never truncated.
     """
     instance = ek._instance
+    # seal would truncate as int() does. An int64 array, the protocol's
+    # payload, holds integers by its dtype; anything else is checked.
+    if isinstance(values, np.ndarray):
+        given = () if values.dtype == np.int64 else values.tolist()
+    else:
+        values = given = list(values)
+    for position, value in enumerate(given):
+        try:
+            whole = int(value) == value
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"slot {ek.slot} takes integers; position "
+                             f"{position} holds {value!r}")
     payload = seal(values)
     expected = instance.slot_lengths[ek.slot]
     if len(payload) != expected:
@@ -203,7 +259,7 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
                                 f"{last!r}; tag {tag!r} does not order after it")
         instance._last_tags[ek.slot] = tag
     instance._n_encrypt += 1
-    return Ciphertext(instance.instance_id, ek.slot, tag, payload)
+    return Ciphertext(instance.instance_id, ek.slot, tag, payload, issuer=_ISSUER)
 
 
 def keygen(instance: FEInstance, tag: object,
@@ -216,7 +272,7 @@ def keygen(instance: FEInstance, tag: object,
             f"the instance's {expected}"
         )
     instance._n_keygen += 1
-    return SecretKey(instance, tag, funcvec)
+    return SecretKey(instance, tag, funcvec, issuer=_ISSUER)
 
 
 def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
@@ -231,7 +287,7 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     later key skips the checks only when it brings the same ciphertext
     objects in the same order, the same instance id, that very tag
     object and that very block. Anything else runs every check again.
-    The concatenated x and all aligned slice values of a shared block
+    The concatenated x and every slice value of a shared block
     are computed once per ciphertext set and block, so a later key of
     that block costs a few identity comparisons and a lookup. Each
     call counts once.

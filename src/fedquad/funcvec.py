@@ -11,16 +11,16 @@ exactly, in integer arithmetic. Only S*(F+1) of the L**2 coefficients are
 nonzero, and they are the same for every slice: one row block holding the
 F+1 column coefficients (minus each quantized weight, and the quantized
 constant 1 for the label column), shifted to the S rows of the slice's
-feature column. A SliceVector therefore stores that block once, shared by
-all F slices of one weight vector, plus its base row; its sorted
-(index, value) entries and dense form are derived on demand for the
-oracles. SparseFunctionVector keeps an explicit entry list for vectors
-built by hand.
+feature column. A SliceVector therefore names its slice by index and
+stores that block once, shared by all F slices of one weight vector; its
+sorted (flat index, value) entries and dense form are derived on demand
+for the oracles. SparseFunctionVector keeps an explicit entry list for
+vectors built by hand.
 
 The builders need only the flat quantized weights, in the column order of
-x, and the batch size S: feature column k starts at x[k*S], so slice k's
-base row is k*S. Which columns belong to which client is the caller's
-record (TrainingPlan.columns), not this module's.
+x, and the batch size S: feature column k starts at x[k*S], so slice k
+sits on rows k*S .. k*S + S - 1 of x (x) x. Which columns belong to which
+client is the caller's record (TrainingPlan.columns), not this module's.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-# to_dense exists for test oracles; this caps it at desk scale.
-DENSE_DIMENSION_LIMIT = 65536
+from .tensor import DENSE_KRON_MAX_LEN
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,10 @@ class SparseFunctionVector:
 
 
 def _to_dense(c) -> list[int]:
-    if c.dimension > DENSE_DIMENSION_LIMIT:
+    # The bound of tensor.dense_kron, the oracle these lists are paired with.
+    if c.dimension > DENSE_KRON_MAX_LEN ** 2:
         raise ValueError(
-            f"dense expansion is capped at dimension {DENSE_DIMENSION_LIMIT}, "
+            f"dense expansion is capped at dimension {DENSE_KRON_MAX_LEN ** 2}, "
             f"got {c.dimension}"
         )
     dense = [0] * c.dimension
@@ -130,24 +130,26 @@ class _SliceEntries:
         return self._vector.nnz
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return self._vector.block.entries(self._vector.base_row)
+        block = self._vector.block
+        return block.entries(self._vector.index * block.rows)
 
 
 @dataclass(frozen=True)
 class SliceVector:
-    """A slice's coefficient vector: the shared block on rows base_row .. + S.
+    """Gradient slice `index`: the shared block on rows index*S .. index*S + S - 1.
 
-    Every entry outside those rows of x (x) x is zero. Two slice vectors are
-    equal when their base rows and block coefficients are.
+    index runs over 0..F, one per column of x, the label column F
+    included. Every entry outside those rows of x (x) x is zero. Two slice
+    vectors are equal when their indices and block coefficients are.
     """
 
-    base_row: int
+    index: int
     block: ResidualBlock
 
     def __post_init__(self) -> None:
-        last = self.block.vector_length - self.block.rows
-        if not (0 <= self.base_row <= last):
-            raise ValueError(f"base row {self.base_row} outside 0..{last}")
+        last = len(self.block.coefficients) - 1
+        if not (0 <= self.index <= last):
+            raise ValueError(f"slice index {self.index} outside 0..{last}")
 
     @property
     def dimension(self) -> int:
@@ -196,8 +198,7 @@ def all_gradient_slice_vectors(quantized_weights: Sequence[int], one_quantized: 
     """All F slice vectors, in the order of quantized_weights.
 
     Slice k's decryption is gradient component k: the shared block sits on
-    the rows of x's column k, which start at base row k*S. All F vectors
-    share one block.
+    the rows of x's column k. All F vectors share one block.
     """
     block = residual_block(quantized_weights, one_quantized, rows)
-    return [SliceVector(k * rows, block) for k in range(len(quantized_weights))]
+    return [SliceVector(k, block) for k in range(len(quantized_weights))]

@@ -5,8 +5,8 @@ Python integers and checks the accumulator width as it goes; it is the
 reference. Block-structured vectors (one shared coefficient block on a
 row block, see funcvec.SliceVector) take the block kernel instead:
 block_slices computes the block's residual r = coef·x once per input and
-every aligned slice (base row k·S) from one (F+1)×S matrix-vector product
-per limb of r. Write S for the block's rows, C = max(1, sum|coef|),
+every slice k (rows k·S .. k·S + S - 1) from one (F+1)×S matrix-vector
+product per limb of r. Write S for the block's rows, C = max(1, sum|coef|),
 X = max(1, max|x|) and B = S·C·X², which bounds every partial sum. Past
 B >= 2**127 the per-term loop runs and raises exactly where the
 accumulator leaves its width. Otherwise limb_plan picks one of two paths:
@@ -138,12 +138,12 @@ def limb_plan(rows: int, total: int, largest: int) -> tuple[int, int] | None:
 
 
 def block_slices(block, x) -> list[int] | None:
-    """Every aligned slice value of one coefficient block on x, as Python ints.
+    """Every slice value of one coefficient block on x, as Python ints.
 
     `block` provides `rows` (S) and `coefficients` (one per S-long column
     of the integer vector x). r_s = sum_c coefficients[c] * x[c*S + s] is
     the residual every slice vector on that block shares, and entry k is
-    sum_s x[k*S + s] * r_s, the value of the slice vector at base row k*S.
+    sum_s x[k*S + s] * r_s, the value of slice vector k.
     B = S * sum|coefficients| * max|x|**2 (each factor at least 1) bounds
     every partial sum of r and of each slice. At B >= 2**(ACCUMULATOR_BITS
     - 1) the result is None, and callers fall back to the per-term loop,
@@ -186,8 +186,8 @@ def sparse_inner_kron(c, x: Sequence[int], *, slices=None) -> int:
     materialized: entry k contributes value * x[k // L] * x[k % L].
     Accumulation is exact; leaving the accumulator width raises.
 
-    A `c` that also provides `block` and a `base_row` that is a multiple
-    of S is looked up in block_slices(c.block, x); pass that list as
+    A `c` that also provides `block` names slice `c.index` of that block
+    and is looked up in block_slices(c.block, x); pass that list as
     `slices` to share it across the vectors of one block and input. Any
     other vector, and a block past the width, takes the per-term loop.
     """
@@ -198,12 +198,10 @@ def sparse_inner_kron(c, x: Sequence[int], *, slices=None) -> int:
         )
     block = getattr(c, "block", None)
     if block is not None:
-        row, offset = divmod(c.base_row, block.rows)
-        if offset == 0:
-            if slices is None:
-                slices = block_slices(block, x)
-            if slices is not None:
-                return slices[row]
+        if slices is None:
+            slices = block_slices(block, x)
+        if slices is not None:
+            return slices[c.index]
     xs = [int(v) for v in x]
     limit = ACCUMULATOR_BITS - 1
     acc = 0

@@ -31,7 +31,7 @@ from .protocol import (
     run_iteration,
     run_training,
 )
-from .tensor import vec_columns
+from .tensor import dense_kron, sparse_inner_kron, vec_columns
 
 
 @dataclass
@@ -107,17 +107,8 @@ def gradient_error_bound(shards, weights, model_kind: str,
     return -m.slice_scale * per_slice / S
 
 
-def _dense_slice_oracle(funcvec, x: list[int]) -> int:
-    """<c, x (x) x> by materializing both sides (int64 is ample at desk scale)."""
-    dense_c = np.array(funcvec.to_dense(), dtype=np.int64)
-    xs = np.array(x, dtype=np.int64)
-    return int(dense_c @ np.outer(xs, xs).ravel())
-
-
 def check_funcvec_identity(seed: int = 0, rounds: int = 60) -> CheckResult:
     """Sparse, dense, and matrix oracles agree on every gradient slice."""
-    from .tensor import sparse_inner_kron
-
     rng = seeded(seed)
     checked = 0
     for _ in range(rounds):
@@ -128,9 +119,10 @@ def check_funcvec_identity(seed: int = 0, rounds: int = 60) -> CheckResult:
         x = concatenated_input(shards, labels)
         u = labels - np.hstack([sh.features for sh in shards]) @ weights
         direct = np.hstack([u @ sh.features for sh in shards])
+        kron = dense_kron(x)
         for k, c in enumerate(vectors):
             sparse = sparse_inner_kron(c, x)
-            dense = _dense_slice_oracle(c, x)
+            dense = sum(a * b for a, b in zip(c.to_dense(), kron))
             if not (sparse == dense == int(round(direct[k]))):
                 return CheckResult(
                     "funcvec_identity", False,

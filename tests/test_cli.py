@@ -263,14 +263,20 @@ class TestErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
-    # (file, bytes): one file of a good a,b,y dataset and spec made unreadable.
-    @pytest.mark.parametrize("broken,content", [
-        ("partition.json", b'{"clients":\n'),
-        ("partition.json", b'{"clients": "\xff"}'),
-        ("dataset.csv", b"a,b,y\n1,\xff,3\n"),
-        ("dataset.csv", b"a,\xff,y\n1,2,3\n"),
-    ], ids=["spec-broken-json", "spec-not-utf8", "csv-body-not-utf8", "csv-header-not-utf8"])
-    def test_undecodable_file_is_named(self, broken, content, tmp_path, capsys):
+    # (file, bytes, line): one file of a good a,b,y dataset and spec made
+    # unreadable, and the file line a CSV's message names. The codec counts
+    # positions from its read chunk, so only the late byte tells a chunk
+    # position (5326 there) from a file offset (120014).
+    @pytest.mark.parametrize("broken,content,line", [
+        ("partition.json", b'{"clients":\n', None),
+        ("partition.json", b'{"clients": "\xff"}', None),
+        ("dataset.csv", b"a,b,y\n1,\xff,3\n", 2),
+        ("dataset.csv", b"a,\xff,y\n1,2,3\n", 1),
+        ("dataset.csv", b"a,b,y\n" + b"1,2,3\n" * 20001 + b"1,\xff,3\n", 20003),
+        ("dataset.csv", b"a,b,y\r1,2,3\r\n\xff,2,3\r", 3),
+    ], ids=["spec-broken-json", "spec-not-utf8", "csv-body-not-utf8", "csv-header-not-utf8",
+            "csv-late-byte-not-utf8", "csv-cr-lines-not-utf8"])
+    def test_undecodable_file_is_named(self, broken, content, line, tmp_path, capsys):
         (tmp_path / "dataset.csv").write_text("a,b,y\n1,2,3\n4,5,6\n")
         (tmp_path / "partition.json").write_text(json.dumps(
             {"clients": [{"name": "c", "features": ["a", "b"]}],
@@ -283,6 +289,10 @@ class TestErrors:
         assert captured.err.startswith(f"fedquad: error: {tmp_path / broken}: ")
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+        if line is not None:
+            assert captured.err == (f"fedquad: error: {tmp_path / broken}: line {line}: "
+                                    f"'utf-8' codec can't decode byte 0xff: "
+                                    f"invalid start byte\n")
 
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",

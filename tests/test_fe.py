@@ -5,6 +5,7 @@ import pytest
 
 from fedquad import fe
 from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors
+from fedquad.protocol import ClientShard, TrainingConfig, mix_and_match_probe, run_training
 from fedquad.tensor import dense_kron, kron_flat, vec_columns
 
 
@@ -84,6 +85,70 @@ class TestEncrypt:
         fe.encrypt(keys[0], None, [6])
         assert instance._last_tags == [9, 7]
         assert fe.audit_counters(instance)[0] == 5
+
+    @pytest.mark.parametrize("values,position,value", [
+        ([1.5, -2.7], 0, "1.5"),
+        ([2, 2.5], 1, "2.5"),
+        (np.array([4.0, -0.25]), 1, "-0.25"),
+        ((3, "3"), 1, "'3'"),
+        ([float("nan"), 1], 0, "nan"),
+        (np.array([1.0, np.inf]), 1, "inf"),
+    ], ids=["floats", "one-float", "float-array", "string", "nan", "inf"])
+    def test_non_integer_value_is_refused_not_truncated(self, values, position, value):
+        instance, keys = fe.setup(2, [2, 1])
+        with pytest.raises(ValueError, match=f"^slot 0 takes integers; "
+                                             f"position {position} holds {value}$"):
+            fe.encrypt(keys[0], None, values)
+        assert fe.audit_counters(instance)[0] == 0
+
+
+class TestIssuedHandles:
+    """Only setup, encrypt and keygen make handles, and no handle changes."""
+
+    def test_no_field_can_be_assigned_or_deleted(self):
+        instance, keys = fe.setup(2, [1, 1])
+        ct = fe.encrypt(keys[0], 7, [5])
+        sk = _single_product_key(instance, 7)
+        for handle in (keys[0], ct, sk):
+            for name in type(handle).__slots__:
+                before = getattr(handle, name)
+                with pytest.raises(AttributeError, match="read-only"):
+                    setattr(handle, name, 0)
+                with pytest.raises(AttributeError, match="read-only"):
+                    delattr(handle, name)
+                assert getattr(handle, name) is before
+            with pytest.raises(AttributeError):
+                handle.extra = 0
+
+    def test_retagged_and_minted_keys_are_refused(self):
+        shards = [ClientShard(np.arange(12.0).reshape(6, 2) % 5 - 2, np.arange(6.0) % 3),
+                  ClientShard(np.arange(6.0).reshape(6, 1) % 4 - 1)]
+        artifacts = []
+        run_training(shards, TrainingConfig(iterations=3, batch_size=3,
+                                            fe_policy="tagged"),
+                     artifacts_out=artifacts)
+        assert mix_and_match_probe(artifacts).defended
+        first, second = artifacts[0], artifacts[1]
+        instance = first.instance
+        counters = fe.audit_counters(instance)
+        key = second.secret_keys[0]
+        with pytest.raises(AttributeError):
+            key.tag = first.iteration
+        with pytest.raises(AttributeError):
+            key.funcvec = SparseFunctionVector(key.funcvec.dimension, ((0, 1),))
+        with pytest.raises(fe.TagMismatch):
+            fe.decrypt(first.ciphertexts, key)
+        for mint in (lambda: fe.SecretKey(instance, first.iteration, key.funcvec),
+                     lambda: fe.EncryptionKey(instance, 0),
+                     lambda: fe.Ciphertext(instance.instance_id, 0, first.iteration,
+                                           first.ciphertexts[0]._payload)):
+            with pytest.raises(fe.FEError, match="is issued by fe.setup, fe.encrypt "
+                                                 "or fe.keygen only"):
+                mint()
+        with pytest.raises(AttributeError):
+            del first.ciphertexts[0].tag
+        assert fe.audit_counters(instance) == counters
+        fe.decrypt(first.ciphertexts, first.secret_keys[0])
 
 
 class TestSealedPayload:
@@ -380,9 +445,10 @@ class TestCheckedOnce:
             instance, cts, sks, expected,
             lambda: fe.decrypt(cts, foreign))[0] is fe.InstanceMismatch
         # The key's instance id is its binding, even with a handle to this
-        # instance's memo.
-        named = fe.SecretKey(instance, "t", vectors[0])
-        named.instance_id = other.instance_id
+        # instance's memo. No caller can build such a key (the fields are
+        # read-only), so the test forces the id past the seal.
+        named = fe.keygen(instance, "t", vectors[0])
+        object.__setattr__(named, "instance_id", other.instance_id)
         assert self._cold_equals_warm(
             instance, cts, sks, expected,
             lambda: fe.decrypt(cts, named))[0] is fe.InstanceMismatch

@@ -162,7 +162,7 @@ class TestAllGradientSliceVectors:
         assert len(vectors) == 3
         block = vectors[0].block
         for k, c in enumerate(vectors):
-            assert c.base_row == k
+            assert c.index == k
             assert c.block is block
 
     def test_nnz_bound(self):

@@ -232,7 +232,7 @@ class TestLimbKernel:
         block = ResidualBlock(rows=S, coefficients=(-share, total - share))
         x = [largest, -largest][:S] + [-largest, largest - 1][:S]
         assert _plan(block, x) == plan
-        vectors = _every_aligned_slice(block)
+        vectors = _every_slice(block)
         kron = dense_kron(x)
         expected = [_reference(c, x) for c in vectors]
         assert expected == [sum(a * b for a, b in zip(c.to_dense(), kron))
@@ -255,7 +255,7 @@ class TestLimbKernel:
         assert exact[2] < 0 < exact[3]
         slices = block_slices(block, x)
         assert slices[2:] == exact
-        assert slices == [_reference(c, x) for c in _every_aligned_slice(block)]
+        assert slices == [_reference(c, x) for c in _every_slice(block)]
 
     def test_large_geometry_plans_limbs(self):
         # S = 4096 and F = 512 with the 12-bit codec: quantized |x| < 2**21,
@@ -391,17 +391,16 @@ def _one_set(x, S):
     return instance, [fe.encrypt(keys[0], None, x[:-S]), fe.encrypt(keys[1], None, x[-S:])]
 
 
-def _every_aligned_slice(block):
-    """The slice vector at each base row k*S, the label row included."""
-    return [SliceVector(k * block.rows, block)
-            for k in range(len(block.coefficients))]
+def _every_slice(block):
+    """Slice vector k for each column k of x, the label column included."""
+    return [SliceVector(k, block) for k in range(len(block.coefficients))]
 
 
 class TestFusedSlices:
-    """All aligned slices of a block from one product, each key a lookup."""
+    """All slices of a block from one product, each key a lookup."""
 
     def _check_warm_decrypts(self, S, weights, one, x):
-        vectors = _every_aligned_slice(
+        vectors = _every_slice(
             all_gradient_slice_vectors(weights, one, S)[0].block)
         kron = dense_kron(x)
         expected = [_reference(c, x) for c in vectors]
@@ -437,28 +436,35 @@ class TestFusedSlices:
         assert _plan(block, x) is None
         self._check_warm_decrypts(2, [2], 0, x)
 
-    # (S, x, coefficients): a one-limb and a two-limb block, S >= 2. An
-    # unaligned base row is no lookup: it takes the per-term loop.
-    @pytest.mark.parametrize("S,coefficients,magnitude,limbs", [
-        (3, (2, -5, 1), 9, 1),
-        (3, (1 << 24, -(1 << 24) + 3, 1 << 16), 1 << 28, 2),
-    ], ids=["int64", "limbs"])
-    def test_unaligned_base_row_takes_the_dot_product(self, S, coefficients,
-                                                      magnitude, limbs):
-        block = ResidualBlock(rows=S, coefficients=coefficients)
-        rng = np.random.default_rng(41)
-        x = [int(v) for v in rng.integers(-magnitude, magnitude + 1,
-                                          size=block.vector_length)]
-        assert _plan(block, x)[1] == limbs
-        slices = block_slices(block, x)
-        instance, cts = _one_set(x, S)
-        fe.decrypt(cts, fe.keygen(instance, None, SliceVector(0, block)))
-        assert instance._operands.slices == slices
-        last = block.vector_length - S
-        for base in range(last + 1):
-            c = SliceVector(base, block)
-            expected = _reference(c, x)
-            assert sparse_inner_kron(c, x, slices=slices) == expected
-            assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
-        # Unaligned rows straddle two slices, so a lookup would be wrong.
-        assert _reference(SliceVector(1, block), x) not in slices
+    def test_unaligned_rows_take_the_per_term_loop(self):
+        # A one-limb and a two-limb block, S >= 2. A block placed at a base
+        # row that is no multiple of S straddles two slices, so it is no
+        # slice vector: built by hand, it takes the per-term loop.
+        S = 3
+        for coefficients, magnitude, limbs in (
+                ((2, -5, 1), 9, 1),
+                ((1 << 24, -(1 << 24) + 3, 1 << 16), 1 << 28, 2)):
+            block = ResidualBlock(rows=S, coefficients=coefficients)
+            rng = np.random.default_rng(41)
+            x = [int(v) for v in rng.integers(-magnitude, magnitude + 1,
+                                              size=block.vector_length)]
+            assert _plan(block, x)[1] == limbs
+            slices = block_slices(block, x)
+            kron = dense_kron(x)
+            instance, cts = _one_set(x, S)
+            for base in range(block.vector_length - S + 1):
+                if base % S == 0:
+                    continue
+                c = SparseFunctionVector(block.dimension, tuple(block.entries(base)))
+                expected = sum(a * b for a, b in zip(c.to_dense(), kron))
+                assert sparse_inner_kron(c, x, slices=slices) == _reference(c, x) == expected
+                assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
+                assert expected not in slices
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_the_columns_is_refused(self, index):
+        # Columns 0..F with F = 2, the label column. -1 would read the last
+        # slice from the lookup list.
+        block = ResidualBlock(rows=2, coefficients=(4, -1, 1))
+        with pytest.raises(ValueError, match="slice index"):
+            SliceVector(index, block)
