@@ -436,30 +436,31 @@ class TestFusedSlices:
         assert _plan(block, x) is None
         self._check_warm_decrypts(2, [2], 0, x)
 
-    def test_unaligned_rows_take_the_per_term_loop(self):
-        # A one-limb and a two-limb block, S >= 2. A block placed at a base
-        # row that is no multiple of S straddles two slices, so it is no
-        # slice vector: built by hand, it takes the per-term loop.
-        S = 3
-        for coefficients, magnitude, limbs in (
-                ((2, -5, 1), 9, 1),
-                ((1 << 24, -(1 << 24) + 3, 1 << 16), 1 << 28, 2)):
-            block = ResidualBlock(rows=S, coefficients=coefficients)
-            rng = np.random.default_rng(41)
-            x = [int(v) for v in rng.integers(-magnitude, magnitude + 1,
-                                              size=block.vector_length)]
-            assert _plan(block, x)[1] == limbs
-            slices = block_slices(block, x)
-            kron = dense_kron(x)
-            instance, cts = _one_set(x, S)
-            for base in range(block.vector_length - S + 1):
-                if base % S == 0:
-                    continue
-                c = SparseFunctionVector(block.dimension, tuple(block.entries(base)))
-                expected = sum(a * b for a, b in zip(c.to_dense(), kron))
-                assert sparse_inner_kron(c, x, slices=slices) == _reference(c, x) == expected
-                assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
-                assert expected not in slices
+    # A one-limb and a two-limb block, S >= 2. A block placed at a base row
+    # that is no multiple of S straddles two slices, so it is no slice
+    # vector: built by hand, it takes the per-term loop's dot product.
+    @pytest.mark.parametrize("S,coefficients,magnitude,limbs", [
+        (3, (2, -5, 1), 9, 1),
+        (3, (1 << 24, -(1 << 24) + 3, 1 << 16), 1 << 28, 2),
+    ], ids=["int64", "limbs"])
+    def test_unaligned_base_row_takes_the_dot_product(self, S, coefficients,
+                                                      magnitude, limbs):
+        block = ResidualBlock(rows=S, coefficients=coefficients)
+        rng = np.random.default_rng(41)
+        x = [int(v) for v in rng.integers(-magnitude, magnitude + 1,
+                                          size=block.vector_length)]
+        assert _plan(block, x)[1] == limbs
+        slices = block_slices(block, x)
+        kron = dense_kron(x)
+        instance, cts = _one_set(x, S)
+        for base in range(block.vector_length - S + 1):
+            if base % S == 0:
+                continue
+            c = SparseFunctionVector(block.dimension, tuple(block.entries(base)))
+            expected = sum(a * b for a, b in zip(c.to_dense(), kron))
+            assert sparse_inner_kron(c, x, slices=slices) == _reference(c, x) == expected
+            assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
+            assert expected not in slices
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_index_outside_the_columns_is_refused(self, index):
