@@ -16,7 +16,7 @@ and kinds only, never data.
 import numpy as np
 
 from fedquad.baseline import MODEL_LINEAR, centralized_training, mse_loss
-from fedquad.data import partition_dataset, synthesize_linear
+from fedquad.data import partition_dataset, synthesize
 from fedquad.fixedpoint import FixedPointConfig
 from fedquad.protocol import (
     MessageBus,
@@ -27,7 +27,7 @@ from fedquad.protocol import (
     weight_grid_bits,
 )
 
-data = synthesize_linear(n_rows=64, features_per_client=[2, 2, 2], seed=11)
+data = synthesize(MODEL_LINEAR, n_rows=64, features_per_client=[2, 2, 2], seed=11)
 shards, central = partition_dataset(data.header, data.rows, data.spec)
 print("true weights:", data.true_weights)
 

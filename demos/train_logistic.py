@@ -12,12 +12,13 @@ import numpy as np
 
 from fedquad.baseline import taylor_loss
 from fedquad.baseline import MODEL_LOGISTIC_TAYLOR
-from fedquad.data import partition_dataset, synthesize_logistic
+from fedquad.data import partition_dataset, synthesize
 from fedquad.fixedpoint import FixedPointConfig
 from fedquad.protocol import TrainingConfig, run_training
 from fedquad.verify import gradient_error_bound
 
-data = synthesize_logistic(n_rows=48, features_per_client=[2, 2], seed=21)
+data = synthesize(MODEL_LOGISTIC_TAYLOR, n_rows=48, features_per_client=[2, 2],
+                  seed=21)
 # divide features by 3 so they stop being exactly representable and the
 # codec has real rounding work to do; sign labels are unaffected
 rows = data.rows.copy()

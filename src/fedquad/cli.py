@@ -227,10 +227,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     """Run one subcommand.
 
-    Bad input, a missing or unreadable file and a diverging run each end
-    with one error line on stderr and exit code 2. A reader that closes
-    stdout early (``fedquad train ... | head -1``) ends the command
-    quietly with exit code 0.
+    Bad input, a missing or unreadable file, a diverging run and running
+    out of memory each end with one error line on stderr and exit code 2.
+    A reader that closes stdout early (``fedquad train ... | head -1``)
+    ends the command quietly with exit code 0.
     """
     args = build_parser().parse_args(argv)
     handlers = {"train": cmd_train, "verify": cmd_verify, "synth": cmd_synth}
@@ -243,8 +243,9 @@ def main(argv=None) -> int:
         # still buffered at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OverflowError, OSError) as err:
-        sys.stderr.write(f"fedquad: error: {err}\n")
+    except (ValueError, OverflowError, OSError, MemoryError) as err:
+        # A MemoryError raised by the interpreter itself has no message.
+        sys.stderr.write(f"fedquad: error: {str(err) or 'out of memory'}\n")
         return 2
 
 

@@ -145,11 +145,33 @@ def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+# How messages name the type of each value json.load returns.
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _typed(value, kind: type, what: str):
+    """value if it is a kind, else a ValueError naming what, the kind and value's type."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, "
+                         f"got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """obj[key] if present and a kind; the message names the key after where."""
+    if key not in obj:
+        raise ValueError(f"{where}{key!r} is missing")
+    return _typed(obj[key], kind, f"{where}{key!r}")
+
+
 def load_partition_spec(path) -> PartitionSpec:
     """Parse and structurally validate a partition spec document.
 
     Client names and label fields must be strings and each client's
-    features a list of strings; a string is not split into columns.
+    features a list of strings; a string is not split into columns. A
+    malformed document's message names the missing key or the expected
+    type of the field.
     """
     with open(path) as fh:
         try:
@@ -157,26 +179,20 @@ def load_partition_spec(path) -> PartitionSpec:
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"{path}: {err}") from None
     try:
-        clients = [(c["name"], c["features"]) for c in doc["clients"]]
-        label_client = doc["label"]["client"]
-        label_column = doc["label"]["column"]
-    except (KeyError, TypeError) as err:
+        doc = _typed(doc, dict, "the spec")
+        clients = []
+        for i, client in enumerate(_field(doc, "clients", list, "")):
+            client = _typed(client, dict, f"client {i}")
+            name = _field(client, "name", str, f"client {i} ")
+            features = _field(client, "features", list, f"client {i} ")
+            for feature in features:
+                _typed(feature, str, f"client {i} 'features' entry")
+            clients.append(ClientSpec(name, tuple(features)))
+        label = _field(doc, "label", dict, "")
+        return PartitionSpec(tuple(clients), _field(label, "client", str, "label "),
+                             _field(label, "column", str, "label "))
+    except ValueError as err:
         raise ValueError(f"{path}: malformed partition spec ({err})") from None
-    for name, features in clients:
-        if not (isinstance(name, str) and isinstance(features, list)
-                and all(isinstance(f, str) for f in features)):
-            raise ValueError(
-                f"{path}: malformed partition spec (client {name!r} needs a "
-                f"string name and a list of string features, got {features!r})"
-            )
-    if not (isinstance(label_client, str) and isinstance(label_column, str)):
-        raise ValueError(
-            f"{path}: malformed partition spec (label client and column must be "
-            f"strings, got {label_client!r} and {label_column!r})"
-        )
-    return PartitionSpec(
-        tuple(ClientSpec(name, tuple(features)) for name, features in clients),
-        label_client, label_column)
 
 
 def save_partition_spec(spec: PartitionSpec, path) -> None:
@@ -259,43 +275,19 @@ def _partition_for(features_per_client: Sequence[int]) -> tuple[list[str], Parti
     return names, spec
 
 
-def synthesize_linear(n_rows: int, features_per_client: Sequence[int], seed: int,
-                      feature_range: int = 4, weight_range: int = 3,
-                      noise_range: int = 1) -> SyntheticDataset:
-    """Integer-valued linear data: y = Xw + e with integer w and e.
-
-    Integer values keep the dataset lossless under exact-mode
-    quantization, so secure runs on it can be compared bitwise against
-    plaintext descent.
-    """
-    rng = seeded(seed)
-    F = sum(features_per_client)
-    X = uniform_ints(rng, -feature_range, feature_range, (n_rows, F))
-    w = uniform_ints(rng, -weight_range, weight_range, F)
-    noise = uniform_ints(rng, -noise_range, noise_range, n_rows)
-    y = X @ w + noise
-    header, spec = _partition_for(features_per_client)
-    rows = np.column_stack([X, y])
-    return SyntheticDataset(header, rows, spec, w)
-
-
-def synthesize_logistic(n_rows: int, features_per_client: Sequence[int], seed: int,
-                        feature_range: int = 2,
-                        weight_range: int = 2) -> SyntheticDataset:
-    """Integer features with 0/1 labels from the sign of a linear score."""
-    rng = seeded(seed)
-    F = sum(features_per_client)
-    X = uniform_ints(rng, -feature_range, feature_range, (n_rows, F))
-    w = uniform_ints(rng, -weight_range, weight_range, F)
-    y = (X @ w > 0).astype(float)
-    header, spec = _partition_for(features_per_client)
-    rows = np.column_stack([X, y])
-    return SyntheticDataset(header, rows, spec, w)
+# Per model kind, the ranges [-r, r] of the synthetic features and weights.
+_SYNTHETIC_RANGES = {MODEL_LINEAR: (4, 3), MODEL_LOGISTIC_TAYLOR: (2, 2)}
 
 
 def synthesize(model_kind: str, n_rows: int, features_per_client: Sequence[int],
                seed: int) -> SyntheticDataset:
-    """The seeded dataset of a model kind.
+    """The seeded integer dataset of a model kind.
+
+    Linear data has features in [-4, 4], weights in [-3, 3] and labels
+    y = Xw + e with noise e in [-1, 1]; logistic data has features and
+    weights in [-2, 2] and 0/1 labels from the sign of Xw. Integer values
+    keep the dataset lossless under exact-mode quantization, so secure
+    runs on it can be compared bitwise against plaintext descent.
 
     Values come from draws.uniform_ints on draws.seeded(seed): the
     features row by row, then the weights, then (linear only) the noise.
@@ -304,8 +296,16 @@ def synthesize(model_kind: str, n_rows: int, features_per_client: Sequence[int],
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    if model_kind not in _SYNTHETIC_RANGES:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    feature_range, weight_range = _SYNTHETIC_RANGES[model_kind]
+    rng = seeded(seed)
+    F = sum(features_per_client)
+    X = uniform_ints(rng, -feature_range, feature_range, (n_rows, F))
+    w = uniform_ints(rng, -weight_range, weight_range, F)
     if model_kind == MODEL_LINEAR:
-        return synthesize_linear(n_rows, features_per_client, seed)
-    if model_kind == MODEL_LOGISTIC_TAYLOR:
-        return synthesize_logistic(n_rows, features_per_client, seed)
-    raise ValueError(f"unknown model kind {model_kind!r}")
+        y = X @ w + uniform_ints(rng, -1, 1, n_rows)
+    else:
+        y = (X @ w > 0).astype(float)
+    header, spec = _partition_for(features_per_client)
+    return SyntheticDataset(header, np.column_stack([X, y]), spec, w)

@@ -25,6 +25,7 @@ client is the caller's record (TrainingPlan.columns), not this module's.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -147,6 +148,10 @@ class SliceVector:
     block: ResidualBlock
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.index)
+        except TypeError:
+            raise TypeError(f"slice index {self.index!r} is not an integer") from None
         last = len(self.block.coefficients) - 1
         if not (0 <= self.index <= last):
             raise ValueError(f"slice index {self.index} outside 0..{last}")

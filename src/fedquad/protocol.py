@@ -415,7 +415,8 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
     gets each iteration's metrics as soon as they are made, bus the
     headers (a throwaway bus per iteration when None) and artifacts_out
     the FE objects. A non-finite loss or gradient raises ValueError
-    before its metrics are passed on.
+    before its metrics are passed on, and an OverflowError (a value past
+    the quantizer guard) is raised again with its iteration named.
     """
     plan = TrainingPlan(shards, config)
     if initial_weights is None:
@@ -424,8 +425,11 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
         weights = np.array(initial_weights, dtype=float)
     batches = iter_batches(plan.n_rows, config.batch_size, config.iterations, config.seed)
     for t, rows in enumerate(batches):
-        metrics = run_iteration(weights, plan, rows, iteration=t, bus=bus,
-                                artifacts_out=artifacts_out)
+        try:
+            metrics = run_iteration(weights, plan, rows, iteration=t, bus=bus,
+                                    artifacts_out=artifacts_out)
+        except OverflowError as err:
+            raise OverflowError(f"iteration {t}: {err}") from None
         if not (math.isfinite(metrics.loss) and np.isfinite(metrics.gradient).all()):
             raise ValueError(f"iteration {t} diverged: loss {metrics.loss!r} or its "
                              f"gradient is not finite; lower the learning rate")

@@ -41,37 +41,39 @@ class CheckResult:
     detail: str
 
 
-def random_exact_instance(rng: random.Random, *, max_clients: int = 3,
-                          max_batch: int = 8, max_features: int = 4,
-                          data_range: int = 8, weight_range: int = 4,
-                          binary_labels: bool = False,
+# Limits of the random instances: clients, batch rows and features per
+# client are drawn from 1..max; exact instances' data and weights from
+# [-range, range].
+_MAX_CLIENTS, _MAX_BATCH, _MAX_FEATURES = 3, 8, 4
+_DATA_RANGE, _WEIGHT_RANGE = 8, 4
+# Instances per run of check_funcvec_identity, check_gradient_oracle (each
+# exact and fixed-point) and check_gradient_finite_difference.
+_IDENTITY_ROUNDS, _ORACLE_ROUNDS, _FD_ROUNDS = 60, 40, 20
+
+
+def random_exact_instance(rng: random.Random, *, binary_labels: bool = False,
                           ) -> tuple[list[ClientShard], np.ndarray]:
     """A random integer-valued instance; labels live on client 0."""
     def ints(bound):
         return lambda size: uniform_ints(rng, -bound, bound, size)
 
-    return _random_instance(rng, ints(data_range), ints(weight_range), max_clients,
-                            max_batch, max_features, binary_labels)
+    return _random_instance(rng, ints(_DATA_RANGE), ints(_WEIGHT_RANGE), binary_labels)
 
 
-def random_unit_instance(rng: random.Random, *, max_clients: int = 3,
-                         max_batch: int = 8, max_features: int = 4,
-                         binary_labels: bool = False,
+def random_unit_instance(rng: random.Random, *, binary_labels: bool = False,
                          ) -> tuple[list[ClientShard], np.ndarray]:
     """A random continuous instance with all values in [-1, 1)."""
     def unit(size):
         return uniform_unit(rng, size)
 
-    return _random_instance(rng, unit, unit, max_clients, max_batch, max_features,
-                            binary_labels)
+    return _random_instance(rng, unit, unit, binary_labels)
 
 
-def _random_instance(rng, data, weight, max_clients, max_batch, max_features,
-                     binary_labels):
+def _random_instance(rng, data, weight, binary_labels):
     """Shards and weights drawn by data(size) and weight(size); labels on client 0."""
-    n_clients = int(uniform_ints(rng, 1, max_clients))
-    batch = int(uniform_ints(rng, 1, max_batch))
-    counts = [int(v) for v in uniform_ints(rng, 1, max_features, n_clients)]
+    n_clients = int(uniform_ints(rng, 1, _MAX_CLIENTS))
+    batch = int(uniform_ints(rng, 1, _MAX_BATCH))
+    counts = [int(v) for v in uniform_ints(rng, 1, _MAX_FEATURES, n_clients)]
     if binary_labels:
         labels = uniform_ints(rng, 0, 1, batch)
     else:
@@ -107,11 +109,11 @@ def gradient_error_bound(shards, weights, model_kind: str,
     return -m.slice_scale * per_slice / S
 
 
-def check_funcvec_identity(seed: int = 0, rounds: int = 60) -> CheckResult:
+def check_funcvec_identity(seed: int = 0) -> CheckResult:
     """Sparse, dense, and matrix oracles agree on every gradient slice."""
     rng = seeded(seed)
     checked = 0
-    for _ in range(rounds):
+    for _ in range(_IDENTITY_ROUNDS):
         shards, weights = random_exact_instance(rng)
         labels = shards[0].labels
         vectors = all_gradient_slice_vectors([int(v) for v in weights], 1,
@@ -133,14 +135,13 @@ def check_funcvec_identity(seed: int = 0, rounds: int = 60) -> CheckResult:
                        f"{checked} slices agree across three oracles")
 
 
-def check_gradient_oracle(model_kind: str, seed: int = 1,
-                          rounds: int = 40) -> CheckResult:
+def check_gradient_oracle(model_kind: str, seed: int = 1) -> CheckResult:
     """Protocol gradients hit the plaintext formula in both codec modes."""
     name = f"gradient_oracle_{model_kind}"
     oracle_gradient = model(model_kind).gradient
     rng = seeded(seed)
     binary = model_kind == MODEL_LOGISTIC_TAYLOR
-    for _ in range(rounds):
+    for _ in range(_ORACLE_ROUNDS):
         shards, weights = random_exact_instance(rng, binary_labels=binary)
         config = TrainingConfig(model_kind=model_kind, codec=exact_codec(model_kind))
         plan = TrainingPlan(shards, config)
@@ -161,14 +162,15 @@ def check_gradient_oracle(model_kind: str, seed: int = 1,
         if gap > bound:
             return CheckResult(name, False,
                                f"fixed-point gap {gap} exceeds bound {bound}")
-    return CheckResult(name, True, f"{rounds} exact and {rounds} fixed-point instances")
+    return CheckResult(name, True, f"{_ORACLE_ROUNDS} exact and {_ORACLE_ROUNDS} "
+                                   f"fixed-point instances")
 
 
-def check_gradient_finite_difference(seed: int = 2, rounds: int = 20) -> CheckResult:
+def check_gradient_finite_difference(seed: int = 2) -> CheckResult:
     """Closed-form gradients match central differences of their losses."""
     rng = seeded(seed)
     worst = 0.0
-    for _ in range(rounds):
+    for _ in range(_FD_ROUNDS):
         shards, weights = random_unit_instance(rng)
         X = np.hstack([sh.features for sh in shards])
         y = shards[0].labels
@@ -182,18 +184,18 @@ def check_gradient_finite_difference(seed: int = 2, rounds: int = 20) -> CheckRe
                 return CheckResult("gradient_finite_difference", False,
                                    f"relative gap {gap} exceeds 1e-6")
     return CheckResult("gradient_finite_difference", True,
-                       f"worst relative gap {worst:.2e} over {rounds} instances")
+                       f"worst relative gap {worst:.2e} over {_FD_ROUNDS} instances")
 
 
-def _synthetic_shards(model_kind: str, seed: int, n_rows: int = 24,
-                      features_per_client=(2, 2, 2)):
-    dataset = synthesize(model_kind, n_rows, list(features_per_client), seed)
+def _synthetic_shards(seed: int):
+    """Shards of the 24-row linear dataset of a seed, three clients of two features."""
+    dataset = synthesize(MODEL_LINEAR, 24, [2, 2, 2], seed)
     return partition_dataset(dataset.header, dataset.rows, dataset.spec)
 
 
 def check_counts(seed: int = 3) -> CheckResult:
     """Per-iteration encryption and decryption counts match the cost model."""
-    shards, _ = _synthetic_shards(MODEL_LINEAR, seed)
+    shards, _ = _synthetic_shards(seed)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=3, batch_size=4,
                             learning_rate=0.01, seed=seed,
                             codec=exact_codec(MODEL_LINEAR))
@@ -220,7 +222,7 @@ def check_counts(seed: int = 3) -> CheckResult:
 
 def check_mix_and_match(seed: int = 4, *, fe_policy: str = "fresh") -> CheckResult:
     """Cross-iteration decryptions must all be rejected (controls must pass)."""
-    shards, _ = _synthetic_shards(MODEL_LINEAR, seed)
+    shards, _ = _synthetic_shards(seed)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5, batch_size=4,
                             learning_rate=0.01, seed=seed,
                             codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy)
@@ -290,7 +292,7 @@ def check_determinism(seed: int = 5) -> CheckResult:
     """Identical config and seed give identical metrics and message logs."""
     outputs = []
     for _ in range(2):
-        shards, _ = _synthetic_shards(MODEL_LINEAR, seed)
+        shards, _ = _synthetic_shards(seed)
         config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=3, batch_size=4,
                                 learning_rate=0.01, seed=seed,
                                 codec=FixedPointConfig())

@@ -24,7 +24,7 @@ from fedquad.baseline import (
     taylor_loss,
 )
 from fedquad.cli import main
-from fedquad.data import partition_dataset, synthesize_linear
+from fedquad.data import partition_dataset, synthesize
 from fedquad.fixedpoint import FixedPointConfig
 from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors
 from fedquad.protocol import (
@@ -142,7 +142,7 @@ def test_03_logistic_taylor_gradient_equivalence():
 
 def test_04_encryption_and_decryption_counts():
     """one encryption per client (two with labels), F decryptions, 10 rounds"""
-    data = synthesize_linear(32, [2, 2, 2], seed=40)
+    data = synthesize(MODEL_LINEAR, 32, [2, 2, 2], seed=40)
     shards, _ = partition_dataset(data.header, data.rows, data.spec)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=10,
                             batch_size=8, learning_rate=0.01, seed=41,
@@ -158,7 +158,7 @@ def test_04_encryption_and_decryption_counts():
 
 def test_05_mix_and_match_rejected(tmp_path):
     """all 20 cross-iteration decryptions rejected; reuse control fails"""
-    data = synthesize_linear(32, [2, 2, 2], seed=50)
+    data = synthesize(MODEL_LINEAR, 32, [2, 2, 2], seed=50)
     shards, _ = partition_dataset(data.header, data.rows, data.spec)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5,
                             batch_size=8, learning_rate=0.01, seed=51,
@@ -233,7 +233,7 @@ def test_07_sparsity_and_structure():
 def test_08_end_to_end_training():
     """exact run tracks centralized descent bitwise; fixed-point MSE within 1%"""
     start = time.perf_counter()
-    data = synthesize_linear(64, [2, 2, 2], seed=11)
+    data = synthesize(MODEL_LINEAR, 64, [2, 2, 2], seed=11)
     shards, central = partition_dataset(data.header, data.rows, data.spec)
     T, S, lr = 200, 16, 0.02
 

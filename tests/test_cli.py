@@ -241,26 +241,41 @@ class TestErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    # Each document is malformed in one field of a spec for header a,b,y.
-    @pytest.mark.parametrize("doc", [
-        {"clients": [{"name": "c", "features": "ab"}],
-         "label": {"client": "c", "column": "y"}},
-        {"clients": [{"name": "c", "features": ["a", 2]}],
-         "label": {"client": "c", "column": "y"}},
-        {"clients": [{"name": 7, "features": ["a", "b"]}],
-         "label": {"client": 7, "column": "y"}},
-        {"clients": [{"name": "c", "features": ["a", "b"]}],
-         "label": {"client": "c", "column": ["y"]}},
-    ], ids=["string-features", "number-feature", "number-name", "list-label"])
-    def test_malformed_partition_spec_exits_2(self, doc, tmp_path, capsys):
+    # Each document is malformed in one field of a spec for header a,b,y;
+    # the message names the field and what is wrong with it.
+    @pytest.mark.parametrize("doc,problem", [
+        ({"clients": [{"name": "c", "features": "ab"}],
+          "label": {"client": "c", "column": "y"}},
+         "client 0 'features' must be a list, got a string"),
+        ({"clients": [{"name": "c", "features": ["a", 2]}],
+          "label": {"client": "c", "column": "y"}},
+         "client 0 'features' entry must be a string, got a number"),
+        ({"clients": [{"name": 7, "features": ["a", "b"]}],
+          "label": {"client": 7, "column": "y"}},
+         "client 0 'name' must be a string, got a number"),
+        ({"clients": [{"name": "c", "features": ["a", "b"]}],
+          "label": {"client": "c", "column": ["y"]}},
+         "label 'column' must be a string, got a list"),
+        ({"clients": [{"name": "c", "features": ["a", "b"]}]},
+         "'label' is missing"),
+        ({"clients": {"name": "c", "features": ["a", "b"]},
+          "label": {"client": "c", "column": "y"}},
+         "'clients' must be a list, got an object"),
+        ({"clients": [{"name": "c", "features": ["a", "b"]}], "label": "y"},
+         "'label' must be an object, got a string"),
+        ([{"name": "c", "features": ["a", "b"]}],
+         "the spec must be an object, got a list"),
+    ], ids=["string-features", "number-feature", "number-name", "list-label",
+            "missing-label", "object-clients", "string-label", "list-document"])
+    def test_malformed_partition_spec_exits_2(self, doc, problem, tmp_path, capsys):
         dataset, spec = tmp_path / "dataset.csv", tmp_path / "partition.json"
         dataset.write_text("a,b,y\n1,2,3\n4,5,6\n")
         spec.write_text(json.dumps(doc))
         assert main(["train", "--dataset", str(dataset), "--partition", str(spec),
                      "--batch-size", "2", "--iters", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"fedquad: error: {spec}: malformed partition spec")
-        assert len(captured.err.splitlines()) == 1
+        assert captured.err == (f"fedquad: error: {spec}: malformed partition spec "
+                                f"({problem})\n")
         assert captured.out == ""
 
     # (file, bytes, line): one file of a good a,b,y dataset and spec made
@@ -293,6 +308,23 @@ class TestErrors:
             assert captured.err == (f"fedquad: error: {tmp_path / broken}: line {line}: "
                                     f"'utf-8' codec can't decode byte 0xff: "
                                     f"invalid start byte\n")
+
+    # A bare MemoryError has no message; numpy's names the allocation.
+    @pytest.mark.parametrize("error,message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 8.00 EiB for an array"),
+         "Unable to allocate 8.00 EiB for an array"),
+    ], ids=["bare", "numpy"])
+    def test_out_of_memory_exits_2_with_one_line(self, error, message, monkeypatch,
+                                                 capsys):
+        def synthesize(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "synthesize", synthesize)
+        assert main(["train", "--synthetic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"fedquad: error: {message}\n"
+        assert captured.out == ""
 
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",
@@ -362,6 +394,16 @@ class TestStreamedRecords:
         complete = tmp_path / "k"
         assert main([*argv, "--iters", str(k), "--out", str(complete)]) == 0
         assert complete.read_text().splitlines()[:k] == out.read_text().splitlines()
+
+    def test_quantizer_overflow_names_its_iteration(self, tmp_path, capsys):
+        # Iteration 0's step is so large that iteration 1 passes the guard.
+        out = tmp_path / "f"
+        assert main(["train", "--synthetic", "--lr", "1e10", "--iters", "20",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fedquad: error: iteration 1: ")
+        assert "quantizer guard" in err and err.count("\n") == 1
+        assert [r["iteration"] for r in _strict_records(out.read_text())] == [0]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_loss_is_refused_before_its_record(self, value, tmp_path,

@@ -15,8 +15,6 @@ from fedquad.data import (
     partition_dataset,
     save_partition_spec,
     synthesize,
-    synthesize_linear,
-    synthesize_logistic,
     write_csv,
 )
 
@@ -289,27 +287,21 @@ class TestPartitionDataset:
 
 
 class TestSynthesize:
-    def test_linear_labels_follow_weights(self):
-        data = synthesize_linear(32, [2, 1], seed=7, noise_range=0)
-        X = data.rows[:, :3]
-        y = data.rows[:, 3]
-        assert np.array_equal(y, X @ data.true_weights)
-
     def test_linear_noise_is_bounded(self):
-        data = synthesize_linear(64, [2, 2], seed=8, noise_range=1)
+        data = synthesize(MODEL_LINEAR, 64, [2, 2], seed=8)
         X = data.rows[:, :4]
         noise = data.rows[:, 4] - X @ data.true_weights
         assert np.all(np.abs(noise) <= 1)
         assert np.array_equal(noise, np.round(noise))
 
     def test_logistic_labels_are_score_signs(self):
-        data = synthesize_logistic(48, [3], seed=9)
+        data = synthesize(MODEL_LOGISTIC_TAYLOR, 48, [3], seed=9)
         X = data.rows[:, :3]
         y = data.rows[:, 3]
         assert np.array_equal(y, (X @ data.true_weights > 0).astype(float))
 
     def test_values_are_integers(self):
-        data = synthesize_linear(16, [2, 2], seed=10)
+        data = synthesize(MODEL_LINEAR, 16, [2, 2], seed=10)
         assert np.array_equal(data.rows, np.round(data.rows))
 
     def test_partition_matches_layout(self):

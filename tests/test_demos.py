@@ -1,7 +1,9 @@
-"""The integer-only demos print exactly their pinned output.
+"""Every demo runs; the integer-only ones print exactly their pinned output.
 
 tests/demo_output/<demo>.txt holds each demo's stdout. The two training
-demos are not pinned: their float digits depend on the BLAS build.
+demos are not pinned, since their float digits depend on the BLAS build;
+they are run, so that a demo calling a name the package no longer has
+fails here.
 """
 
 import subprocess
@@ -19,3 +21,11 @@ def test_demo_prints_its_pinned_output(demo):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "demo_output" / f"{demo}.txt").read_text()
+
+
+@pytest.mark.parametrize("demo", ["train_linear", "train_logistic"])
+def test_training_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -462,10 +462,11 @@ class TestFusedSlices:
             assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
             assert expected not in slices
 
-    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("index", [-1, 3, 1.0])
     def test_index_outside_the_columns_is_refused(self, index):
         # Columns 0..F with F = 2, the label column. -1 would read the last
-        # slice from the lookup list.
+        # slice from the lookup list, and 1.0 would yield float positions.
         block = ResidualBlock(rows=2, coefficients=(4, -1, 1))
-        with pytest.raises(ValueError, match="slice index"):
+        error = ValueError if isinstance(index, int) else TypeError
+        with pytest.raises(error, match="slice index"):
             SliceVector(index, block)

@@ -175,7 +175,7 @@ class TestRunIteration:
 class TestMessageLog:
     def _run(self, fe_policy="fresh"):
         rng = random.Random(23)
-        shards, weights = random_exact_instance(rng, max_clients=3)
+        shards, weights = random_exact_instance(rng)
         bus = MessageBus()
         # A run's one setup fixes the slot lengths at batch_size rows.
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy,

@@ -1,9 +1,12 @@
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedquad.baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR
+from fedquad.cli import main
 from fedquad.fixedpoint import FixedPointConfig
 from fedquad.verify import (
     concatenated_input,
@@ -97,3 +100,28 @@ class TestBattery:
         results = run_all_checks(seed=7, fe_policy="reused")
         failed = [r.name for r in results if not r.passed]
         assert failed == ["mix_and_match"]
+
+
+class TestPinnedReports:
+    """`fedquad verify --seed 0` and `--seed 1` print tests/golden/verify_seed<n>.txt.
+
+    The reports pin the draws of the instance generators and of the
+    synthetic shards ("322 slices agree"). The finite-difference line is
+    matched by pattern only: its float digits depend on the BLAS build.
+    """
+
+    FINITE_DIFFERENCE = re.compile(r"PASS gradient_finite_difference: worst relative "
+                                   r"gap \d\.\d\de-\d\d over 20 instances")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_report_is_unchanged(self, seed, capsys):
+        assert main(["verify", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        golden = Path(__file__).parent / "golden" / f"verify_seed{seed}.txt"
+        pinned = golden.read_text().splitlines()
+        assert len(lines) == len(pinned)
+        for line, want in zip(lines, pinned):
+            if want.startswith("PASS gradient_finite_difference:"):
+                assert self.FINITE_DIFFERENCE.fullmatch(line), line
+            else:
+                assert line == want
