@@ -12,7 +12,7 @@ from fedquad.funcvec import SparseFunctionVector
 from fedquad.tensor import kron_flat
 
 # two slots of length 2 and 1; total concatenated length 3
-instance, keys = fe.setup(n_slots=2, slot_lengths=[2, 1])
+instance, keys = fe.setup(slot_lengths=[2, 1])
 print("fresh instance:", instance.instance_id)
 
 ct_a = fe.encrypt(keys[0], None, [5, 7])
@@ -30,7 +30,7 @@ value = fe.decrypt([ct_a, ct_b], sk)
 print("decrypted quadratic form:", value, "(expected 5*4 + 2*7*7 = 118)")
 
 # guard rail 1: a different instance cannot open these ciphertexts
-other, other_keys = fe.setup(n_slots=2, slot_lengths=[2, 1])
+other, other_keys = fe.setup(slot_lengths=[2, 1])
 sk_other = fe.keygen(other, None, c)
 try:
     fe.decrypt([ct_a, ct_b], sk_other)

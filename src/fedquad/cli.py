@@ -54,6 +54,26 @@ def _parse_feature_counts(text: str) -> list[int]:
     return counts
 
 
+def _refuse_oversized(rows: int, features_per_client: list[int]) -> None:
+    """Refuse a synthetic shape whose run would not fit in physical memory.
+
+    Raises ValueError naming --rows and --features-per-client before any
+    array of that shape is allocated.
+    """
+    # ROADMAP direction 7 measured about 5.5 float64 copies of the data per
+    # run at its peak (the dataset, the shards and the central copy, the
+    # plan's float and int64 tables), so six are budgeted.
+    estimate = rows * (sum(features_per_client) + 1) * 8 * 6
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if estimate > memory:
+        raise ValueError(
+            f"--rows {rows} with --features-per-client "
+            f"{','.join(map(str, features_per_client))} needs about "
+            f"{estimate / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
+            f"of physical memory"
+        )
+
+
 class _SyntheticOnly(argparse.Action):
     """Stores a flag that only shapes --synthetic data and notes that it was given."""
 
@@ -130,6 +150,7 @@ def _load_shards(args: argparse.Namespace, model_kind: str):
     if args.synthetic:
         if args.dataset or args.partition:
             raise ValueError("--synthetic cannot be combined with --dataset/--partition")
+        _refuse_oversized(args.rows, args.features_per_client)
         dataset = synthesize(model_kind, args.rows, args.features_per_client,
                              args.seed)
         return partition_dataset(dataset.header, dataset.rows, dataset.spec)
@@ -209,6 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     model_kind = MODEL_BY_FLAG[args.model]
+    _refuse_oversized(args.rows, args.features_per_client)
     dataset = synthesize(model_kind, args.rows, args.features_per_client, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

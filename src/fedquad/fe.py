@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .funcvec import ResidualBlock, SliceVector, SparseFunctionVector
-from .tensor import block_slices, seal, sparse_inner_kron
+from .tensor import block_slices, int_vector, seal, sparse_inner_kron
 
 
 class FEError(Exception):
@@ -80,15 +80,15 @@ class _Operands(NamedTuple):
 class FEInstance:
     """One setup's worth of keys and counters; payloads never leave the module."""
 
-    def __init__(self, n_slots: int, slot_lengths: tuple[int, ...]) -> None:
+    def __init__(self, slot_lengths: tuple[int, ...]) -> None:
         self.instance_id = next(_instance_ids)
-        self.n_slots = n_slots
+        self.n_slots = len(slot_lengths)
         self.slot_lengths = slot_lengths
         self.total_length = sum(slot_lengths)
         self._n_encrypt = 0
         self._n_keygen = 0
         self._n_decrypt = 0
-        self._last_tags: list[object] = [None] * n_slots
+        self._last_tags: list[object] = [None] * self.n_slots
         self._operands: _Operands | None = None
 
     def __repr__(self) -> str:
@@ -198,22 +198,18 @@ class SecretKey(_Issued):
                 f"nnz={self.funcvec.nnz})")
 
 
-def setup(n_slots: int, slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]:
-    """Create a fresh instance and one encryption key per slot."""
+def setup(slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]:
+    """Create a fresh instance with one slot per length and one encryption key per slot."""
     # From a list, not a generator: a tuple built from a generator is resized,
     # so it does not come from CPython's tuple free list but goes back to it,
     # which then grows by one entry per call (up to 2000 per size).
-    lengths = tuple([int(n) for n in slot_lengths])
-    if n_slots < 2:
-        raise ValueError(f"need at least 2 slots (features + labels), got {n_slots}")
-    if len(lengths) != n_slots:
-        raise ValueError(
-            f"slot_lengths has {len(lengths)} entries for {n_slots} slots"
-        )
+    lengths = tuple(int_vector(slot_lengths).tolist())
+    if len(lengths) < 2:
+        raise ValueError(f"need at least 2 slots (features + labels), got {len(lengths)}")
     if any(n < 1 for n in lengths):
         raise ValueError(f"every slot length must be >= 1, got {lengths}")
-    instance = FEInstance(n_slots, lengths)
-    keys = [EncryptionKey(instance, slot, issuer=_ISSUER) for slot in range(n_slots)]
+    instance = FEInstance(lengths)
+    keys = [EncryptionKey(instance, slot, issuer=_ISSUER) for slot in range(instance.n_slots)]
     return instance, keys
 
 
@@ -225,24 +221,14 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
     (slot, tag) is used once and the instance keeps one tag per slot.
     Untagged use (tag None) has no such restriction. The ciphertext keeps a
     read-only copy, so later changes to `values` do not reach it. A value
-    that is not an integer raises ValueError; it is never truncated.
+    that is not an integer (see tensor.int_vector) raises ValueError
+    naming the slot and the position; it is never truncated.
     """
     instance = ek._instance
-    # seal would truncate as int() does. An int64 array, the protocol's
-    # payload, holds integers by its dtype; anything else is checked.
-    if isinstance(values, np.ndarray):
-        given = () if values.dtype == np.int64 else values.tolist()
-    else:
-        values = given = list(values)
-    for position, value in enumerate(given):
-        try:
-            whole = int(value) == value
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole:
-            raise ValueError(f"slot {ek.slot} takes integers; position "
-                             f"{position} holds {value!r}")
-    payload = seal(values)
+    try:
+        payload = seal(values)
+    except ValueError as err:
+        raise ValueError(f"slot {ek.slot} takes integers; {err}") from None
     expected = instance.slot_lengths[ek.slot]
     if len(payload) != expected:
         raise ValueError(

@@ -63,16 +63,21 @@ def quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
 
     The same float operations in the same order as quantize, so every
     entry is bitwise equal to the scalar result. The guard is checked as
-    |v| < 2**(guard - bits), exact and before ldexp can overflow.
+    |v| < 2**(guard - bits), exact and before ldexp can overflow; the error
+    names the first entry that fails it, by its index in a vector and by
+    (row, column) in a table.
     """
     magnitude = np.abs(values)
     within = magnitude < math.ldexp(1.0, QUANTIZE_GUARD_BITS - bits)
     if not within.all():
-        bad = values[~within][0]
+        index = tuple(map(int, np.unravel_index(np.argmin(within), within.shape)))
+        bad = values[index]
+        entry = index[0] if len(index) == 1 else index
         if np.isnan(bad):
-            raise ValueError(f"cannot quantize NaN (at 2**{bits})")
+            raise ValueError(f"cannot quantize NaN (at 2**{bits}) at entry {entry}")
         raise OverflowError(
-            f"|{bad}| * 2**{bits} exceeds the 2**{QUANTIZE_GUARD_BITS} quantizer guard"
+            f"|{bad}| * 2**{bits} exceeds the 2**{QUANTIZE_GUARD_BITS} quantizer "
+            f"guard at entry {entry}"
         )
     # In place: each full-size temporary costs a fresh allocation.
     np.ldexp(magnitude, bits, out=magnitude)

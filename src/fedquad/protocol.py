@@ -252,7 +252,7 @@ class TrainingPlan:
         self.columns = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
         self.shared_fe = None
         if config.fe_policy != "fresh":
-            self.shared_fe = fe.setup(len(self.columns), [
+            self.shared_fe = fe.setup([
                 config.batch_size * (c.stop - c.start) for c in self.columns])
 
 
@@ -297,7 +297,7 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     payloads = [x[c.start * S:c.stop * S] for c in plan.columns]
 
     # TTP: fresh (or the plan's shared) instance, a slot per client plus labels.
-    instance, eks = plan.shared_fe or fe.setup(n_clients + 1, [len(p) for p in payloads])
+    instance, eks = plan.shared_fe or fe.setup([len(p) for p in payloads])
     for i in range(n_clients):
         keys = (eks[i], eks[n_clients]) if i == plan.label_index else (eks[i],)
         bus.send(Header(TTP, client_name(i), iteration, "deliver_keys", len(keys)))

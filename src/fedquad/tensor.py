@@ -17,8 +17,10 @@ accumulator leaves its width. Otherwise limb_plan picks one of two paths:
   limb products are recombined in Python ints;
 - Python ints in numpy object arrays.
 
-Integer vectors enter the kernel through int_vector (int64 when every
-value fits, otherwise Python ints, never uint64 or float); seal is the
+Integer vectors enter the kernel through int_vector, the one place that
+decides what an integer is: a value v is one when int(v) == v, and any
+other value is refused, never truncated. The result is int64 when every
+value fits, otherwise Python ints, never uint64 or float; seal is the
 read-only copy fe.encrypt keeps as a ciphertext payload. The dense
 Kronecker product exists purely as a desk-scale oracle for tests and is
 size-guarded accordingly.
@@ -83,17 +85,18 @@ def dense_kron(x: Sequence[int]) -> list[int]:
             f"dense Kronecker materialization is capped at {DENSE_KRON_MAX_LEN} "
             f"entries (got {n}); it exists only as a test oracle"
         )
-    xs = [int(v) for v in x]
+    xs = int_vector(x).tolist()
     return [a * b for a in xs for b in xs]
 
 
 def int_vector(values) -> np.ndarray:
     """A 1-D integer vector as int64 when every value fits, else as Python ints.
 
+    A value v is an integer when int(v) == v; any other value, and one
+    int() rejects (nan, inf, '3'), raises ValueError naming its position.
     The result is never uint64 or float: values past int64 go into an
     object array of Python ints. An int64 array comes back as is, and any
-    other signed or fitting unsigned integer array is cast; everything
-    else goes through int() value by value.
+    other signed or fitting unsigned integer array is cast.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
@@ -105,7 +108,21 @@ def int_vector(values) -> np.ndarray:
                 and (values.size == 0 or values.max() < INT64_LIMIT)):
             return values.astype(np.int64)
         values = values.tolist()
-    ints = list(map(int, values))
+    else:
+        values = list(values)
+    try:
+        ints = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    # One comparison of whole lists; the loop only names the first offender.
+    if ints != values:
+        for position, value in enumerate(values):
+            try:
+                if int(value) == value:
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise ValueError(f"position {position} holds {value!r}")
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -202,7 +219,7 @@ def sparse_inner_kron(c, x: Sequence[int], *, slices=None) -> int:
             slices = block_slices(block, x)
         if slices is not None:
             return slices[c.index]
-    xs = [int(v) for v in x]
+    xs = int_vector(x).tolist()
     limit = ACCUMULATOR_BITS - 1
     acc = 0
     for k, v in c.entries:

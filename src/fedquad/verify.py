@@ -241,7 +241,7 @@ def check_tag_gating() -> CheckResult:
     from .funcvec import SparseFunctionVector
     from .tensor import kron_flat
 
-    instance, eks = fe.setup(2, [1, 1])
+    instance, eks = fe.setup([1, 1])
     cts = {
         (slot, tag): fe.encrypt(eks[slot], tag, [slot + 2])
         for slot in (0, 1) for tag in ("a", "b")
@@ -272,7 +272,7 @@ def check_tag_gating() -> CheckResult:
 
 def check_ciphertext_sealing() -> CheckResult:
     """No payload value appears in any public or serialized ciphertext form."""
-    instance, eks = fe.setup(2, [2, 1])
+    instance, eks = fe.setup([2, 1])
     sentinel = [987654321, 246813579]
     ct = fe.encrypt(eks[0], None, sentinel)
     surfaces = [repr(ct), str(ct), json.dumps(ct.header(), sort_keys=True)]

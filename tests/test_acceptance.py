@@ -190,7 +190,7 @@ def test_05_mix_and_match_rejected(tmp_path):
 
 def test_06_tag_gating():
     """decryption succeeds exactly when both ciphertext tags match the key"""
-    instance, eks = fe.setup(2, [1, 1])
+    instance, eks = fe.setup([1, 1])
     tags = ("r0", "r1")
     cts = {(slot, tag): fe.encrypt(eks[slot], tag, [slot + 2])
            for slot in (0, 1) for tag in tags}
@@ -278,7 +278,7 @@ def test_09_deterministic_metrics_files(tmp_path):
 
 def test_10_ciphertext_sealing():
     """no payload value is visible on any ciphertext surface"""
-    instance, eks = fe.setup(2, [2, 1])
+    instance, eks = fe.setup([2, 1])
     payload = [987654321, 246813579]
     ct = fe.encrypt(eks[0], "tag-x", payload)
     surfaces = [repr(ct), str(ct), json.dumps(ct.header(), sort_keys=True)]

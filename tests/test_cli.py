@@ -326,6 +326,33 @@ class TestErrors:
         assert captured.err == f"fedquad: error: {message}\n"
         assert captured.out == ""
 
+    # 10**15 rows are past the address space: even without the check,
+    # numpy's allocation would fail rather than take the memory.
+    @pytest.mark.parametrize("command", [["train", "--synthetic"], ["synth"]],
+                             ids=["train", "synth"])
+    def test_oversized_synthetic_shape_is_refused_by_its_flags(self, command, tmp_path,
+                                                               capsys):
+        assert main([*command, "--out", str(tmp_path / "out"), "--rows",
+                     "1000000000000000", "--features-per-client", "4,4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fedquad: error: --rows 1000000000000000 with "
+                              "--features-per-client 4,4 needs about ")
+        assert err.endswith(" of physical memory\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_shape_over_physical_memory_is_refused_before_synthesizing(self, monkeypatch,
+                                                                       capsys):
+        # 10**6 rows of 8 features and a label budget 10**6 * 9 * 8 * 6 bytes,
+        # against 2**16 pages of 4 KiB; synthesize is never reached.
+        monkeypatch.setattr(cli.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 16}.__getitem__)
+        monkeypatch.setattr(cli, "synthesize", None)
+        assert main(["train", "--synthetic", "--rows", "1000000",
+                     "--features-per-client", "4,4"]) == 2
+        assert capsys.readouterr().err == (
+            "fedquad: error: --rows 1000000 with --features-per-client 4,4 needs about "
+            "0.402 GiB, more than the 0.25 GiB of physical memory\n")
+
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",
                      "--batch-size", "100"]) == 2
@@ -402,7 +429,8 @@ class TestStreamedRecords:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fedquad: error: iteration 1: ")
-        assert "quantizer guard" in err and err.count("\n") == 1
+        # The weight that left the range first, by its index.
+        assert err.endswith(" quantizer guard at entry 0\n") and err.count("\n") == 1
         assert [r["iteration"] for r in _strict_records(out.read_text())] == [0]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

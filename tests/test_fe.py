@@ -16,31 +16,29 @@ def _single_product_key(instance, tag=None):
 
 class TestSetup:
     def test_minimal_instance(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         assert len(keys) == 2
         assert instance.total_length == 2
         assert [k.slot for k in keys] == [0, 1]
 
     def test_instances_are_fresh(self):
-        a, _ = fe.setup(2, [1, 1])
-        b, _ = fe.setup(2, [1, 1])
+        a, _ = fe.setup([1, 1])
+        b, _ = fe.setup([1, 1])
         assert a.instance_id != b.instance_id
 
     def test_three_clients_plus_label_slot(self):
-        _, keys = fe.setup(4, [6, 6, 6, 3])
+        _, keys = fe.setup([6, 6, 6, 3])
         assert len(keys) == 4
 
-    @pytest.mark.parametrize("n_slots,lengths", [
-        (1, [1]), (2, [1]), (2, [1, 0]),
-    ])
-    def test_rejects_bad_shapes(self, n_slots, lengths):
+    @pytest.mark.parametrize("lengths", [[1], [1, 0]], ids=["1-lengths0", "2-lengths2"])
+    def test_rejects_bad_shapes(self, lengths):
         with pytest.raises(ValueError):
-            fe.setup(n_slots, lengths)
+            fe.setup(lengths)
 
 
 class TestEncrypt:
     def test_public_fields_only(self):
-        instance, keys = fe.setup(2, [2, 1])
+        instance, keys = fe.setup([2, 1])
         ct = fe.encrypt(keys[0], "t", [11, 22])
         assert ct.instance_id == instance.instance_id
         assert ct.slot == 0
@@ -49,7 +47,7 @@ class TestEncrypt:
         assert not hasattr(ct, "__dict__")
 
     def test_reencryption_decrypts_identically(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         sk = _single_product_key(instance)
         ct_y = fe.encrypt(keys[1], None, [3])
         first = fe.encrypt(keys[0], None, [5])
@@ -57,12 +55,12 @@ class TestEncrypt:
         assert fe.decrypt([first, ct_y], sk) == fe.decrypt([second, ct_y], sk) == 15
 
     def test_wrong_length_rejected(self):
-        _, keys = fe.setup(2, [2, 1])
+        _, keys = fe.setup([2, 1])
         with pytest.raises(ValueError):
             fe.encrypt(keys[0], None, [1])
 
     def test_tagged_slot_is_single_use(self):
-        _, keys = fe.setup(2, [1, 1])
+        _, keys = fe.setup([1, 1])
         fe.encrypt(keys[0], 7, [1])
         with pytest.raises(fe.DuplicateSlot):
             fe.encrypt(keys[0], 7, [2])
@@ -70,7 +68,7 @@ class TestEncrypt:
         fe.encrypt(keys[0], 8, [3])
 
     def test_slot_tags_must_increase(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         fe.encrypt(keys[0], 8, [1])
         # An older tag would re-open one already used, so it is refused too.
         with pytest.raises(fe.DuplicateSlot, match="tag 7 does not order after it"):
@@ -95,7 +93,7 @@ class TestEncrypt:
         (np.array([1.0, np.inf]), 1, "inf"),
     ], ids=["floats", "one-float", "float-array", "string", "nan", "inf"])
     def test_non_integer_value_is_refused_not_truncated(self, values, position, value):
-        instance, keys = fe.setup(2, [2, 1])
+        instance, keys = fe.setup([2, 1])
         with pytest.raises(ValueError, match=f"^slot 0 takes integers; "
                                              f"position {position} holds {value}$"):
             fe.encrypt(keys[0], None, values)
@@ -106,7 +104,7 @@ class TestIssuedHandles:
     """Only setup, encrypt and keygen make handles, and no handle changes."""
 
     def test_no_field_can_be_assigned_or_deleted(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         ct = fe.encrypt(keys[0], 7, [5])
         sk = _single_product_key(instance, 7)
         for handle in (keys[0], ct, sk):
@@ -154,7 +152,7 @@ class TestIssuedHandles:
 class TestSealedPayload:
     def _product_of_two(self, first, second):
         """Encrypt one value per slot and decrypt their product x0 * x1."""
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, first), fe.encrypt(keys[1], None, second)]
         return cts, fe.decrypt(cts, _single_product_key(instance))
 
@@ -175,7 +173,7 @@ class TestSealedPayload:
     def test_object_and_int64_slots_decrypt_a_slice_vector(self):
         # C = 1 and X = 2**63: the bound is 2**126, the object path.
         (c,) = all_gradient_slice_vectors([0], 1, 1)
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         x = [1 << 63, -7]
         cts = [fe.encrypt(keys[0], None, x[:1]), fe.encrypt(keys[1], None, x[1:])]
         kron = dense_kron(x)
@@ -183,7 +181,7 @@ class TestSealedPayload:
         assert fe.decrypt(cts, fe.keygen(instance, None, c)) == expected
 
     def test_payload_is_read_only(self):
-        _, keys = fe.setup(2, [2, 1])
+        _, keys = fe.setup([2, 1])
         ct = fe.encrypt(keys[0], None, np.array([4, 5]))
         assert not ct._payload.flags.writeable
         with pytest.raises(ValueError):
@@ -191,7 +189,7 @@ class TestSealedPayload:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
     def test_changing_the_source_after_encrypt_changes_nothing(self, dtype):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         sk = _single_product_key(instance)
         source = np.array([6], dtype=dtype)
         label = [7]
@@ -205,21 +203,21 @@ class TestSealedPayload:
 
 class TestKeygen:
     def test_wrong_dimension_rejected(self):
-        instance, _ = fe.setup(2, [1, 1])
+        instance, _ = fe.setup([1, 1])
         c = SparseFunctionVector(dimension=9, entries=())
         with pytest.raises(ValueError):
             fe.keygen(instance, None, c)
 
     def test_two_keys_same_function_agree(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, [5]), fe.encrypt(keys[1], None, [3])]
         sk1 = _single_product_key(instance)
         sk2 = _single_product_key(instance)
         assert fe.decrypt(cts, sk1) == fe.decrypt(cts, sk2)
 
     def test_key_from_other_instance_rejected(self):
-        inst_a, keys_a = fe.setup(2, [1, 1])
-        inst_b, _ = fe.setup(2, [1, 1])
+        inst_a, keys_a = fe.setup([1, 1])
+        inst_b, _ = fe.setup([1, 1])
         cts = [fe.encrypt(keys_a[0], None, [5]), fe.encrypt(keys_a[1], None, [3])]
         sk_b = _single_product_key(inst_b)
         with pytest.raises(fe.InstanceMismatch):
@@ -228,38 +226,38 @@ class TestKeygen:
 
 class TestDecrypt:
     def test_single_product(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, [5]), fe.encrypt(keys[1], None, [3])]
         assert fe.decrypt(cts, _single_product_key(instance)) == 15
 
     def test_cross_iteration_mix_rejected(self):
-        inst_t, keys_t = fe.setup(2, [1, 1])
-        inst_next, _ = fe.setup(2, [1, 1])
+        inst_t, keys_t = fe.setup([1, 1])
+        inst_next, _ = fe.setup([1, 1])
         cts = [fe.encrypt(keys_t[0], None, [5]), fe.encrypt(keys_t[1], None, [3])]
         with pytest.raises(fe.InstanceMismatch):
             fe.decrypt(cts, _single_product_key(inst_next))
 
     def test_slot_order_does_not_matter(self):
-        instance, keys = fe.setup(3, [1, 1, 1])
+        instance, keys = fe.setup([1, 1, 1])
         cts = [fe.encrypt(keys[slot], None, [slot + 2]) for slot in range(3)]
         sk = fe.keygen(instance, None, SparseFunctionVector(9, ((1, 1),)))  # x0 * x1
         assert fe.decrypt(cts, sk) == fe.decrypt(cts[::-1], sk) == 6
 
     def test_missing_slot(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         with pytest.raises(fe.MissingSlot):
             fe.decrypt([fe.encrypt(keys[0], None, [5])],
                        _single_product_key(instance))
 
     def test_duplicate_slot(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, [5]), fe.encrypt(keys[0], None, [6]),
                fe.encrypt(keys[1], None, [3])]
         with pytest.raises(fe.DuplicateSlot):
             fe.decrypt(cts, _single_product_key(instance))
 
     def test_tag_gate_exhaustive(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         cts = {(slot, tag): fe.encrypt(keys[slot], tag, [slot + 2])
                for slot in (0, 1) for tag in ("a", "b")}
         sks = {tag: _single_product_key(instance, tag) for tag in ("a", "b")}
@@ -283,7 +281,7 @@ class TestDecrypt:
             y = [int(v) for v in rng.integers(-6, 7, size=S)]
             weights = [int(v) for f in counts for v in rng.integers(-4, 5, size=f)]
 
-            instance, keys = fe.setup(n + 1, [S * f for f in counts] + [S])
+            instance, keys = fe.setup([S * f for f in counts] + [S])
             cts = [fe.encrypt(keys[i], None, [int(v) for v in vec_columns(blocks[i])])
                    for i in range(n)]
             cts.append(fe.encrypt(keys[n], None, y))
@@ -298,14 +296,14 @@ class TestDecrypt:
 
 class TestAuditCounters:
     def test_fresh_instance(self):
-        instance, _ = fe.setup(2, [1, 1])
+        instance, _ = fe.setup([1, 1])
         assert fe.audit_counters(instance) == (0, 0, 0)
 
     def test_counts_one_protocol_iteration(self):
         # N=3 clients, F=6 features: label client encrypts twice,
         # aggregator decrypts once per feature.
         n, S, counts = 3, 2, [2, 2, 2]
-        instance, keys = fe.setup(n + 1, [S * f for f in counts] + [S])
+        instance, keys = fe.setup([S * f for f in counts] + [S])
         rng = np.random.default_rng(8)
         cts = []
         for i in range(n):
@@ -320,7 +318,7 @@ class TestAuditCounters:
         assert fe.audit_counters(instance) == (n + 1, 6, 6)
 
     def test_counters_never_decrease(self):
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         seen = [fe.audit_counters(instance)]
         fe.encrypt(keys[0], None, [1])
         seen.append(fe.audit_counters(instance))
@@ -334,7 +332,7 @@ class TestAuditCounters:
 
 class TestSealing:
     def test_serialized_forms_are_payload_free(self):
-        _, keys = fe.setup(2, [2, 1])
+        _, keys = fe.setup([2, 1])
         sentinel = [987654321, 246813579]
         ct = fe.encrypt(keys[0], None, sentinel)
         surfaces = [repr(ct), str(ct), json.dumps(ct.header(), sort_keys=True)]
@@ -343,7 +341,7 @@ class TestSealing:
                 assert str(value) not in surface
 
     def test_header_fields(self):
-        instance, keys = fe.setup(2, [2, 1])
+        instance, keys = fe.setup([2, 1])
         ct = fe.encrypt(keys[0], 5, [1, 2])
         assert ct.header() == {
             "instance_id": instance.instance_id,
@@ -377,7 +375,7 @@ class TestCheckedOnce:
     def _set(self, tag, key_tag=None, seed=3):
         """Tagged set on a fresh instance, and one key per slice under key_tag."""
         S, counts = self.S, self.COUNTS
-        instance, eks = fe.setup(len(counts) + 1, [S * f for f in counts] + [S])
+        instance, eks = fe.setup([S * f for f in counts] + [S])
         x = [int(v) for v in np.random.default_rng(seed).integers(
             -9, 10, size=S * (sum(counts) + 1))]
         bounds = np.cumsum([0] + [S * f for f in counts] + [S])
@@ -439,7 +437,7 @@ class TestCheckedOnce:
 
     def test_key_from_another_instance(self):
         instance, _, cts, vectors, sks, _, expected = self._set("t")
-        other, _ = fe.setup(instance.n_slots, instance.slot_lengths)
+        other, _ = fe.setup(instance.slot_lengths)
         foreign = fe.keygen(other, "t", vectors[0])
         assert self._cold_equals_warm(
             instance, cts, sks, expected,

@@ -291,13 +291,28 @@ class TestIntVector:
         assert int_vector(np.arange(3, dtype=np.uint8)).dtype == np.int64
         assert int_vector(np.array([7, 8], dtype=np.uint64)).dtype == np.int64
 
-    def test_other_values_go_through_int(self):
-        assert int_vector([2.9, -2.9, True]).tolist() == [2, -2, 1]
-        assert int_vector(np.array([2.9, -2.9])).tolist() == [2, -2]
-        with pytest.raises(ValueError):
-            int_vector([float("nan")])
+    def test_non_integers_are_refused_not_truncated(self):
+        for values, position, value in (([2.9], 0, "2.9"), ([1, -2.9], 1, "-2.9"),
+                                        (np.array([2.0, 2.9]), 1, "2.9"),
+                                        ([float("nan")], 0, "nan"), ([3, "3"], 1, "'3'")):
+            with pytest.raises(ValueError, match=f"^position {position} holds {value}$"):
+                int_vector(values)
         with pytest.raises(ValueError):
             int_vector(np.zeros((2, 2), dtype=np.int64))
+        assert int_vector([True, 2.0, -3]).tolist() == [1, 2, -3]
+        assert int_vector(np.array([2.0, -1.0])).dtype == np.int64
+
+
+class TestKernelsRefuseNonIntegers:
+    def test_every_kernel_path_refuses_a_float(self):
+        c = _one_slice(2, 1)
+        x = [1, 2.5]
+        with pytest.raises(ValueError, match="^position 1 holds 2.5$"):
+            sparse_inner_kron(c, x)
+        with pytest.raises(ValueError, match="^position 1 holds 2.5$"):
+            sparse_inner_kron(SparseFunctionVector(c.dimension, tuple(c.entries)), x)
+        with pytest.raises(ValueError, match="^position 1 holds 2.5$"):
+            dense_kron(x)
 
 
 class TestAccumulatorWidth:
@@ -316,7 +331,7 @@ class TestAccumulatorWidth:
         expected = _outcome(lambda: _reference(c, x))
         assert _outcome(lambda: sparse_inner_kron(c, x)) == expected
 
-        instance, keys = fe.setup(2, [1, 1])
+        instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, x[:1]), fe.encrypt(keys[1], None, x[1:])]
         sk = fe.keygen(instance, None, c)
         assert _outcome(lambda: fe.decrypt(cts, sk)) == expected
@@ -331,7 +346,7 @@ class TestAccumulatorWidth:
 class TestDecryptMemo:
     def test_reused_instance_without_tags(self):
         S = 3
-        instance, keys = fe.setup(2, [S * 2, S])
+        instance, keys = fe.setup([S * 2, S])
         rng = np.random.default_rng(13)
 
         def encrypted_set():
@@ -387,7 +402,7 @@ class TestDecryptMemo:
 
 def _one_set(x, S):
     """An untagged instance holding x as a feature slot and an S-long label slot."""
-    instance, keys = fe.setup(2, [len(x) - S, S])
+    instance, keys = fe.setup([len(x) - S, S])
     return instance, [fe.encrypt(keys[0], None, x[:-S]), fe.encrypt(keys[1], None, x[-S:])]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from fedquad.baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR
 from fedquad.cli import main
+from fedquad.draws import seeded
 from fedquad.fixedpoint import FixedPointConfig
 from fedquad.verify import (
     concatenated_input,
@@ -46,6 +48,21 @@ class TestInstanceGenerators:
             for sh in shards:
                 assert np.all(np.abs(sh.features) <= 1.0)
             assert np.all(np.abs(weights) <= 1.0)
+
+    # uniform_unit is exact IEEE arithmetic, so these digests do not depend
+    # on the BLAS or the machine.
+    @pytest.mark.parametrize("seed,binary_labels,digest", [
+        (0, False, "2170a604f75e980c4e3fe7a2cf44d8ab95c587286b04540b534403f13dab84fd"),
+        (0, True, "12604c474b3db4ec2e31d9c067e0ad67753ab5c4c2b8aff6fa2897ccdf44b4f5"),
+        (1, False, "613972d1af8f7bd0f4c19c2ec7e4b3e4bc8569058aba406e6ed270bb2709e372"),
+        (1, True, "2177dded4fa25426bd51fe431d213f04b120e88ea97a4c7c56f6bcb78e29637d"),
+    ], ids=["seed0", "seed0-binary", "seed1", "seed1-binary"])
+    def test_unit_instance_draws_are_pinned(self, seed, binary_labels, digest):
+        shards, weights = random_unit_instance(seeded(seed), binary_labels=binary_labels)
+        h = hashlib.sha256()
+        for values in (*(sh.features for sh in shards), shards[0].labels, weights):
+            h.update(np.asarray(values, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestConcatenatedInput:
