@@ -41,12 +41,18 @@ def _check_shapes(X: np.ndarray, y: np.ndarray, w) -> None:
         raise ValueError(f"w has shape {w.shape}, expected ({X.shape[1]},)")
 
 
-def centralized_gradient_linear(X, y, w, reg_lambda: float = 0.0) -> np.ndarray:
-    """Gradient of mean squared error: -(2/S) * (y - Xw)^T X + lambda * w."""
+def _operands(X, y, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X, y and w as float arrays; ValueError unless X is 2-D and y and w fit it."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     _check_shapes(X, y, w)
+    return X, y, w
+
+
+def centralized_gradient_linear(X, y, w, reg_lambda: float = 0.0) -> np.ndarray:
+    """Gradient of mean squared error: -(2/S) * (y - Xw)^T X + lambda * w."""
+    X, y, w = _operands(X, y, w)
     u = y - X @ w
     return (-2.0 * (u @ X)) / X.shape[0] + reg_lambda * w
 
@@ -54,23 +60,18 @@ def centralized_gradient_linear(X, y, w, reg_lambda: float = 0.0) -> np.ndarray:
 def centralized_gradient_logistic_taylor(X, y, w,
                                          reg_lambda: float = 0.0) -> np.ndarray:
     """Gradient of the quadratic logistic surrogate: (1/S)(Xw/4 - y + 1/2)^T X + lambda*w."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    _check_shapes(X, y, w)
+    X, y, w = _operands(X, y, w)
     t = 0.25 * (X @ w) - y + 0.5
     return (t @ X) / X.shape[0] + reg_lambda * w
 
 
 def mse_loss(X, y, w) -> float:
     """Mean squared residual, the loss whose gradient the linear path computes."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    _check_shapes(X, y, w)
+    X, y, w = _operands(X, y, w)
     u = y - X @ w
     # np.mean's own sum and division, without its wrapper: bitwise equal.
     return float(np.add.reduce(u * u) / u.shape[0])
+
 
 def taylor_loss(X, y, w) -> float:
     """Degree-2 surrogate of logistic cross entropy.
@@ -81,10 +82,7 @@ def taylor_loss(X, y, w) -> float:
     The surrogate can dip below zero far from the origin, so no
     nonnegativity is claimed.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    _check_shapes(X, y, w)
+    X, y, w = _operands(X, y, w)
     z = X @ w
     per_sample = math.log(2.0) + z * z / 8.0 + z * (0.5 - y)
     return float(np.add.reduce(per_sample) / per_sample.shape[0])
@@ -159,10 +157,7 @@ def centralized_training(X, y, initial_weights, model_kind: str,
     run is plain float descent.
     """
     m = model(model_kind)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(initial_weights, dtype=float).copy()
-    _check_shapes(X, y, w)
+    X, y, w = _operands(X, y, np.array(initial_weights, dtype=float))
     result = CentralTrainingResult(weights=w)
     for rows in batches:
         Xb = X[rows]

@@ -60,10 +60,11 @@ def _refuse_oversized(rows: int, features_per_client: list[int]) -> None:
     Raises ValueError naming --rows and --features-per-client before any
     array of that shape is allocated.
     """
-    # ROADMAP direction 7 measured about 5.5 float64 copies of the data per
-    # run at its peak (the dataset, the shards and the central copy, the
-    # plan's float and int64 tables), so six are budgeted.
-    estimate = rows * (sum(features_per_client) + 1) * 8 * 6
+    # A train run peaks at about 4.4 float64 copies of the data (560 MiB of
+    # RSS, the interpreter included, for a 32768 x 513 table of 128 MiB):
+    # the partition's X, whose shards are views of it, and the plan's float
+    # and int64 tables with the quantizer's temporaries. So five are budgeted.
+    estimate = rows * (sum(features_per_client) + 1) * 8 * 5
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > memory:
         raise ValueError(

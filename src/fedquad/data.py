@@ -22,6 +22,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -208,7 +209,11 @@ def save_partition_spec(spec: PartitionSpec, path) -> None:
 
 def partition_dataset(header: Sequence[str], rows: np.ndarray,
                       spec: PartitionSpec) -> tuple[list[ClientShard], CentralDataset]:
-    """Slice columns per client; the central dataset keeps the same column order."""
+    """Slice columns per client; the central dataset keeps the same column order.
+
+    The feature columns are gathered from rows once, into the central X;
+    each shard's features are a view of its columns of that X.
+    """
     column_index = {name: i for i, name in enumerate(header)}
     if spec.label_column not in column_index:
         raise ValueError(f"label column {spec.label_column!r} not in header")
@@ -241,13 +246,13 @@ def partition_dataset(header: Sequence[str], rows: np.ndarray,
     if uncovered:
         raise ValueError(f"columns {uncovered} belong to no client")
 
+    # y and X (a gather) are copies, so nothing returned keeps the table alive.
     y = rows[:, column_index[spec.label_column]].copy()
-    shards = []
-    for client in spec.clients:
-        cols = [column_index[c] for c in client.feature_columns]
-        labels = y if client.name == spec.label_client else None
-        shards.append(ClientShard(rows[:, cols].copy(), labels))
-    X = np.hstack([sh.features for sh in shards])
+    order = [column_index[c] for client in spec.clients for c in client.feature_columns]
+    X = rows[:, order]
+    edges = list(accumulate((len(c.feature_columns) for c in spec.clients), initial=0))
+    shards = [ClientShard(X[:, a:b], y if client.name == spec.label_client else None)
+              for client, a, b in zip(spec.clients, edges, edges[1:])]
     return shards, CentralDataset(X=X, y=y)
 
 

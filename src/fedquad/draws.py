@@ -16,16 +16,29 @@ import random
 import numpy as np
 
 
+def check_int(name: str, value, low: int = 0) -> int:
+    """value as an int of at least low, else TypeError (no int) or ValueError (below low).
+
+    Both messages name the field. An int-like value (a bool, a numpy
+    integer) is its int; a float is refused, even 2.0. This is the rule of
+    every seed, and of a run's iteration count and batch size.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    return number
+
+
 def seeded(seed) -> random.Random:
     """The generator of a seed; not an int raises TypeError, a negative one ValueError.
 
     random.Random would hash a float or str seed and take -seed for a
-    negative one, so both are refused here.
+    negative one, so both are refused here (check_int).
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return random.Random(seed)
+    return random.Random(check_int("seed", seed))
 
 
 def keys(rng: random.Random, count: int, dtype: str) -> np.ndarray:

@@ -17,11 +17,15 @@ keeps no record of the keys it issued.
 Slot convention: one slot per feature-holding client plus one final slot for
 the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 
-Every decrypt call is checked and counted on its own, but a ciphertext set is
-evaluated once: the instance remembers the last set that passed, as it was
-passed, the key identity it passed with, and the set's concatenated x and
-the shared block's slice values. A later key on that set pays a few
-identity comparisons and a lookup; any other call runs every check again.
+An encryption key holds its instance and slot, a secret key its instance,
+tag and function, and a ciphertext its instance's id, slot, tag and payload;
+a key's instance id is read from its instance.
+
+Every decrypt call is counted on its own, but a ciphertext set is checked
+and evaluated once: the key's instance keeps the last set that passed, and
+a later key of that instance skips the checks when it brings the same
+ciphertext objects in the same order, the same tag object and the same
+block.
 """
 
 from __future__ import annotations
@@ -59,18 +63,15 @@ _instance_ids = itertools.count()
 
 
 class _Operands(NamedTuple):
-    """What one ciphertext set gives every key that passes its checks.
+    """What one checked ciphertext set gives the keys of its instance.
 
-    ciphertexts is the validated tuple as decrypt was given it; holding
-    it keeps those identities from being reused while the entry lives.
-    instance_id and tag are those of the last key that passed every
-    check on it. x is the payloads concatenated in slot order, and
-    slices holds every slice value of block on x (None past the
-    accumulator width). An entry is replaced whole, never edited.
+    ciphertexts is the tuple as decrypt was given it; holding it keeps
+    those identities from being reused. tag is the checked key's tag
+    object, x the payloads in slot order and slices every slice value of
+    block on x (None past the accumulator width).
     """
 
     ciphertexts: tuple[Ciphertext, ...]
-    instance_id: int
     tag: object
     x: np.ndarray
     block: ResidualBlock | None = None
@@ -127,17 +128,16 @@ def _not_issued(handle: _Issued) -> FEError:
 class EncryptionKey(_Issued):
     """Capability to encrypt into one slot of one instance; issued by setup."""
 
-    __slots__ = ("instance_id", "slot", "_instance")
+    __slots__ = ("slot", "_instance")
 
     def __init__(self, instance: FEInstance, slot: int, *, issuer: object = None) -> None:
         if issuer is not _ISSUER:
             raise _not_issued(self)
-        _seal_field(self, "instance_id", instance.instance_id)
         _seal_field(self, "slot", slot)
         _seal_field(self, "_instance", instance)
 
     def __repr__(self) -> str:
-        return f"EncryptionKey(instance_id={self.instance_id}, slot={self.slot})"
+        return f"EncryptionKey(instance_id={self._instance.instance_id}, slot={self.slot})"
 
 
 class Ciphertext(_Issued):
@@ -147,7 +147,10 @@ class Ciphertext(_Issued):
     every value fits, Python ints otherwise; see tensor.seal). It has no
     accessor and never appears in repr or header output. Decryption
     inside this module is the single reader. Nothing can be reassigned
-    after encrypt, so decrypt may trust a header it has checked once.
+    after encrypt, so decrypt may trust a header it has checked once. It
+    holds its instance's id, not the instance: the instance's memo holds
+    ciphertexts, and a reference back would make a cycle for the cyclic
+    garbage collector to free.
     """
 
     __slots__ = ("instance_id", "slot", "tag", "_payload")
@@ -181,20 +184,19 @@ class SecretKey(_Issued):
     Issued by keygen; the binding cannot change afterwards.
     """
 
-    __slots__ = ("instance_id", "tag", "funcvec", "_instance")
+    __slots__ = ("tag", "funcvec", "_instance")
 
     def __init__(self, instance: FEInstance, tag: object,
                  funcvec: SparseFunctionVector | SliceVector, *,
                  issuer: object = None) -> None:
         if issuer is not _ISSUER:
             raise _not_issued(self)
-        _seal_field(self, "instance_id", instance.instance_id)
         _seal_field(self, "tag", tag)
         _seal_field(self, "funcvec", funcvec)
         _seal_field(self, "_instance", instance)
 
     def __repr__(self) -> str:
-        return (f"SecretKey(instance_id={self.instance_id}, tag={self.tag!r}, "
+        return (f"SecretKey(instance_id={self._instance.instance_id}, tag={self.tag!r}, "
                 f"nnz={self.funcvec.nnz})")
 
 
@@ -267,16 +269,11 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     Checks run in order: every ciphertext must share the key's instance,
     then its tag, then the slots must cover 0..n_slots-1 exactly once.
     Any violation raises; no partial value is ever returned. The
-    ciphertexts may come in any order. A set is checked once: the
-    instance keeps the ciphertexts that passed, as they were passed,
-    with the instance id and tag object of the key that passed, and a
-    later key skips the checks only when it brings the same ciphertext
-    objects in the same order, the same instance id, that very tag
-    object and that very block. Anything else runs every check again.
-    The concatenated x and every slice value of a shared block
-    are computed once per ciphertext set and block, so a later key of
-    that block costs a few identity comparisons and a lookup. Each
-    call counts once.
+    ciphertexts may come in any order. The key's instance keeps the last
+    set that passed with its concatenated x and the slice values of its
+    block, so a later key of that instance skips the checks when it
+    brings the same ciphertext objects in the same order, the same tag
+    object and the same block. Each call counts once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance
@@ -286,7 +283,6 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     # is compared by identity too: an equal tag is checked again, since ==
     # need not be transitive.
     if (operands is None or operands.ciphertexts != cts
-            or operands.instance_id != sk.instance_id
             or operands.tag is not sk.tag or operands.block is not block):
         operands = _checked_operands(cts, sk, block)
         instance._operands = operands
@@ -300,10 +296,10 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
     """decrypt's checks in their order; the memo entry for a set that passes."""
     instance = sk._instance
     for ct in cts:
-        if ct.instance_id != sk.instance_id:
+        if ct.instance_id != instance.instance_id:
             raise InstanceMismatch(
                 f"ciphertext from instance {ct.instance_id} cannot be decrypted "
-                f"with a key from instance {sk.instance_id}"
+                f"with a key from instance {instance.instance_id}"
             )
     for ct in cts:
         if ct.tag != sk.tag:
@@ -322,7 +318,7 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
     slices = None if block is None else block_slices(block, x)
     # Built whole, not by _replace: _make builds a tuple from an iterator,
     # which feeds CPython's tuple free list one entry per call.
-    return _Operands(cts, sk.instance_id, sk.tag, x, block, slices)
+    return _Operands(cts, sk.tag, x, block, slices)
 
 
 def audit_counters(instance: FEInstance) -> tuple[int, int, int]:

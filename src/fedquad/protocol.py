@@ -135,17 +135,14 @@ class TrainingConfig:
         model(self.model_kind)  # ValueError for an unknown kind
         if self.fe_policy not in ("fresh", "tagged", "reused"):
             raise ValueError(f"unknown fe_policy {self.fe_policy!r}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        draws.check_int("iterations", self.iterations)
+        draws.check_int("batch_size", self.batch_size, 1)
         # Written so that nan, which fails every comparison, is refused too.
         if not (0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0 <= self.reg_lambda < math.inf):
             raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        draws.check_int("seed", self.seed)
 
 
 def exact_codec(model_kind: str) -> FixedPointConfig:

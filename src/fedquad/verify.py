@@ -17,7 +17,7 @@ import numpy as np
 from . import fe
 from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, finite_difference_gradient, model
 from .data import partition_dataset, synthesize
-from .draws import seeded, uniform_ints, uniform_unit
+from .draws import check_int, seeded, uniform_ints, uniform_unit
 from .fixedpoint import FixedPointConfig, inner_product_error_bound
 from .funcvec import all_gradient_slice_vectors
 from .protocol import (
@@ -187,20 +187,26 @@ def check_gradient_finite_difference(seed: int = 2) -> CheckResult:
                        f"worst relative gap {worst:.2e} over {_FD_ROUNDS} instances")
 
 
-def _synthetic_shards(seed: int):
-    """Shards of the 24-row linear dataset of a seed, three clients of two features."""
+def _synthetic_run(seed: int, iterations: int, codec: FixedPointConfig,
+                   fe_policy: str = "fresh", **sinks) -> list[ClientShard]:
+    """Train on the 24-row linear dataset of a seed; return its shards.
+
+    Three clients of two features, batches of 4 drawn by seed, learning
+    rate 0.01; sinks are run_training's keywords.
+    """
     dataset = synthesize(MODEL_LINEAR, 24, [2, 2, 2], seed)
-    return partition_dataset(dataset.header, dataset.rows, dataset.spec)
+    shards, _ = partition_dataset(dataset.header, dataset.rows, dataset.spec)
+    config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=iterations, batch_size=4,
+                            learning_rate=0.01, seed=seed, codec=codec, fe_policy=fe_policy)
+    run_training(shards, config, **sinks)
+    return shards
 
 
 def check_counts(seed: int = 3) -> CheckResult:
     """Per-iteration encryption and decryption counts match the cost model."""
-    shards, _ = _synthetic_shards(seed)
-    config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=3, batch_size=4,
-                            learning_rate=0.01, seed=seed,
-                            codec=exact_codec(MODEL_LINEAR))
     history, artifacts = [], []
-    run_training(shards, config, on_iteration=history.append, artifacts_out=artifacts)
+    shards = _synthetic_run(seed, 3, exact_codec(MODEL_LINEAR),
+                            on_iteration=history.append, artifacts_out=artifacts)
     F = sum(sh.features.shape[1] for sh in shards)
     for metrics, art in zip(history, artifacts):
         expected = tuple(2 if sh.labels is not None else 1 for sh in shards)
@@ -222,12 +228,8 @@ def check_counts(seed: int = 3) -> CheckResult:
 
 def check_mix_and_match(seed: int = 4, *, fe_policy: str = "fresh") -> CheckResult:
     """Cross-iteration decryptions must all be rejected (controls must pass)."""
-    shards, _ = _synthetic_shards(seed)
-    config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=5, batch_size=4,
-                            learning_rate=0.01, seed=seed,
-                            codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy)
     artifacts = []
-    run_training(shards, config, artifacts_out=artifacts)
+    _synthetic_run(seed, 5, exact_codec(MODEL_LINEAR), fe_policy, artifacts_out=artifacts)
     report = mix_and_match_probe(artifacts)
     detail = (f"{report.cross_attempts} cross attempts, "
               f"{len(report.cross_successes)} decrypted, "
@@ -292,12 +294,8 @@ def check_determinism(seed: int = 5) -> CheckResult:
     """Identical config and seed give identical metrics and message logs."""
     outputs = []
     for _ in range(2):
-        shards, _ = _synthetic_shards(seed)
-        config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=3, batch_size=4,
-                                learning_rate=0.01, seed=seed,
-                                codec=FixedPointConfig())
         history, bus = [], MessageBus()
-        run_training(shards, config, on_iteration=history.append, bus=bus)
+        _synthetic_run(seed, 3, FixedPointConfig(), on_iteration=history.append, bus=bus)
         records = "\n".join(json.dumps(iteration_record(m), sort_keys=True)
                             for m in history)
         outputs.append((records, bus.export_jsonl()))
@@ -310,8 +308,7 @@ def check_determinism(seed: int = 5) -> CheckResult:
 
 def run_all_checks(*, seed: int = 0, fe_policy: str = "fresh") -> list[CheckResult]:
     """The full battery; fe_policy "reused" is the deliberate negative control."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_int("seed", seed)
     return [
         check_funcvec_identity(seed),
         check_gradient_oracle(MODEL_LINEAR, seed + 1),

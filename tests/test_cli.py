@@ -342,7 +342,7 @@ class TestErrors:
 
     def test_shape_over_physical_memory_is_refused_before_synthesizing(self, monkeypatch,
                                                                        capsys):
-        # 10**6 rows of 8 features and a label budget 10**6 * 9 * 8 * 6 bytes,
+        # 10**6 rows of 8 features and a label budget 10**6 * 9 * 8 * 5 bytes,
         # against 2**16 pages of 4 KiB; synthesize is never reached.
         monkeypatch.setattr(cli.os, "sysconf",
                             {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 16}.__getitem__)
@@ -351,7 +351,7 @@ class TestErrors:
                      "--features-per-client", "4,4"]) == 2
         assert capsys.readouterr().err == (
             "fedquad: error: --rows 1000000 with --features-per-client 4,4 needs about "
-            "0.402 GiB, more than the 0.25 GiB of physical memory\n")
+            "0.335 GiB, more than the 0.25 GiB of physical memory\n")
 
     def test_bad_value_exits_2(self, capsys):
         assert main(["train", "--synthetic", "--rows", "16",

@@ -249,6 +249,19 @@ class TestPartitionDataset:
                               np.hstack([sh.features for sh in shards]))
         assert np.array_equal(central.y, ROWS[:, 3])
 
+    def test_features_are_gathered_once(self):
+        # Each shard is a view of central.X, so the partition holds one copy
+        # of the table: the features in X and the labels in y.
+        dataset = synthesize(MODEL_LINEAR, 4096, [16, 16, 16, 16], seed=1)
+        tracemalloc.start()
+        try:
+            shards, central = partition_dataset(dataset.header, dataset.rows, dataset.spec)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(np.shares_memory(sh.features, central.X) for sh in shards)
+        assert held < 1.3 * dataset.rows.nbytes
+
     def test_central_order_follows_spec_not_header(self):
         swapped = PartitionSpec(
             clients=(ClientSpec("beta", ("x2",)),

@@ -442,14 +442,6 @@ class TestCheckedOnce:
         assert self._cold_equals_warm(
             instance, cts, sks, expected,
             lambda: fe.decrypt(cts, foreign))[0] is fe.InstanceMismatch
-        # The key's instance id is its binding, even with a handle to this
-        # instance's memo. No caller can build such a key (the fields are
-        # read-only), so the test forces the id past the seal.
-        named = fe.keygen(instance, "t", vectors[0])
-        object.__setattr__(named, "instance_id", other.instance_id)
-        assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(cts, named))[0] is fe.InstanceMismatch
 
     def test_another_tag(self):
         instance, _, cts, vectors, sks, _, expected = self._set("t")

@@ -641,6 +641,12 @@ class TestActorAndConfig:
             with pytest.raises(ValueError, match="reg_lambda must be finite"):
                 TrainingConfig(reg_lambda=bad)
 
+    @pytest.mark.parametrize("name, value", [("iterations", 2.5), ("batch_size", 2.0),
+                                             ("seed", 1.5)])
+    def test_integer_field_refuses_a_float_by_name(self, name, value):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value}$"):
+            TrainingConfig(**{name: value})
+
     def test_model_state_validation(self):
         # The model settings live in TrainingConfig only; it refuses bad ones.
         with pytest.raises(ValueError, match="unknown model kind"):
