@@ -16,19 +16,23 @@ import random
 import numpy as np
 
 
-def check_int(name: str, value, low: int = 0) -> int:
-    """value as an int of at least low, else TypeError (no int) or ValueError (below low).
+def check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """value as an int in [low, high], else TypeError (no int) or ValueError (outside).
 
-    Both messages name the field. An int-like value (a bool, a numpy
-    integer) is its int; a float is refused, even 2.0. This is the rule of
-    every seed, and of a run's iteration count and batch size.
+    Both messages name the field. An int-like value (a numpy integer) is
+    its int; a float is refused, even 2.0, and so is a bool. This is the
+    rule of every seed, of a run's iteration count and batch size, and of
+    a codec's bit counts (high given).
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if number < low:
-        raise ValueError(f"{name} must be >= {low}, got {number}")
+    if number < low or (high is not None and number > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {number}")
     return number
 
 

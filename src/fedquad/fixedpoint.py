@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .draws import check_int
+
 # Quantizing magnitudes at or above 2**62 would leave int64 territory on
 # the numpy side and signals a caller error in any case.
 QUANTIZE_GUARD_BITS = 62
@@ -29,12 +31,8 @@ class FixedPointConfig:
     weight_bits: int = 12
 
     def __post_init__(self) -> None:
-        for name, bits in (("data_bits", self.data_bits),
-                           ("weight_bits", self.weight_bits)):
-            if not (0 <= bits <= MAX_FRACTIONAL_BITS):
-                raise ValueError(
-                    f"{name} must be in [0, {MAX_FRACTIONAL_BITS}], got {bits}"
-                )
+        for name in ("data_bits", "weight_bits"):
+            check_int(name, getattr(self, name), 0, MAX_FRACTIONAL_BITS)
 
     @property
     def scale_exp(self) -> int:

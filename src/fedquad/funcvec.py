@@ -127,6 +127,8 @@ class _SliceEntries:
     def __init__(self, vector: SliceVector) -> None:
         self._vector = vector
 
+    # O(1), not a count of the derived entries: perfbench/tracer.py reads
+    # len(c.entries) on every sparse_inner_kron call.
     def __len__(self) -> int:
         return self._vector.nnz
 
@@ -160,6 +162,7 @@ class SliceVector:
     def dimension(self) -> int:
         return self.block.dimension
 
+    # perfbench/tracer.py sums v.nnz over every vector the protocol builds.
     @property
     def nnz(self) -> int:
         return self.block.rows * len(self.block.nonzero_columns)
@@ -194,6 +197,9 @@ def residual_coefficients(quantized_weights: Sequence[int], one_quantized: int,
     weight) and of the label vector (value: the quantized constant 1), so a
     row's inner product with x is the quantized residual of sample s.
     Relative index of (row s, column c) is s*L + c*S + s. Zero weights are dropped.
+    The protocol does not call it; perfbench/tracer.py wraps it by this
+    name (funcvec.residual_ms), so renaming or removing it breaks the
+    traced benchmark.
     """
     return tuple(residual_block(quantized_weights, one_quantized, rows).entries(0))
 

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -137,6 +138,10 @@ class TrainingConfig:
             raise ValueError(f"unknown fe_policy {self.fe_policy!r}")
         draws.check_int("iterations", self.iterations)
         draws.check_int("batch_size", self.batch_size, 1)
+        for name in ("learning_rate", "reg_lambda"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         # Written so that nan, which fails every comparison, is refused too.
         if not (0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
@@ -210,15 +215,18 @@ def iteration_record(metrics: IterationMetrics) -> dict:
 class TrainingPlan:
     """What a run needs from its shards, computed once before the first iteration.
 
-    It holds the label holder and the checked row counts, the central X
-    and y for the oracle, and every row of [X_0 | ... | X_{N-1} | y_eff]
-    quantized at data scale together with its largest magnitude for the
-    overflow bound (y_eff is y minus the model's label shift).
+    It holds the checked row count, the central X and y for the oracle,
+    and every row of [X_0 | ... | X_{N-1} | y_eff] quantized at data scale
+    together with its largest magnitude for the overflow bound (y_eff is y
+    minus the model's label shift).
     Quantization is elementwise, so the rows of a batch sliced from here
     are exactly the integers each client would quantize from that batch
     itself. columns is the one record of where each slot's columns sit in
-    x: one slice per client, then the label's. shared_fe is None under
-    fe_policy "fresh", else the run's one fe.setup (batch_size rows per slot).
+    x: one slice per client, then the label's. client_slots is the one
+    record of which slots each client fills: its own slot i, and the label
+    slot N too for the label holder; encryptions_per_client counts them.
+    shared_fe is None under fe_policy "fresh", else the run's one fe.setup
+    (batch_size rows per slot).
     """
 
     def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
@@ -234,8 +242,7 @@ class TrainingPlan:
         self.config = config
         self.model = model(config.model_kind)
         self.n_rows = n_rows
-        self.label_index = holders[0]
-        self.y = shards[self.label_index].labels
+        self.y = shards[holders[0]].labels
         self.weight_factor = math.ldexp(1.0, -self.model.weight_shift)
         data = np.column_stack([*(sh.features for sh in shards),
                                 self.y - self.model.label_shift])
@@ -247,6 +254,11 @@ class TrainingPlan:
         counts = [sh.features.shape[1] for sh in shards]
         edges = list(accumulate((*counts, 1), initial=0))
         self.columns = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+        # Each tuple from a list, as in fe.setup; built once per run.
+        slots = [(i,) for i in range(len(shards))]
+        slots[holders[0]] = (holders[0], len(shards))
+        self.client_slots = tuple(slots)
+        self.encryptions_per_client = tuple([len(s) for s in slots])
         self.shared_fe = None
         if config.fe_policy != "fresh":
             self.shared_fe = fe.setup([
@@ -271,7 +283,6 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     S = len(rows)
     if S < 1:
         raise ValueError("the batch has no rows; an iteration needs at least one")
-    n_clients = len(plan.columns) - 1
     F = plan.X.shape[1]
     w = np.asarray(weights, dtype=float)
     if w.shape != (F,):
@@ -295,21 +306,15 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
 
     # TTP: fresh (or the plan's shared) instance, a slot per client plus labels.
     instance, eks = plan.shared_fe or fe.setup([len(p) for p in payloads])
-    for i in range(n_clients):
-        keys = (eks[i], eks[n_clients]) if i == plan.label_index else (eks[i],)
-        bus.send(Header(TTP, client_name(i), iteration, "deliver_keys", len(keys)))
+    for i, slots in enumerate(plan.client_slots):
+        bus.send(Header(TTP, client_name(i), iteration, "deliver_keys", len(slots)))
 
-    # Clients: encrypt their block; the label holder fills the label slot too.
+    # Clients: encrypt the block of each of their slots (plan.client_slots).
     all_cts: list[fe.Ciphertext] = []
-    encryptions_per_client = []
-    for i in range(n_clients):
-        cts = [fe.encrypt(eks[i], tag, payloads[i])]
-        if i == plan.label_index:
-            cts.append(fe.encrypt(eks[n_clients], tag, payloads[n_clients]))
+    for i, slots in enumerate(plan.client_slots):
+        all_cts.extend([fe.encrypt(eks[k], tag, payloads[k]) for k in slots])
         bus.send(Header(client_name(i), AGGREGATOR, iteration,
-                        "client_ciphertexts", len(cts)))
-        all_cts.extend(cts)
-        encryptions_per_client.append(len(cts))
+                        "client_ciphertexts", len(slots)))
 
     # Aggregator: coefficient vectors from its (effective) weights.
     funcvecs = all_gradient_slice_vectors(quantize_vector(w_eff, codec.weight_bits),
@@ -340,7 +345,7 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
 
     metrics = IterationMetrics(
         iteration=iteration,
-        encryptions_per_client=tuple(encryptions_per_client),
+        encryptions_per_client=plan.encryptions_per_client,
         decryptions=len(raws),
         gradient=gradient,
         weights=new_w,

@@ -85,28 +85,23 @@ def _random_instance(rng, data, weight, binary_labels):
 
 def concatenated_input(shards, labels_effective) -> list[int]:
     """The integer vector x = [x_0 || ... || x_{N-1} || y] of an exact instance."""
-    parts: list[int] = []
-    for sh in shards:
-        parts.extend(int(v) for v in vec_columns(sh.features))
-    parts.extend(int(v) for v in labels_effective)
-    return parts
+    table = np.column_stack([*(sh.features for sh in shards), labels_effective])
+    return [int(v) for v in vec_columns(table)]
 
 
 def gradient_error_bound(shards, weights, model_kind: str,
                          codec: FixedPointConfig) -> float:
-    """Worst-case protocol-vs-oracle gradient gap for one instance."""
-    m = model(model_kind)
-    labels = next(sh.labels for sh in shards if sh.labels is not None)
-    w_eff = np.ldexp(np.asarray(weights, dtype=float), -m.weight_shift)
-    y_eff = labels - m.label_shift
-    S = shards[0].features.shape[0]
-    F = sum(sh.features.shape[1] for sh in shards)
-    max_abs_x = max(max(float(np.max(np.abs(sh.features))) for sh in shards),
-                    float(np.max(np.abs(y_eff))))
-    max_abs_w = max(1.0, float(np.max(np.abs(w_eff))))
+    """Worst-case protocol-vs-oracle gradient gap for one instance.
+
+    S, F, max|x| (labels shifted) and the weight factor come from the
+    instance's TrainingPlan, as in run_iteration's overflow check.
+    """
+    plan = TrainingPlan(shards, TrainingConfig(model_kind=model_kind, codec=codec))
+    S, F = plan.X.shape
+    max_abs_w = max(1.0, float(np.abs(np.asarray(weights) * plan.weight_factor).max()))
     per_slice = inner_product_error_bound(S, F, codec.data_bits, codec.weight_bits,
-                                          max_abs_x, max_abs_w)
-    return -m.slice_scale * per_slice / S
+                                          float(plan.row_max_abs.max()), max_abs_w)
+    return -plan.model.slice_scale * per_slice / S
 
 
 def check_funcvec_identity(seed: int = 0) -> CheckResult:
@@ -135,30 +130,31 @@ def check_funcvec_identity(seed: int = 0) -> CheckResult:
                        f"{checked} slices agree across three oracles")
 
 
+def _secure_and_oracle(shards, weights, model_kind, codec):
+    """One secure iteration over all of the shards' rows, and the plaintext gradient."""
+    plan = TrainingPlan(shards, TrainingConfig(model_kind=model_kind, codec=codec))
+    gradient = run_iteration(weights, plan, np.arange(plan.n_rows)).gradient
+    return gradient, plan.model.gradient(plan.X, plan.y, weights, 0.0)
+
+
 def check_gradient_oracle(model_kind: str, seed: int = 1) -> CheckResult:
     """Protocol gradients hit the plaintext formula in both codec modes."""
     name = f"gradient_oracle_{model_kind}"
-    oracle_gradient = model(model_kind).gradient
     rng = seeded(seed)
     binary = model_kind == MODEL_LOGISTIC_TAYLOR
+    codec = FixedPointConfig()
     for _ in range(_ORACLE_ROUNDS):
         shards, weights = random_exact_instance(rng, binary_labels=binary)
-        config = TrainingConfig(model_kind=model_kind, codec=exact_codec(model_kind))
-        plan = TrainingPlan(shards, config)
-        gradient = run_iteration(weights, plan, np.arange(plan.n_rows)).gradient
-        oracle = oracle_gradient(plan.X, plan.y, weights, 0.0)
+        gradient, oracle = _secure_and_oracle(shards, weights, model_kind,
+                                              exact_codec(model_kind))
         if not np.array_equal(gradient, oracle):
             return CheckResult(name, False,
                                f"exact-mode mismatch {gradient} vs {oracle}")
 
-        shards_u, weights_u = random_unit_instance(rng, binary_labels=binary)
-        codec = FixedPointConfig()
-        config_u = TrainingConfig(model_kind=model_kind, codec=codec)
-        plan_u = TrainingPlan(shards_u, config_u)
-        gradient_u = run_iteration(weights_u, plan_u, np.arange(plan_u.n_rows)).gradient
-        oracle_u = oracle_gradient(plan_u.X, plan_u.y, weights_u, 0.0)
-        gap = float(np.max(np.abs(gradient_u - oracle_u)))
-        bound = gradient_error_bound(shards_u, weights_u, model_kind, codec)
+        shards, weights = random_unit_instance(rng, binary_labels=binary)
+        gradient, oracle = _secure_and_oracle(shards, weights, model_kind, codec)
+        gap = float(np.max(np.abs(gradient - oracle)))
+        bound = gradient_error_bound(shards, weights, model_kind, codec)
         if gap > bound:
             return CheckResult(name, False,
                                f"fixed-point gap {gap} exceeds bound {bound}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,9 +165,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"data_bits": -1}, {"weight_bits": 25}, {"data_bits": 99},
+        {"data_bits": 12.5}, {"weight_bits": True}, {"weight_bits": "3"},
     ])
     def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValueError):
+        # An int outside [0, 24] is a ValueError; a float, a bool or a
+        # string is a TypeError (12.5 would make scale_exp the float 37.0).
+        (name, value), = kwargs.items()
+        if type(value) is int:
+            error, message = ValueError, f"{name} must be in [0, 24], got {value}"
+        else:
+            error, message = TypeError, f"{name} must be an integer, got {value!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             FixedPointConfig(**kwargs)
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,31 @@ class TestMessageLog:
                  if r["kind"] == "client_ciphertexts"}
         for i, sh in enumerate(shards):
             assert sizes[f"client{i}"] == (2 if sh.labels is not None else 1)
+
+    def test_header_log_when_the_middle_client_holds_the_labels(self):
+        # Client 1 of 3 gets its own key and the label slot's and sends two
+        # ciphertexts; clients 0 and 2 one of each. Header order is client order.
+        shards = [ClientShard(np.ones((2, 1))), ClientShard(np.ones((2, 2)), np.ones(2)),
+                  ClientShard(np.ones((2, 1)))]
+        bus = MessageBus()
+        metrics = _step(np.zeros(4), shards, TrainingConfig(batch_size=2), bus=bus,
+                        iteration=5)
+        assert metrics.encryptions_per_client == (1, 2, 1)
+
+        def header(sender, recipient, kind, size):
+            return {"from": sender, "to": recipient, "iteration": 5, "kind": kind,
+                    "size": size}
+
+        assert bus.header_log() == [
+            header("ttp", "client0", "deliver_keys", 1),
+            header("ttp", "client1", "deliver_keys", 2),
+            header("ttp", "client2", "deliver_keys", 1),
+            header("client0", "aggregator", "client_ciphertexts", 1),
+            header("client1", "aggregator", "client_ciphertexts", 2),
+            header("client2", "aggregator", "client_ciphertexts", 1),
+            header("aggregator", "ttp", "funcvec_request", 4),
+            header("ttp", "aggregator", "secret_keys", 4),
+        ]
 
     def test_headers_carry_no_payload_fields(self):
         _, bus = self._run()
@@ -642,9 +668,16 @@ class TestActorAndConfig:
                 TrainingConfig(reg_lambda=bad)
 
     @pytest.mark.parametrize("name, value", [("iterations", 2.5), ("batch_size", 2.0),
-                                             ("seed", 1.5)])
+                                             ("seed", 1.5), ("iterations", True)])
     def test_integer_field_refuses_a_float_by_name(self, name, value):
         with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value}$"):
+            TrainingConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("learning_rate", "0.1"), ("reg_lambda", None),
+                                             ("learning_rate", True), ("reg_lambda", False)])
+    def test_real_field_refuses_a_non_number_by_name(self, name, value):
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             TrainingConfig(**{name: value})
 
     def test_model_state_validation(self):

@@ -122,9 +122,12 @@ class TestBattery:
 class TestPinnedReports:
     """`fedquad verify --seed 0` and `--seed 1` print tests/golden/verify_seed<n>.txt.
 
-    The reports pin the draws of the instance generators and of the
-    synthetic shards ("322 slices agree"). The finite-difference line is
-    matched by pattern only: its float digits depend on the BLAS build.
+    `--seed 0 --tagged` and `--seed 0 --debug-reuse-instance` print
+    verify_seed0_tagged.txt and verify_seed0_debug_reuse_instance.txt (the
+    latter fails mix_and_match and exits 1). The reports pin the draws of
+    the instance generators and of the synthetic shards ("322 slices
+    agree"). The finite-difference line is matched by pattern only: its
+    float digits depend on the BLAS build.
     """
 
     FINITE_DIFFERENCE = re.compile(r"PASS gradient_finite_difference: worst relative "
@@ -132,10 +135,18 @@ class TestPinnedReports:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_report_is_unchanged(self, seed, capsys):
-        assert main(["verify", "--seed", str(seed)]) == 0
+        self._assert_pinned(["verify", "--seed", str(seed)], 0, f"verify_seed{seed}", capsys)
+
+    @pytest.mark.parametrize("flag, code", [("--tagged", 0), ("--debug-reuse-instance", 1)],
+                             ids=["tagged", "debug-reuse-instance"])
+    def test_policy_report_is_unchanged(self, flag, code, capsys):
+        golden = "verify_seed0_" + flag.lstrip("-").replace("-", "_")
+        self._assert_pinned(["verify", "--seed", "0", flag], code, golden, capsys)
+
+    def _assert_pinned(self, argv, code, golden, capsys):
+        assert main(argv) == code
         lines = capsys.readouterr().out.splitlines()
-        golden = Path(__file__).parent / "golden" / f"verify_seed{seed}.txt"
-        pinned = golden.read_text().splitlines()
+        pinned = (Path(__file__).parent / "golden" / f"{golden}.txt").read_text().splitlines()
         assert len(lines) == len(pinned)
         for line, want in zip(lines, pinned):
             if want.startswith("PASS gradient_finite_difference:"):
