@@ -118,6 +118,40 @@ class TestIssuedHandles:
             with pytest.raises(AttributeError):
                 handle.extra = 0
 
+    def test_every_slot_of_an_issued_handle_is_set(self):
+        instance, keys = fe.setup([2, 1])
+        ct = fe.encrypt(keys[1], "t", [3])
+        vector = all_gradient_slice_vectors([5, -2], 1, 1)[0]
+        loose = SparseFunctionVector(vector.dimension, ((1, 4),))
+        sks = [fe.keygen(instance, "t", vector), fe.keygen(instance, None, loose)]
+        expected = {keys[0]: {"slot": 0, "_instance": instance},
+                    keys[1]: {"slot": 1, "_instance": instance},
+                    ct: {"instance_id": instance.instance_id, "slot": 1, "tag": "t"},
+                    sks[0]: {"tag": "t", "funcvec": vector, "_instance": instance},
+                    sks[1]: {"tag": None, "funcvec": loose, "_instance": instance}}
+        for handle, fields in expected.items():
+            assert set(type(handle).__slots__) == set(fields) | (
+                {"_payload"} if handle is ct else set())
+            for name, value in fields.items():
+                assert getattr(handle, name) is value
+        assert ct._payload.tolist() == [3]
+
+    def test_a_direct_call_is_refused(self):
+        instance, keys = fe.setup([1, 1])
+        ct = fe.encrypt(keys[0], None, [5])
+        sk = _single_product_key(instance)
+        for mint in (lambda: fe.EncryptionKey(instance, 0),
+                     lambda: fe.EncryptionKey(instance, 0, issuer=object()),
+                     lambda: fe.Ciphertext(instance.instance_id, 0, None, ct._payload),
+                     lambda: fe.Ciphertext(instance.instance_id, 0, None, ct._payload,
+                                           issuer=None),
+                     lambda: fe.SecretKey(instance, None, sk.funcvec),
+                     lambda: fe.SecretKey(instance, None, sk.funcvec, issuer=sk)):
+            with pytest.raises(fe.FEError, match=r"^\w+ is issued by fe.setup, "
+                                                 r"fe.encrypt or fe.keygen only$"):
+                mint()
+        assert fe.audit_counters(instance) == (1, 1, 0)
+
     def test_retagged_and_minted_keys_are_refused(self):
         shards = [ClientShard(np.arange(12.0).reshape(6, 2) % 5 - 2, np.arange(6.0) % 3),
                   ClientShard(np.arange(6.0).reshape(6, 1) % 4 - 1)]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fedquad.funcvec import (
+    ResidualBlock,
+    SliceVector,
     SparseFunctionVector,
     all_gradient_slice_vectors,
     residual_coefficients,
@@ -187,3 +189,43 @@ class TestAllGradientSliceVectors:
         for k, c in enumerate(vectors):
             # Column k of x holds rows k*S .. k*S + S - 1 of x (x) x's slice.
             assert {index // L for index, _ in c.entries} == set(range(k * S, k * S + S))
+
+
+class TestSliceVectorValue:
+    """A slice vector is a value: its index and its block's rows and coefficients."""
+
+    BLOCKS = [ResidualBlock(rows=2, coefficients=(4, -1, 1)),
+              ResidualBlock(rows=2, coefficients=(4, -1, 1)),
+              ResidualBlock(rows=2, coefficients=(4, -1, 2)),
+              ResidualBlock(rows=3, coefficients=(4, -1, 1))]
+
+    def test_equal_and_hash_equal_exactly_when_index_and_block_are(self):
+        vectors = [SliceVector(index, block) for index in (0, 1) for block in self.BLOCKS]
+        for a in vectors:
+            for b in vectors:
+                same = a.index == b.index and a.block == b.block
+                assert (a == b) is same
+                assert (a != b) is not same
+                if same:
+                    assert hash(a) == hash(b)
+        assert SliceVector(0, self.BLOCKS[0]) == SliceVector(0, self.BLOCKS[1])
+        assert SliceVector(0, self.BLOCKS[0]) != SliceVector(0, self.BLOCKS[2])
+        assert len({SliceVector(0, block) for block in self.BLOCKS}) == 3
+        c = SliceVector(0, self.BLOCKS[0])
+        assert c != (0, self.BLOCKS[0])
+        assert c != SparseFunctionVector(c.dimension, tuple(c.entries))
+
+    def test_fields_are_read_only(self):
+        c = SliceVector(1, self.BLOCKS[0])
+        for name, value in (("index", 0), ("block", self.BLOCKS[2]), ("dimension", 0),
+                            ("extra", 0)):
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        assert (c.index, c.block, c.dimension) == (1, self.BLOCKS[0], 36)
+        assert c == SliceVector(1, self.BLOCKS[1])
+
+    def test_repr(self):
+        assert repr(SliceVector(1, self.BLOCKS[0])) == (
+            "SliceVector(index=1, block=ResidualBlock(rows=2, coefficients=(4, -1, 1)))")
