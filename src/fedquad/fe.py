@@ -9,8 +9,11 @@ incomplete slot set fails with a typed error instead of a value. A slot's
 tags must increase, so an instance serving a whole run holds one tag per slot.
 
 Only setup issues encryption keys, only encrypt issues ciphertexts and
-only keygen issues secret keys: calling one of the three classes raises,
-and no field of an issued handle can be assigned or deleted. So a key's
+only keygen issues secret keys. Each makes its handle with object.__new__
+and sets the slots through the class's own slot descriptors
+(funcvec.slot_setters); no token or keyword opens the constructor, and
+calling one of the three classes raises, with any arguments or none. No
+field of an issued handle can be assigned or deleted. So a key's
 instance, tag and function are the ones keygen bound, and the instance
 keeps no record of the keys it issued.
 
@@ -25,17 +28,19 @@ Every decrypt call is counted on its own, but a ciphertext set is checked
 and evaluated once: the key's instance keeps the last set that passed, and
 a later key of that instance skips the checks when it brings the same
 ciphertext objects in the same order, the same tag object and the same
-block.
+block. The memo tests the tuple's identity first, so a caller that passes
+one tuple to every decrypt (as run_iteration does) skips the item-by-item
+comparison too.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .funcvec import ResidualBlock, SliceVector, SparseFunctionVector
+from .funcvec import ReadOnly, ResidualBlock, SliceVector, SparseFunctionVector, slot_setters
 from .tensor import block_slices, int_vector, seal, sparse_inner_kron
 
 
@@ -62,20 +67,24 @@ class DuplicateSlot(FEError):
 _instance_ids = itertools.count()
 
 
-class _Operands(NamedTuple):
+class _Operands:
     """What one checked ciphertext set gives the keys of its instance.
 
     ciphertexts is the tuple as decrypt was given it; holding it keeps
     those identities from being reused. tag is the checked key's tag
     object, x the payloads in slot order and slices every slice value of
-    block on x (None past the accumulator width).
+    block on x (None past the accumulator width, or for no block).
     """
 
-    ciphertexts: tuple[Ciphertext, ...]
-    tag: object
-    x: np.ndarray
-    block: ResidualBlock | None = None
-    slices: list[int] | None = None
+    __slots__ = ("ciphertexts", "tag", "x", "block", "slices")
+
+    def __init__(self, ciphertexts: tuple[Ciphertext, ...], tag: object, x: np.ndarray,
+                 block: ResidualBlock | None, slices: list[int] | None) -> None:
+        self.ciphertexts = ciphertexts
+        self.tag = tag
+        self.x = x
+        self.block = block
+        self.slices = slices
 
 
 class FEInstance:
@@ -86,6 +95,8 @@ class FEInstance:
         self.n_slots = len(slot_lengths)
         self.slot_lengths = slot_lengths
         self.total_length = sum(slot_lengths)
+        # Stored once: keygen checks every key's dimension against it.
+        self.dimension = self.total_length ** 2
         self._n_encrypt = 0
         self._n_keygen = 0
         self._n_decrypt = 0
@@ -96,33 +107,21 @@ class FEInstance:
         return f"FEInstance(instance_id={self.instance_id}, n_slots={self.n_slots})"
 
 
-# setup, encrypt and keygen pass this to the handle classes; a handle
-# built without it is refused, so only those three issue handles.
-_ISSUER = object()
+class _Issued(ReadOnly):
+    """A handle whose slots only setup, encrypt or keygen set, through their descriptors.
 
-_seal_field = object.__setattr__
-
-
-class _Issued:
-    """A handle whose fields are set once, when this module issues it.
-
-    Each subclass's __init__ refuses a call whose `issuer` is not _ISSUER
-    with _not_issued, and sets its fields with _seal_field. Assigning or
-    deleting a field afterwards raises AttributeError.
+    Each issuing function makes the handle with object.__new__ and sets
+    its slots with the class's slot_setters; calling the class raises.
     """
 
     __slots__ = ()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} field {name!r} is read-only")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} field {name!r} is read-only")
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise FEError(f"{type(self).__name__} is issued by fe.setup, fe.encrypt "
+                      f"or fe.keygen only")
 
 
-def _not_issued(handle: _Issued) -> FEError:
-    return FEError(f"{type(handle).__name__} is issued by fe.setup, fe.encrypt "
-                   f"or fe.keygen only")
+_new = object.__new__
 
 
 class EncryptionKey(_Issued):
@@ -130,14 +129,11 @@ class EncryptionKey(_Issued):
 
     __slots__ = ("slot", "_instance")
 
-    def __init__(self, instance: FEInstance, slot: int, *, issuer: object = None) -> None:
-        if issuer is not _ISSUER:
-            raise _not_issued(self)
-        _seal_field(self, "slot", slot)
-        _seal_field(self, "_instance", instance)
-
     def __repr__(self) -> str:
         return f"EncryptionKey(instance_id={self._instance.instance_id}, slot={self.slot})"
+
+
+_set_ek_slot, _set_ek_instance = slot_setters(EncryptionKey)
 
 
 class Ciphertext(_Issued):
@@ -155,15 +151,6 @@ class Ciphertext(_Issued):
 
     __slots__ = ("instance_id", "slot", "tag", "_payload")
 
-    def __init__(self, instance_id: int, slot: int, tag: object, payload: np.ndarray,
-                 *, issuer: object = None) -> None:
-        if issuer is not _ISSUER:
-            raise _not_issued(self)
-        _seal_field(self, "instance_id", instance_id)
-        _seal_field(self, "slot", slot)
-        _seal_field(self, "tag", tag)
-        _seal_field(self, "_payload", payload)
-
     def header(self) -> dict:
         """Public fields only, safe to serialize or log."""
         return {
@@ -178,6 +165,9 @@ class Ciphertext(_Issued):
                 f"tag={self.tag!r}, length={len(self._payload)})")
 
 
+_set_ct_instance_id, _set_ct_slot, _set_ct_tag, _set_ct_payload = slot_setters(Ciphertext)
+
+
 class SecretKey(_Issued):
     """Decryption key bound to one instance, one tag, one coefficient vector.
 
@@ -186,18 +176,12 @@ class SecretKey(_Issued):
 
     __slots__ = ("tag", "funcvec", "_instance")
 
-    def __init__(self, instance: FEInstance, tag: object,
-                 funcvec: SparseFunctionVector | SliceVector, *,
-                 issuer: object = None) -> None:
-        if issuer is not _ISSUER:
-            raise _not_issued(self)
-        _seal_field(self, "tag", tag)
-        _seal_field(self, "funcvec", funcvec)
-        _seal_field(self, "_instance", instance)
-
     def __repr__(self) -> str:
         return (f"SecretKey(instance_id={self._instance.instance_id}, tag={self.tag!r}, "
                 f"nnz={self.funcvec.nnz})")
+
+
+_set_sk_tag, _set_sk_funcvec, _set_sk_instance = slot_setters(SecretKey)
 
 
 def setup(slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]:
@@ -211,7 +195,10 @@ def setup(slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]
     if any(n < 1 for n in lengths):
         raise ValueError(f"every slot length must be >= 1, got {lengths}")
     instance = FEInstance(lengths)
-    keys = [EncryptionKey(instance, slot, issuer=_ISSUER) for slot in range(instance.n_slots)]
+    keys = [_new(EncryptionKey) for _ in range(instance.n_slots)]
+    for slot, ek in enumerate(keys):
+        _set_ek_slot(ek, slot)
+        _set_ek_instance(ek, instance)
     return instance, keys
 
 
@@ -247,20 +234,28 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
                                 f"{last!r}; tag {tag!r} does not order after it")
         instance._last_tags[ek.slot] = tag
     instance._n_encrypt += 1
-    return Ciphertext(instance.instance_id, ek.slot, tag, payload, issuer=_ISSUER)
+    ct = _new(Ciphertext)
+    _set_ct_instance_id(ct, instance.instance_id)
+    _set_ct_slot(ct, ek.slot)
+    _set_ct_tag(ct, tag)
+    _set_ct_payload(ct, payload)
+    return ct
 
 
 def keygen(instance: FEInstance, tag: object,
            funcvec: SparseFunctionVector | SliceVector) -> SecretKey:
     """Bind a coefficient vector to the instance and tag."""
-    expected = instance.total_length ** 2
-    if funcvec.dimension != expected:
+    if funcvec.dimension != instance.dimension:
         raise ValueError(
             f"function vector dimension {funcvec.dimension} does not match "
-            f"the instance's {expected}"
+            f"the instance's {instance.dimension}"
         )
     instance._n_keygen += 1
-    return SecretKey(instance, tag, funcvec, issuer=_ISSUER)
+    sk = _new(SecretKey)
+    _set_sk_tag(sk, tag)
+    _set_sk_funcvec(sk, funcvec)
+    _set_sk_instance(sk, instance)
+    return sk
 
 
 def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
@@ -272,18 +267,20 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     ciphertexts may come in any order. The key's instance keeps the last
     set that passed with its concatenated x and the slice values of its
     block, so a later key of that instance skips the checks when it
-    brings the same ciphertext objects in the same order, the same tag
-    object and the same block. Each call counts once.
+    brings the same ciphertext objects in the same order (the same tuple
+    object is tested first), the same tag object and the same block.
+    Each call counts once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance
     operands = instance._operands
     block = getattr(sk.funcvec, "block", None)
-    # Ciphertext has no __eq__, so tuple comparison is by identity. The tag
-    # is compared by identity too: an equal tag is checked again, since ==
-    # need not be transitive.
-    if (operands is None or operands.ciphertexts != cts
-            or operands.tag is not sk.tag or operands.block is not block):
+    # The tag is compared by identity: an equal tag is checked again, since
+    # == need not be transitive. The same tuple object is the same set;
+    # another tuple is compared item by item, by identity too, since
+    # Ciphertext has no __eq__.
+    if (operands is None or operands.tag is not sk.tag or operands.block is not block
+            or (operands.ciphertexts is not cts and operands.ciphertexts != cts)):
         operands = _checked_operands(cts, sk, block)
         instance._operands = operands
     value = sparse_inner_kron(sk.funcvec, operands.x, slices=operands.slices)
@@ -316,8 +313,6 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
         raise MissingSlot(f"no ciphertext for slots {missing}")
     x = np.concatenate([by_slot[slot]._payload for slot in range(instance.n_slots)])
     slices = None if block is None else block_slices(block, x)
-    # Built whole, not by _replace: _make builds a tuple from an iterator,
-    # which feeds CPython's tuple free list one entry per call.
     return _Operands(cts, sk.tag, x, block, slices)
 
 

@@ -137,30 +137,62 @@ class _SliceEntries:
         return block.entries(self._vector.index * block.rows)
 
 
-@dataclass(frozen=True)
-class SliceVector:
+class ReadOnly:
+    """Slots that are set once, through their descriptors, and never again.
+
+    Assigning or deleting any attribute raises AttributeError; the one
+    way to set a slot is its descriptor's __set__ (see slot_setters).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} field {name!r} is read-only")
+
+    # delattr(obj, name) passes no value, and is refused alike.
+    __delattr__ = __setattr__
+
+
+def slot_setters(cls: type) -> list:
+    """The __set__ of each of cls's slot descriptors, in __slots__ order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+class SliceVector(ReadOnly):
     """Gradient slice `index`: the shared block on rows index*S .. index*S + S - 1.
 
     index runs over 0..F, one per column of x, the label column F
-    included. Every entry outside those rows of x (x) x is zero. Two slice
-    vectors are equal when their indices and block coefficients are.
+    included. Every entry outside those rows of x (x) x is zero. A value
+    with the eq, hash and repr of a frozen dataclass of (index, block):
+    two slice vectors are equal when their indices and block coefficients
+    are, and no field can be assigned or deleted. The block's dimension
+    is stored once, since keygen and the kernel read it for every key.
     """
 
-    index: int
-    block: ResidualBlock
+    __slots__ = ("index", "block", "dimension")
 
-    def __post_init__(self) -> None:
+    def __init__(self, index: int, block: ResidualBlock) -> None:
         try:
-            operator.index(self.index)
+            operator.index(index)
         except TypeError:
-            raise TypeError(f"slice index {self.index!r} is not an integer") from None
-        last = len(self.block.coefficients) - 1
-        if not (0 <= self.index <= last):
-            raise ValueError(f"slice index {self.index} outside 0..{last}")
+            raise TypeError(f"slice index {index!r} is not an integer") from None
+        last = len(block.coefficients) - 1
+        if not (0 <= index <= last):
+            raise ValueError(f"slice index {index} outside 0..{last}")
+        _set_index(self, index)
+        _set_block(self, block)
+        _set_dimension(self, block.dimension)
 
-    @property
-    def dimension(self) -> int:
-        return self.block.dimension
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.block) == (other.index, other.block)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.block))
+
+    def __repr__(self) -> str:
+        return f"SliceVector(index={self.index!r}, block={self.block!r})"
 
     # perfbench/tracer.py sums v.nnz over every vector the protocol builds.
     @property
@@ -174,6 +206,9 @@ class SliceVector:
     def to_dense(self) -> list[int]:
         """Dense coefficient list; test-oracle use only, size guarded."""
         return _to_dense(self)
+
+
+_set_index, _set_block, _set_dimension = slot_setters(SliceVector)
 
 
 def residual_block(quantized_weights: Sequence[int], one_quantized: int,

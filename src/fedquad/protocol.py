@@ -134,6 +134,8 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         model(self.model_kind)  # ValueError for an unknown kind
+        if not isinstance(self.codec, FixedPointConfig):
+            raise TypeError(f"codec must be a FixedPointConfig, got {self.codec!r}")
         if self.fe_policy not in ("fresh", "tagged", "reused"):
             raise ValueError(f"unknown fe_policy {self.fe_policy!r}")
         draws.check_int("iterations", self.iterations)
@@ -310,11 +312,13 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
         bus.send(Header(TTP, client_name(i), iteration, "deliver_keys", len(slots)))
 
     # Clients: encrypt the block of each of their slots (plan.client_slots).
-    all_cts: list[fe.Ciphertext] = []
+    sent: list[fe.Ciphertext] = []
     for i, slots in enumerate(plan.client_slots):
-        all_cts.extend([fe.encrypt(eks[k], tag, payloads[k]) for k in slots])
+        sent.extend([fe.encrypt(eks[k], tag, payloads[k]) for k in slots])
         bus.send(Header(client_name(i), AGGREGATOR, iteration,
                         "client_ciphertexts", len(slots)))
+    # One tuple for every decrypt and the artifacts: the FE memo knows it by identity.
+    all_cts = tuple(sent)
 
     # Aggregator: coefficient vectors from its (effective) weights.
     funcvecs = all_gradient_slice_vectors(quantize_vector(w_eff, codec.weight_bits),
@@ -356,7 +360,7 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
         artifacts_out.append(IterationArtifacts(
             iteration=iteration,
             instance=instance,
-            ciphertexts=tuple(all_cts),
+            ciphertexts=all_cts,
             secret_keys=tuple(secret_keys),
         ))
     return metrics

@@ -31,7 +31,7 @@ from .protocol import (
     run_iteration,
     run_training,
 )
-from .tensor import dense_kron, sparse_inner_kron, vec_columns
+from .tensor import dense_kron, int_vector, sparse_inner_kron, vec_columns
 
 
 @dataclass
@@ -84,9 +84,13 @@ def _random_instance(rng, data, weight, binary_labels):
 
 
 def concatenated_input(shards, labels_effective) -> list[int]:
-    """The integer vector x = [x_0 || ... || x_{N-1} || y] of an exact instance."""
+    """The integer vector x = [x_0 || ... || x_{N-1} || y] of an exact instance.
+
+    A value that is not an integer raises ValueError naming its position
+    in x (tensor.int_vector); none is truncated.
+    """
     table = np.column_stack([*(sh.features for sh in shards), labels_effective])
-    return [int(v) for v in vec_columns(table)]
+    return int_vector(vec_columns(table)).tolist()
 
 
 def gradient_error_bound(shards, weights, model_kind: str,

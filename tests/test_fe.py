@@ -140,7 +140,8 @@ class TestIssuedHandles:
         instance, keys = fe.setup([1, 1])
         ct = fe.encrypt(keys[0], None, [5])
         sk = _single_product_key(instance)
-        for mint in (lambda: fe.EncryptionKey(instance, 0),
+        for mint in (fe.EncryptionKey, fe.Ciphertext, fe.SecretKey,
+                     lambda: fe.EncryptionKey(instance, 0),
                      lambda: fe.EncryptionKey(instance, 0, issuer=object()),
                      lambda: fe.Ciphertext(instance.instance_id, 0, None, ct._payload),
                      lambda: fe.Ciphertext(instance.instance_id, 0, None, ct._payload,

@@ -680,6 +680,12 @@ class TestActorAndConfig:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             TrainingConfig(**{name: value})
 
+    @pytest.mark.parametrize("codec", [None, {"data_bits": 12, "weight_bits": 12}, 12])
+    def test_codec_must_be_a_fixed_point_config(self, codec):
+        message = f"codec must be a FixedPointConfig, got {codec!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            TrainingConfig(codec=codec)
+
     def test_model_state_validation(self):
         # The model settings live in TrainingConfig only; it refuses bad ones.
         with pytest.raises(ValueError, match="unknown model kind"):

@@ -75,6 +75,14 @@ class TestConcatenatedInput:
             1, 2, 3, 4, 5, 6, 9, 8,
         ]
 
+    def test_a_non_integer_is_refused_by_position(self):
+        # x = [1.0, 1.5, 2, 3]: position 1 holds 1.5, which int() would make 1.
+        shards = [ClientShard(np.array([[1.0], [1.5]]), np.array([2.0, 3.0]))]
+        with pytest.raises(ValueError, match=r"^position 1 holds 1\.5$"):
+            concatenated_input(shards, shards[0].labels)
+        x = concatenated_input([ClientShard(np.array([[-2.0], [2.0 ** 62]]))], [7, 0])
+        assert x == [-2, 1 << 62, 7, 0] and all(type(v) is int for v in x)
+
 
 class TestGradientErrorBound:
     def _instance(self):
