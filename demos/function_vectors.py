@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from fedquad.funcvec import all_gradient_slice_vectors
-from fedquad.tensor import dense_kron, kron_unflat, sparse_inner_kron
+from fedquad.tensor import dense_kron, sparse_inner_kron
 
 # one batch row, two clients with one feature each
 X0 = np.array([[5.0]])
@@ -37,7 +37,7 @@ xx = dense_kron(x)
 for k, c in enumerate(vectors):
     print(f"\nslice vector for feature {k}: {c.nnz} nonzero entries")
     for flat, coeff in c.entries:
-        row, col = kron_unflat(flat, length)
+        row, col = divmod(flat, length)
         print(f"  coefficient {coeff:+d} at x[{row}]*x[{col}]"
               f" = {x[row]}*{x[col]}")
     value = sparse_inner_kron(c, x)

@@ -83,23 +83,6 @@ class _SyntheticOnly(argparse.Action):
         namespace.synthetic_only = (*namespace.synthetic_only, self.option_strings[0])
 
 
-def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data-bits", type=int, default=12,
-                        help="fractional bits for features and labels")
-    parser.add_argument("--weight-bits", type=int, default=12,
-                        help="fractional bits for weights")
-    parser.add_argument("--exact", action="store_true",
-                        help="lossless codec for integer data (overrides bit flags)")
-    parser.add_argument("--tagged", action="store_true",
-                        help="one FE setup per run, iteration t's ciphertexts and keys tagged t")
-
-
-def _codec_for(args: argparse.Namespace, model_kind: str) -> FixedPointConfig:
-    if args.exact:
-        return exact_codec(model_kind)
-    return FixedPointConfig(data_bits=args.data_bits, weight_bits=args.weight_bits)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedquad",
@@ -125,7 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lambda", dest="reg_lambda", type=float, default=0.0,
                        help="L2 regularization strength")
     train.add_argument("--seed", type=int, default=0)
-    _add_codec_flags(train)
+    train.add_argument("--data-bits", type=int, default=12,
+                       help="fractional bits for features and labels")
+    train.add_argument("--weight-bits", type=int, default=12,
+                       help="fractional bits for weights")
+    train.add_argument("--exact", action="store_true",
+                       help="lossless codec for integer data (overrides bit flags)")
+    train.add_argument("--tagged", action="store_true",
+                       help="one FE setup per run, iteration t's ciphertexts and keys tagged t")
     train.add_argument("--out", help="metrics file (default: stdout)")
 
     verify = sub.add_parser("verify", help="run the self-check battery")
@@ -175,7 +165,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         learning_rate=args.lr,
         reg_lambda=args.reg_lambda,
         seed=args.seed,
-        codec=_codec_for(args, model_kind),
+        codec=exact_codec(model_kind) if args.exact else FixedPointConfig(
+            data_bits=args.data_bits, weight_bits=args.weight_bits),
         fe_policy="tagged" if args.tagged else "fresh",
     )
     out = None

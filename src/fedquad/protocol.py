@@ -266,6 +266,18 @@ class TrainingPlan:
             self.shared_fe = fe.setup([
                 config.batch_size * (c.stop - c.start) for c in self.columns])
 
+    def budget(self, rows: np.ndarray, w_eff: np.ndarray
+               ) -> tuple[int, int, int, int, float, float]:
+        """(S, F, data_bits, weight_bits, max|x|, max|w|) of one step on these rows.
+
+        The arguments overflow_bound and inner_product_error_bound share:
+        max|x| bounds the rows' features and shifted labels, and max|w| is
+        at least 1, as the constant label coefficient needs.
+        """
+        codec = self.config.codec
+        return (len(rows), self.X.shape[1], codec.data_bits, codec.weight_bits,
+                float(self.row_max_abs[rows].max()), max(1.0, float(np.abs(w_eff).max())))
+
 
 def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: int = 0,
                   bus: MessageBus | None = None,
@@ -291,10 +303,7 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
         raise ValueError(f"weights have shape {w.shape}, expected ({F},)")
     w_eff = w * plan.weight_factor
 
-    max_abs_x = float(plan.row_max_abs[rows].max())
-    max_abs_w = max(1.0, float(np.abs(w_eff).max()))
-    bound = overflow_bound(S, F, codec.data_bits, codec.weight_bits,
-                           max_abs_x, max_abs_w)
+    bound = overflow_bound(*plan.budget(rows, w_eff))
     if bound >= 1 << OVERFLOW_LIMIT_BITS:
         raise OverflowError(
             f"worst-case accumulation {bound} exceeds 2**{OVERFLOW_LIMIT_BITS}; "
@@ -443,56 +452,3 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
             on_iteration(metrics)
         weights = metrics.weights
     return weights
-
-
-@dataclass
-class ProbeReport:
-    """Outcome of replaying keys against ciphertexts across iterations."""
-
-    cross_attempts: int
-    cross_successes: list[tuple[int, int]]
-    failure_kinds: dict[str, int]
-    controls_ok: bool
-
-    @property
-    def defended(self) -> bool:
-        return self.cross_attempts > 0 and not self.cross_successes and self.controls_ok
-
-
-def mix_and_match_probe(artifacts: Sequence[IterationArtifacts]) -> ProbeReport:
-    """Try every cross-iteration (ciphertext set, key) pair; none may decrypt.
-
-    Uses the first secret key of each iteration. Same-iteration pairs are
-    the controls and must succeed. A successful cross decryption is the
-    mix-and-match attack going through, which fresh per-iteration
-    instances, or iteration tags on one instance, are there to stop.
-    """
-    if len(artifacts) < 2:
-        raise ValueError(f"need at least 2 iterations to probe, got {len(artifacts)}")
-    attempts = 0
-    successes: list[tuple[int, int]] = []
-    failure_kinds: dict[str, int] = {}
-    controls_ok = True
-    for a in artifacts:
-        for b in artifacts:
-            if a.iteration == b.iteration:
-                continue
-            attempts += 1
-            try:
-                fe.decrypt(a.ciphertexts, b.secret_keys[0])
-            except fe.FEError as err:
-                kind = type(err).__name__
-                failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
-            else:
-                successes.append((a.iteration, b.iteration))
-    for a in artifacts:
-        try:
-            fe.decrypt(a.ciphertexts, a.secret_keys[0])
-        except fe.FEError:
-            controls_ok = False
-    return ProbeReport(
-        cross_attempts=attempts,
-        cross_successes=successes,
-        failure_kinds=failure_kinds,
-        controls_ok=controls_ok,
-    )

@@ -65,13 +65,6 @@ def kron_flat(a: int, b: int, length: int) -> int:
     return a * length + b
 
 
-def kron_unflat(flat: int, length: int) -> tuple[int, int]:
-    """Inverse of kron_flat: recover (row, col) from a flat index."""
-    if not (0 <= flat < length * length):
-        raise ValueError(f"flat index {flat} out of range for length {length}")
-    return divmod(flat, length)
-
-
 def dense_kron(x: Sequence[int]) -> list[int]:
     """Materialize x (x) x as a dense list: out[a*L + b] = x[a]*x[b].
 

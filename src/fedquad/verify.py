@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,12 +23,12 @@ from .fixedpoint import FixedPointConfig, inner_product_error_bound
 from .funcvec import all_gradient_slice_vectors
 from .protocol import (
     ClientShard,
+    IterationArtifacts,
     MessageBus,
     TrainingConfig,
     TrainingPlan,
     exact_codec,
     iteration_record,
-    mix_and_match_probe,
     run_iteration,
     run_training,
 )
@@ -97,15 +98,12 @@ def gradient_error_bound(shards, weights, model_kind: str,
                          codec: FixedPointConfig) -> float:
     """Worst-case protocol-vs-oracle gradient gap for one instance.
 
-    S, F, max|x| (labels shifted) and the weight factor come from the
-    instance's TrainingPlan, as in run_iteration's overflow check.
+    The budget of a step on all of the instance's rows comes from
+    TrainingPlan.budget, the one run_iteration's overflow check uses.
     """
     plan = TrainingPlan(shards, TrainingConfig(model_kind=model_kind, codec=codec))
-    S, F = plan.X.shape
-    max_abs_w = max(1.0, float(np.abs(np.asarray(weights) * plan.weight_factor).max()))
-    per_slice = inner_product_error_bound(S, F, codec.data_bits, codec.weight_bits,
-                                          float(plan.row_max_abs.max()), max_abs_w)
-    return -plan.model.slice_scale * per_slice / S
+    b = plan.budget(np.arange(plan.n_rows), np.asarray(weights) * plan.weight_factor)
+    return -plan.model.slice_scale * inner_product_error_bound(*b) / b[0]
 
 
 def check_funcvec_identity(seed: int = 0) -> CheckResult:
@@ -224,6 +222,59 @@ def check_counts(seed: int = 3) -> CheckResult:
                                f"{(len(shards) + 1, F, F)}")
     return CheckResult("counts", True,
                        f"3 iterations at 1/2 encryptions per client, {F} decryptions")
+
+
+@dataclass
+class ProbeReport:
+    """Outcome of replaying keys against ciphertexts across iterations."""
+
+    cross_attempts: int
+    cross_successes: list[tuple[int, int]]
+    failure_kinds: dict[str, int]
+    controls_ok: bool
+
+    @property
+    def defended(self) -> bool:
+        return self.cross_attempts > 0 and not self.cross_successes and self.controls_ok
+
+
+def mix_and_match_probe(artifacts: Sequence[IterationArtifacts]) -> ProbeReport:
+    """Try every cross-iteration (ciphertext set, key) pair; none may decrypt.
+
+    Uses the first secret key of each iteration. Same-iteration pairs are
+    the controls and must succeed. A successful cross decryption is the
+    mix-and-match attack going through, which fresh per-iteration
+    instances, or iteration tags on one instance, are there to stop.
+    """
+    if len(artifacts) < 2:
+        raise ValueError(f"need at least 2 iterations to probe, got {len(artifacts)}")
+    attempts = 0
+    successes: list[tuple[int, int]] = []
+    failure_kinds: dict[str, int] = {}
+    controls_ok = True
+    for a in artifacts:
+        for b in artifacts:
+            if a.iteration == b.iteration:
+                continue
+            attempts += 1
+            try:
+                fe.decrypt(a.ciphertexts, b.secret_keys[0])
+            except fe.FEError as err:
+                kind = type(err).__name__
+                failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
+            else:
+                successes.append((a.iteration, b.iteration))
+    for a in artifacts:
+        try:
+            fe.decrypt(a.ciphertexts, a.secret_keys[0])
+        except fe.FEError:
+            controls_ok = False
+    return ProbeReport(
+        cross_attempts=attempts,
+        cross_successes=successes,
+        failure_kinds=failure_kinds,
+        controls_ok=controls_ok,
+    )
 
 
 def check_mix_and_match(seed: int = 4, *, fe_policy: str = "fresh") -> CheckResult:

@@ -1,6 +1,7 @@
 """Prints one PASS/FAIL line per acceptance criterion after the run."""
 
 import pytest
+from hypothesis import settings
 
 _acceptance_reports = []
 
@@ -24,3 +25,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if report.passed else "FAIL"
         terminalreporter.write_line(
             f"ACCEPTANCE {status}: {report.acceptance_label}")
+
+
+# tests/test_fe_model.py's state machine: "fe-model" in tier-1, and
+# "fe-model-deep" when a run passes --hypothesis-profile fe-model-deep.
+settings.register_profile("fe-model", max_examples=60, stateful_step_count=30,
+                          deadline=None)
+settings.register_profile("fe-model-deep", max_examples=400, stateful_step_count=60,
+                          deadline=None)

@@ -32,15 +32,15 @@ from fedquad.protocol import (
     TrainingPlan,
     exact_codec,
     make_batch_schedule,
-    mix_and_match_probe,
     run_iteration,
     run_training,
     weight_grid_bits,
 )
-from fedquad.tensor import dense_kron, kron_flat, kron_unflat, sparse_inner_kron
+from fedquad.tensor import dense_kron, kron_flat, sparse_inner_kron
 from fedquad.verify import (
     concatenated_input,
     gradient_error_bound,
+    mix_and_match_probe,
     random_exact_instance,
     random_unit_instance,
 )
@@ -225,7 +225,7 @@ def test_07_sparsity_and_structure():
                 assert c.nnz == S * (F + 1)
                 block_start = offset + p * S
                 for flat, _ in c.entries:
-                    row, _ = kron_unflat(flat, L)
+                    row, _ = divmod(flat, L)
                     assert block_start <= row < block_start + S
                 k += 1
 

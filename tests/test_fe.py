@@ -5,8 +5,9 @@ import pytest
 
 from fedquad import fe
 from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors
-from fedquad.protocol import ClientShard, TrainingConfig, mix_and_match_probe, run_training
+from fedquad.protocol import ClientShard, TrainingConfig, run_training
 from fedquad.tensor import dense_kron, kron_flat, vec_columns
+from fedquad.verify import mix_and_match_probe
 
 
 def _single_product_key(instance, tag=None):

@@ -21,7 +21,6 @@ from fedquad.protocol import (
     TrainingConfig,
     exact_codec,
     make_batch_schedule,
-    mix_and_match_probe,
     run_training,
 )
 from fedquad.tensor import (
@@ -34,6 +33,7 @@ from fedquad.tensor import (
     sparse_inner_kron,
     vec_columns,
 )
+from fedquad.verify import mix_and_match_probe
 
 
 def _reference(c, x):

@@ -26,7 +26,6 @@ from fedquad.protocol import (
     iter_batches,
     iteration_record,
     make_batch_schedule,
-    mix_and_match_probe,
     run_iteration,
     run_training,
     weight_grid_bits,
@@ -34,6 +33,7 @@ from fedquad.protocol import (
 from fedquad.tensor import vec_columns
 from fedquad.verify import (
     gradient_error_bound,
+    mix_and_match_probe,
     random_exact_instance,
     random_unit_instance,
 )
@@ -171,6 +171,34 @@ class TestRunIteration:
         config = TrainingConfig(codec=FixedPointConfig(24, 24))
         with pytest.raises(OverflowError, match="worst-case accumulation"):
             _step(np.full(2, 1e9), shards, config)
+
+
+class TestBudget:
+    """TrainingPlan.budget is the one source of the overflow guard and the error bound."""
+
+    def test_budget_is_the_bounds_argument_list(self):
+        shards, weights = _hand_instance()
+        plan = TrainingPlan(shards, TrainingConfig(codec=FixedPointConfig(10, 8)))
+        # max|x| is row 0's largest magnitude (features 5 and 7, label 4);
+        # max|w| is at least 1.
+        assert plan.budget(np.arange(1), weights) == (1, 2, 10, 8, 7.0, 3.0)
+        assert plan.budget(np.arange(1), np.array([0.25, -0.5])) == (1, 2, 10, 8, 7.0, 1.0)
+
+    def test_one_home_for_guard_and_bound(self, monkeypatch):
+        shards, weights = _hand_instance()
+        codec = FixedPointConfig()
+        before = gradient_error_bound(shards, weights, MODEL_LINEAR, codec)
+        budget = TrainingPlan.budget
+
+        def past_the_guard(plan, rows, w_eff):
+            S, F, qx, qw, _, max_abs_w = budget(plan, rows, w_eff)
+            return S, F, qx, qw, 2.0 ** 63, max_abs_w
+
+        monkeypatch.setattr(TrainingPlan, "budget", past_the_guard)
+        with pytest.raises(OverflowError, match=r"^worst-case accumulation \d+ exceeds "
+                           r"2\*\*126; reduce batch size, magnitudes, or fractional bits$"):
+            _step(weights, shards, TrainingConfig(codec=codec))
+        assert gradient_error_bound(shards, weights, MODEL_LINEAR, codec) > before
 
 
 class TestMessageLog:
