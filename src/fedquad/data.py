@@ -49,13 +49,15 @@ class PartitionSpec:
 def load_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a headered numeric CSV into (column names, row matrix).
 
-    The body is parsed by numpy's C reader straight from the open file:
-    cells are ASCII decimal, ``inf`` or ``nan`` spellings, optionally
-    quoted with ``"``; blank lines are skipped. Each value is bitwise the
-    ``float`` of its cell, as numpy parses through the same routine.
+    The file is read as UTF-8 whatever the locale, and a leading
+    byte-order mark is dropped. The body is parsed by numpy's C reader
+    straight from the open file: cells are ASCII decimal, ``inf`` or
+    ``nan`` spellings, optionally quoted with ``"``; blank lines are
+    skipped. Each value is bitwise the ``float`` of its cell, as numpy
+    parses through the same routine.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -119,7 +121,7 @@ def _first_bad_cell(path, header: Sequence[str]) -> str | None:
     Cells are judged by the C reader's rule (which refuses ``1_000``), cell
     by cell only within a record it refuses. None if no cell is refused.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for record in reader:
@@ -169,12 +171,13 @@ def _field(obj: dict, key: str, kind: type, where: str):
 def load_partition_spec(path) -> PartitionSpec:
     """Parse and structurally validate a partition spec document.
 
-    Client names and label fields must be strings and each client's
-    features a list of strings; a string is not split into columns. A
-    malformed document's message names the missing key or the expected
-    type of the field.
+    The file is read as UTF-8 whatever the locale, and a leading
+    byte-order mark is dropped, as load_csv does. Client names and label
+    fields must be strings and each client's features a list of strings;
+    a string is not split into columns. A malformed document's message
+    names the missing key or the expected type of the field.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:

@@ -26,11 +26,10 @@ a key's instance id is read from its instance.
 
 Every decrypt call is counted on its own, but a ciphertext set is checked
 and evaluated once: the key's instance keeps the last set that passed, and
-a later key of that instance skips the checks when it brings the same
-ciphertext objects in the same order, the same tag object and the same
-block. The memo tests the tuple's identity first, so a caller that passes
-one tuple to every decrypt (as run_iteration does) skips the item-by-item
-comparison too.
+a later key of that instance skips the checks when it brings that very
+tuple object, the same tag object and the same block. A caller that
+passes one tuple to every decrypt (as run_iteration does) hits the memo;
+a list, or another tuple of the same ciphertexts, is checked again.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ _instance_ids = itertools.count()
 class _Operands:
     """What one checked ciphertext set gives the keys of its instance.
 
-    ciphertexts is the tuple as decrypt was given it; holding it keeps
-    those identities from being reused. tag is the checked key's tag
+    ciphertexts is the tuple decrypt was given, the memo's key; holding it
+    keeps that identity from being reused. tag is the checked key's tag
     object, x the payloads in slot order and slices every slice value of
     block on x (None past the accumulator width, or for no block).
     """
@@ -267,20 +266,18 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     ciphertexts may come in any order. The key's instance keeps the last
     set that passed with its concatenated x and the slice values of its
     block, so a later key of that instance skips the checks when it
-    brings the same ciphertext objects in the same order (the same tuple
-    object is tested first), the same tag object and the same block.
-    Each call counts once.
+    brings that very tuple object, the same tag object and the same
+    block; any other call, a list included, runs every check again. Each
+    call counts once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance
     operands = instance._operands
     block = getattr(sk.funcvec, "block", None)
-    # The tag is compared by identity: an equal tag is checked again, since
-    # == need not be transitive. The same tuple object is the same set;
-    # another tuple is compared item by item, by identity too, since
-    # Ciphertext has no __eq__.
-    if (operands is None or operands.tag is not sk.tag or operands.block is not block
-            or (operands.ciphertexts is not cts and operands.ciphertexts != cts)):
+    # Identity throughout: an equal tag is checked again, since == need not
+    # be transitive, and tuple() of a tuple is that tuple.
+    if (operands is None or operands.ciphertexts is not cts
+            or operands.tag is not sk.tag or operands.block is not block):
         operands = _checked_operands(cts, sk, block)
         instance._operands = operands
     value = sparse_inner_kron(sk.funcvec, operands.x, slices=operands.slices)

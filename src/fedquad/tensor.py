@@ -88,18 +88,15 @@ def int_vector(values) -> np.ndarray:
     A value v is an integer when int(v) == v; any other value, and one
     int() rejects (nan, inf, '3'), raises ValueError naming its position.
     The result is never uint64 or float: values past int64 go into an
-    object array of Python ints. An int64 array comes back as is, and any
-    other signed or fitting unsigned integer array is cast.
+    object array of Python ints. An int64 array comes back as is; any
+    other input, an array of another dtype included, goes through Python
+    ints.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"expected a 1-D vector, got shape {values.shape}")
         if values.dtype == np.int64:
             return values
-        if values.dtype.kind == "i" or (
-                values.dtype.kind == "u"
-                and (values.size == 0 or values.max() < INT64_LIMIT)):
-            return values.astype(np.int64)
         values = values.tolist()
     else:
         values = list(values)

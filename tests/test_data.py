@@ -53,6 +53,15 @@ class TestCsvRoundtrip:
         _, rows = load_csv(path)
         assert np.array_equal(rows, values)
 
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark; it
+    # is not part of the first column's name.
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfx0,gr\xc3\xb6\xc3\x9fe\n1,2\n3,4\n")
+        header, rows = load_csv(path)
+        assert header == ["x0", "gr\u00f6\u00dfe"]
+        assert np.array_equal(rows, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")
@@ -226,6 +235,12 @@ class TestPartitionSpecIo:
         doc = json.loads(path.read_text())
         assert doc["clients"][0] == {"name": "alpha", "features": ["x0", "x1"]}
         assert doc["label"] == {"client": "alpha", "column": "y"}
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, spec):
+        path = tmp_path / "partition.json"
+        save_partition_spec(spec, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_partition_spec(path) == spec
 
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "partition.json"

@@ -409,13 +409,18 @@ class TestCheckedOnce:
     S, COUNTS = 2, [2, 1]
 
     def _set(self, tag, key_tag=None, seed=3):
-        """Tagged set on a fresh instance, and one key per slice under key_tag."""
+        """Tagged set on a fresh instance, and one key per slice under key_tag.
+
+        The ciphertexts come as one tuple, the memo's key, as run_iteration
+        passes them.
+        """
         S, counts = self.S, self.COUNTS
         instance, eks = fe.setup([S * f for f in counts] + [S])
         x = [int(v) for v in np.random.default_rng(seed).integers(
             -9, 10, size=S * (sum(counts) + 1))]
         bounds = np.cumsum([0] + [S * f for f in counts] + [S])
-        cts = [fe.encrypt(ek, tag, x[a:b]) for ek, a, b in zip(eks, bounds, bounds[1:])]
+        cts = tuple([fe.encrypt(ek, tag, x[a:b])
+                     for ek, a, b in zip(eks, bounds, bounds[1:])])
         vectors = all_gradient_slice_vectors([2, -1, 3], 1, S)
         key_tag = tag if key_tag is None else key_tag
         sks = [fe.keygen(instance, key_tag, c) for c in vectors]
@@ -451,14 +456,14 @@ class TestCheckedOnce:
         monkeypatch.setattr(fe, "_checked_operands",
                             lambda *args: checks.append(1) or checked(*args))
         for rounds in (1, 2):
-            assert [fe.decrypt(list(cts), sk) for sk in sks] == expected
+            assert [fe.decrypt(cts, sk) for sk in sks] == expected
             assert fe.audit_counters(instance)[2] == rounds * len(sks)
         assert len(checks) == 1
         # The order the clients send in when client 0 holds the labels: the
         # label slot second, not last. One check for that set too.
-        sent = [cts[0], cts[2], cts[1]]
+        sent = (cts[0], cts[2], cts[1])
         for rounds in (3, 4):
-            assert [fe.decrypt(list(sent), sk) for sk in sks] == expected
+            assert [fe.decrypt(sent, sk) for sk in sks] == expected
             assert fe.audit_counters(instance)[2] == rounds * len(sks)
         assert len(checks) == 2
 
@@ -511,7 +516,7 @@ class TestCheckedOnce:
     def test_slot_faults(self, fault, kind):
         instance, _, cts, _, sks, _, expected = self._set("t")
         group = {"reordered": cts[::-1], "missing": cts[:-1],
-                 "duplicate": cts + [cts[0]]}[fault]
+                 "duplicate": cts + (cts[0],)}[fault]
         outcome = self._cold_equals_warm(instance, cts, sks, expected,
                                          lambda: fe.decrypt(group, sks[2]))
         assert outcome[0] == kind
@@ -527,6 +532,30 @@ class TestCheckedOnce:
         assert self._cold_equals_warm(
             instance, cts, sks, expected,
             lambda: fe.decrypt(other, sks[0])) == ("value", changed)
+
+    @pytest.mark.parametrize("form", [list, lambda cts: tuple(list(cts))],
+                             ids=["list", "fresh-tuple"])
+    def test_another_container_is_checked_again(self, form, monkeypatch):
+        # The memo's key is the tuple object: the same ciphertexts in a list
+        # or in a fresh tuple run every check again, with the same value and
+        # one count per call.
+        instance, _, cts, _, sks, _, expected = self._set("t")
+        checks = []
+        checked = fe._checked_operands
+        monkeypatch.setattr(fe, "_checked_operands",
+                            lambda *args: checks.append(1) or checked(*args))
+        assert [fe.decrypt(cts, sk) for sk in sks] == expected
+        assert len(checks) == 1
+        for i, sk in enumerate(sks):
+            again = form(cts)
+            assert tuple(again) == cts and again is not cts
+            assert fe.decrypt(again, sk) == expected[i]
+            assert len(checks) == 2 + i
+            assert fe.audit_counters(instance)[2] == len(sks) + 1 + i
+        # The last fresh tuple checked is now the memo's key; a list, which
+        # decrypt turns into a new tuple, never is.
+        assert fe.decrypt(again, sks[0]) == expected[0]
+        assert len(checks) == 1 + len(sks) + (form is list)
 
     def test_key_of_another_block(self):
         instance, _, cts, _, sks, x, expected = self._set("t")

@@ -291,6 +291,32 @@ class TestIntVector:
         assert int_vector(np.arange(3, dtype=np.uint8)).dtype == np.int64
         assert int_vector(np.array([7, 8], dtype=np.uint64)).dtype == np.int64
 
+    # Arrays of other dtypes go through Python ints; each comes back with
+    # the dtype and values an int64 cast gave, or as Python ints past int64.
+    @pytest.mark.parametrize("values,dtype", [
+        (np.array([-128, 0, 127], dtype=np.int8), np.int64),
+        (np.array([-(1 << 31), (1 << 31) - 1, 5], dtype=np.int32), np.int64),
+        (np.array([0, 7, 255], dtype=np.uint8), np.int64),
+        (np.array([0, (1 << 63) - 1], dtype=np.uint64), np.int64),
+        (np.array([1 << 63, 3], dtype=np.uint64), object),
+        (np.array([(1 << 64) - 1], dtype=np.uint64), object),
+        (np.array([True, False, True]), np.int64),
+        (np.array([], dtype=np.int32), np.int64),
+        (np.array([], dtype=np.uint64), np.int64),
+        (np.array([], dtype=bool), np.int64),
+        (np.array([]), np.int64),
+    ], ids=["int8", "int32", "uint8", "uint64-below-2**63", "uint64-at-2**63",
+            "uint64-max", "bool", "empty-int32", "empty-uint64", "empty-bool",
+            "empty-float64"])
+    def test_other_dtypes_keep_their_values(self, values, dtype):
+        v = int_vector(values)
+        assert v.dtype == dtype
+        assert all(type(e) is int for e in v.tolist())
+        assert v.tolist() == [int(e) for e in values]
+        assert not np.shares_memory(v, values)
+        with pytest.raises(ValueError, match="^expected a 1-D vector"):
+            int_vector(values.reshape(1, -1))
+
     def test_non_integers_are_refused_not_truncated(self):
         for values, position, value in (([2.9], 0, "2.9"), ([1, -2.9], 1, "-2.9"),
                                         (np.array([2.0, 2.9]), 1, "2.9"),

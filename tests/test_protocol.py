@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedquad import fe
+from fedquad import fe, tensor
 from fedquad.baseline import (
     MODEL_LINEAR,
     MODEL_LOGISTIC_TAYLOR,
@@ -368,6 +368,30 @@ class TestRunTraining:
             assert metrics.encryptions_per_client == (2, 1)
             assert metrics.decryptions == 4
             assert fe.audit_counters(art.instance) == (3, 4, 4)
+
+    @pytest.mark.parametrize("fe_policy", ["fresh", "tagged"])
+    def test_one_set_check_and_one_block_product_per_iteration(self, fe_policy,
+                                                               monkeypatch):
+        # run_iteration passes one tuple to all F decrypts, so the set is
+        # checked once and its block's slices are computed once.
+        calls = {"checks": 0, "slices": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(fe, "_checked_operands",
+                            counted("checks", fe._checked_operands))
+        slices = counted("slices", tensor.block_slices)
+        monkeypatch.setattr(fe, "block_slices", slices)
+        monkeypatch.setattr(tensor, "block_slices", slices)
+        config = TrainingConfig(iterations=5, batch_size=4, fe_policy=fe_policy)
+        history = []
+        run_training(self._shards(), config, on_iteration=history.append)
+        assert [m.decryptions for m in history] == [4] * 5
+        assert calls == {"checks": 5, "slices": 5}
 
     def test_fe_policy_changes_no_record_or_header(self):
         # The policy decides which instances and tags the FE layer sees;

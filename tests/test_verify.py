@@ -10,7 +10,9 @@ from fedquad.baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR
 from fedquad.cli import main
 from fedquad.draws import seeded
 from fedquad.fixedpoint import FixedPointConfig
+from fedquad import protocol
 from fedquad.verify import (
+    check_gradient_oracle,
     concatenated_input,
     gradient_error_bound,
     random_exact_instance,
@@ -120,6 +122,17 @@ class TestBattery:
             [f"{r.name}: {r.detail}" for r in results if not r.passed]
         assert len({r.name for r in results}) == 9
         assert all(r.detail for r in results)
+
+    # The oracle check reads each step's own gap; decrypted slices off by
+    # one must make it fail, not pass.
+    @pytest.mark.parametrize("model_kind", [MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR])
+    def test_gradient_oracle_fails_on_a_wrong_slice(self, model_kind, monkeypatch):
+        dequantize = protocol.dequantize
+        monkeypatch.setattr(protocol, "dequantize",
+                            lambda raw, exp: dequantize(raw, exp) + 1.0)
+        result = check_gradient_oracle(model_kind)
+        assert not result.passed
+        assert re.fullmatch(r"exact-mode gap \S+, expected 0", result.detail)
 
     def test_reuse_control_fails_exactly_mix_and_match(self):
         results = run_all_checks(seed=7, fe_policy="reused")
