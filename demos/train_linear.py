@@ -21,6 +21,7 @@ from fedquad.fixedpoint import FixedPointConfig
 from fedquad.protocol import (
     MessageBus,
     TrainingConfig,
+    TrainingPlan,
     exact_codec,
     make_batch_schedule,
     run_training,
@@ -39,7 +40,7 @@ exact_cfg = TrainingConfig(model_kind=MODEL_LINEAR, iterations=T,
                            batch_size=S, learning_rate=lr, seed=seed,
                            codec=exact_codec(MODEL_LINEAR))
 exact_history = []
-run_training(shards, exact_cfg, on_iteration=exact_history.append)
+run_training(TrainingPlan(shards, exact_cfg), on_iteration=exact_history.append)
 mirror = centralized_training(
     central.X, central.y, np.zeros(6), MODEL_LINEAR, batches, lr,
     weight_grid_bits=weight_grid_bits(MODEL_LINEAR, exact_cfg.codec))
@@ -55,7 +56,8 @@ fp_cfg = TrainingConfig(model_kind=MODEL_LINEAR, iterations=T, batch_size=S,
                         learning_rate=lr, seed=seed,
                         codec=FixedPointConfig(data_bits=12, weight_bits=12))
 fp_history, bus = [], MessageBus()
-fp_weights = run_training(shards, fp_cfg, on_iteration=fp_history.append, bus=bus)
+fp_weights = run_training(TrainingPlan(shards, fp_cfg), on_iteration=fp_history.append,
+                          bus=bus)
 
 print("\niter   batch loss   |grad|      diff vs oracle")
 for m in fp_history[::40] + [fp_history[-1]]:

@@ -14,7 +14,7 @@ from fedquad.baseline import taylor_loss
 from fedquad.baseline import MODEL_LOGISTIC_TAYLOR
 from fedquad.data import partition_dataset, synthesize
 from fedquad.fixedpoint import FixedPointConfig
-from fedquad.protocol import TrainingConfig, run_training
+from fedquad.protocol import TrainingConfig, TrainingPlan, run_training
 from fedquad.verify import gradient_error_bound
 
 data = synthesize(MODEL_LOGISTIC_TAYLOR, n_rows=48, features_per_client=[2, 2],
@@ -29,12 +29,13 @@ print("separating weights used to label the data:", data.true_weights)
 codec = FixedPointConfig(data_bits=12, weight_bits=12)
 config = TrainingConfig(model_kind=MODEL_LOGISTIC_TAYLOR, iterations=60,
                         batch_size=12, learning_rate=0.5, seed=5, codec=codec)
+plan = TrainingPlan(shards, config)
 history = []
-w = run_training(shards, config, on_iteration=history.append)
+w = run_training(plan, on_iteration=history.append)
 
 worst = max(m.max_abs_grad_diff_vs_oracle for m in history)
 print("\nworst secure-vs-plaintext gradient gap over the run:", worst)
-bound = gradient_error_bound(shards, w, MODEL_LOGISTIC_TAYLOR, codec)
+bound = gradient_error_bound(plan, w)
 print("codec worst-case bound at the final weights:        ", bound)
 
 print("\niter   surrogate loss")

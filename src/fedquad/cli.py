@@ -29,7 +29,7 @@ from .data import (
     write_csv,
 )
 from .fixedpoint import FixedPointConfig
-from .protocol import TrainingConfig, exact_codec, iteration_record, run_training
+from .protocol import TrainingConfig, TrainingPlan, exact_codec, iteration_record, run_training
 from .verify import run_all_checks
 
 MODEL_BY_FLAG = {"linear": MODEL_LINEAR, "logistic": MODEL_LOGISTIC_TAYLOR}
@@ -138,13 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_shards(args: argparse.Namespace, model_kind: str):
+    """The client shards of --synthetic data or of --dataset split by --partition."""
     if args.synthetic:
         if args.dataset or args.partition:
             raise ValueError("--synthetic cannot be combined with --dataset/--partition")
         _refuse_oversized(args.rows, args.features_per_client)
         dataset = synthesize(model_kind, args.rows, args.features_per_client,
                              args.seed)
-        return partition_dataset(dataset.header, dataset.rows, dataset.spec)
+        return partition_dataset(dataset.header, dataset.rows, dataset.spec)[0]
     if not args.dataset or not args.partition:
         raise ValueError("train needs either --synthetic or both --dataset and --partition")
     if args.synthetic_only:
@@ -152,13 +153,15 @@ def _load_shards(args: argparse.Namespace, model_kind: str):
                          f"not to --dataset/--partition")
     header, rows = load_csv(args.dataset)
     spec = load_partition_spec(args.partition)
-    return partition_dataset(header, rows, spec)
+    return partition_dataset(header, rows, spec)[0]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     model_kind = MODEL_BY_FLAG[args.model]
-    shards, central = _load_shards(args, model_kind)
-    config = TrainingConfig(
+    # The inputs are loaded before the settings are checked, so a missing
+    # file is named before a bad flag. No reference to the shards outlives
+    # the plan's build: from then on the plan holds the run's one table.
+    plan = TrainingPlan(_load_shards(args, model_kind), TrainingConfig(
         model_kind=model_kind,
         iterations=args.iters,
         batch_size=args.batch_size,
@@ -168,7 +171,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         codec=exact_codec(model_kind) if args.exact else FixedPointConfig(
             data_bits=args.data_bits, weight_bits=args.weight_bits),
         fe_policy="tagged" if args.tagged else "fresh",
-    )
+    ))
     out = None
 
     def emit(record: dict) -> None:
@@ -183,18 +186,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         # non-finite value raises in run_training, in the quantizer guard or
         # in emit), so numpy's own overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = run_training(shards, config, on_iteration=lambda m: emit(
+            weights = run_training(plan, on_iteration=lambda m: emit(
                 {"record": "iteration", **iteration_record(m)}))
-        final_loss = model(model_kind).loss(central.X, central.y, weights)
         emit({
             "record": "summary",
             "model": args.model,
-            "iterations": config.iterations,
-            "batch_size": config.batch_size,
-            "seed": config.seed,
-            "data_bits": config.codec.data_bits,
-            "weight_bits": config.codec.weight_bits,
-            "final_loss": final_loss,
+            "iterations": plan.config.iterations,
+            "batch_size": plan.config.batch_size,
+            "seed": plan.config.seed,
+            "data_bits": plan.config.codec.data_bits,
+            "weight_bits": plan.config.codec.weight_bits,
+            "final_loss": model(model_kind).loss(plan.X, plan.y, weights),
             "final_weights": [float(v) for v in weights],
         })
     finally:

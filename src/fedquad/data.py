@@ -140,8 +140,8 @@ def _first_bad_cell(path, header: Sequence[str]) -> str | None:
 
 
 def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
-    """Write a numeric matrix under the given header."""
-    with open(path, "w", newline="") as fh:
+    """Write a numeric matrix under the given header, as UTF-8 whatever the locale."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in np.asarray(rows):

@@ -30,6 +30,7 @@ a later key of that instance skips the checks when it brings that very
 tuple object, the same tag object and the same block. A caller that
 passes one tuple to every decrypt (as run_iteration does) hits the memo;
 a list, or another tuple of the same ciphertexts, is checked again.
+clear_memo drops the kept set (run_training does, when a run ends).
 """
 
 from __future__ import annotations
@@ -311,6 +312,16 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
     x = np.concatenate([by_slot[slot]._payload for slot in range(instance.n_slots)])
     slices = None if block is None else block_slices(block, x)
     return _Operands(cts, sk.tag, x, block, slices)
+
+
+def clear_memo(instance: FEInstance) -> None:
+    """Drop the last checked ciphertext set the instance keeps, with its x and slices.
+
+    The next decrypt with a key of the instance checks its set again. An
+    instance that outlives the run it served (TrainingPlan.shared_fe) would
+    otherwise keep that run's last ciphertexts alive.
+    """
+    instance._operands = None
 
 
 def audit_counters(instance: FEInstance) -> tuple[int, int, int]:

@@ -228,7 +228,8 @@ class TrainingPlan:
     record of which slots each client fills: its own slot i, and the label
     slot N too for the label holder; encryptions_per_client counts them.
     shared_fe is None under fe_policy "fresh", else the run's one fe.setup
-    (batch_size rows per slot).
+    (batch_size rows per slot). A plan serves one run (run_training):
+    under "tagged", its instance has taken every tag of that run.
     """
 
     def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
@@ -415,25 +416,30 @@ def make_batch_schedule(n_rows: int, batch_size: int, n_iterations: int,
     return list(iter_batches(n_rows, batch_size, n_iterations, seed))
 
 
-def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
-                 initial_weights=None, *,
+def run_training(plan: TrainingPlan, initial_weights=None, *,
                  on_iteration: Callable[[IterationMetrics], None] | None = None,
                  bus: MessageBus | None = None,
                  artifacts_out: list[IterationArtifacts] | None = None,
                  ) -> np.ndarray:
-    """T secure iterations over seeded mini-batches of the shards; returns the final weights.
+    """T secure iterations over seeded mini-batches of the plan's rows; returns the final weights.
 
-    Every iteration uses a fresh FE instance unless config.fe_policy asks
-    for one per run (plan.shared_fe). Exact-mode guarantees assume the
-    initial weights sit on the weight grid (the zero default always
-    does). Only the weights carry over between iterations; on_iteration
-    gets each iteration's metrics as soon as they are made, bus the
-    headers (a throwaway bus per iteration when None) and artifacts_out
-    the FE objects. A non-finite loss or gradient raises ValueError
-    before its metrics are passed on, and an OverflowError (a value past
-    the quantizer guard) is raised again with its iteration named.
+    Settings come from plan.config. Every iteration uses a fresh FE
+    instance unless the plan holds the run's one (plan.shared_fe). A
+    plan serves one run: a second run on a "fresh" or "reused" plan
+    repeats the first, and on a "tagged" plan it raises fe.DuplicateSlot
+    at its first encryption, since a slot takes each tag once. When the
+    run ends, the plan's instance drops its last ciphertext set
+    (fe.clear_memo), so a plan that outlives its run holds none of it.
+    Exact-mode guarantees assume the initial weights sit on the weight
+    grid (the zero default always does). Only the weights carry over
+    between iterations; on_iteration gets each iteration's metrics as
+    soon as they are made, bus the headers (a throwaway bus per
+    iteration when None) and artifacts_out the FE objects. A non-finite
+    loss or gradient raises ValueError before its metrics are passed on,
+    and an OverflowError (a value past the quantizer guard) is raised
+    again with its iteration named.
     """
-    plan = TrainingPlan(shards, config)
+    config = plan.config
     if initial_weights is None:
         weights = np.zeros(plan.X.shape[1])
     else:
@@ -451,4 +457,6 @@ def run_training(shards: Sequence[ClientShard], config: TrainingConfig,
         if on_iteration is not None:
             on_iteration(metrics)
         weights = metrics.weights
+    if plan.shared_fe is not None:
+        fe.clear_memo(plan.shared_fe[0])
     return weights

@@ -94,14 +94,12 @@ def concatenated_input(shards, labels_effective) -> list[int]:
     return int_vector(vec_columns(table)).tolist()
 
 
-def gradient_error_bound(shards, weights, model_kind: str,
-                         codec: FixedPointConfig) -> float:
-    """Worst-case protocol-vs-oracle gradient gap for one instance.
+def gradient_error_bound(plan: TrainingPlan, weights) -> float:
+    """Worst-case protocol-vs-oracle gradient gap of a step on all of the plan's rows.
 
-    The budget of a step on all of the instance's rows comes from
+    The model and codec are the plan's; the budget comes from
     TrainingPlan.budget, the one run_iteration's overflow check uses.
     """
-    plan = TrainingPlan(shards, TrainingConfig(model_kind=model_kind, codec=codec))
     b = plan.budget(np.arange(plan.n_rows), np.asarray(weights) * plan.weight_factor)
     return -plan.model.slice_scale * inner_product_error_bound(*b) / b[0]
 
@@ -154,7 +152,7 @@ def check_gradient_oracle(model_kind: str, seed: int = 1) -> CheckResult:
         shards, weights = random_unit_instance(rng, binary_labels=binary)
         plan = TrainingPlan(shards, TrainingConfig(model_kind=model_kind, codec=codec))
         gap = run_iteration(weights, plan, np.arange(plan.n_rows)).max_abs_grad_diff_vs_oracle
-        bound = gradient_error_bound(shards, weights, model_kind, codec)
+        bound = gradient_error_bound(plan, weights)
         if gap > bound:
             return CheckResult(name, False,
                                f"fixed-point gap {gap} exceeds bound {bound}")
@@ -194,7 +192,7 @@ def _synthetic_run(seed: int, iterations: int, codec: FixedPointConfig,
     shards, _ = partition_dataset(dataset.header, dataset.rows, dataset.spec)
     config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=iterations, batch_size=4,
                             learning_rate=0.01, seed=seed, codec=codec, fe_policy=fe_policy)
-    run_training(shards, config, **sinks)
+    run_training(TrainingPlan(shards, config), **sinks)
     return shards
 
 

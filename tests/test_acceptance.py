@@ -114,7 +114,7 @@ def _assert_gradient_equivalence(model_kind, rng):
         else:
             oracle = centralized_gradient_logistic_taylor(X, y, weights)
         gap = float(np.max(np.abs(gradient - oracle)))
-        bound = gradient_error_bound(shards, weights, model_kind, codec)
+        bound = gradient_error_bound(TrainingPlan(shards, config_fp), weights)
         assert gap <= bound
         assert bound <= 1e-2
 
@@ -148,7 +148,8 @@ def test_04_encryption_and_decryption_counts():
                             batch_size=8, learning_rate=0.01, seed=41,
                             codec=exact_codec(MODEL_LINEAR))
     history, retained = [], []
-    run_training(shards, config, on_iteration=history.append, artifacts_out=retained)
+    run_training(TrainingPlan(shards, config), on_iteration=history.append,
+                 artifacts_out=retained)
     assert len(history) == len(retained) == 10
     for metrics, artifacts in zip(history, retained):
         assert metrics.encryptions_per_client == (2, 1, 1)
@@ -164,7 +165,7 @@ def test_05_mix_and_match_rejected(tmp_path):
                             batch_size=8, learning_rate=0.01, seed=51,
                             codec=exact_codec(MODEL_LINEAR))
     artifacts = []
-    run_training(shards, config, artifacts_out=artifacts)
+    run_training(TrainingPlan(shards, config), artifacts_out=artifacts)
     report = mix_and_match_probe(artifacts)
     assert report.cross_attempts == 20
     assert report.cross_successes == []
@@ -177,7 +178,7 @@ def test_05_mix_and_match_rejected(tmp_path):
                            codec=exact_codec(MODEL_LINEAR),
                            fe_policy="reused")
     reused = []
-    run_training(shards, reuse, artifacts_out=reused)
+    run_training(TrainingPlan(shards, reuse), artifacts_out=reused)
     leaked = mix_and_match_probe(reused)
     assert len(leaked.cross_successes) == 20
     assert not leaked.defended
@@ -241,7 +242,7 @@ def test_08_end_to_end_training():
                                   batch_size=S, learning_rate=lr, seed=3,
                                   codec=exact_codec(MODEL_LINEAR))
     exact_history = []
-    run_training(shards, exact_config, on_iteration=exact_history.append)
+    run_training(TrainingPlan(shards, exact_config), on_iteration=exact_history.append)
     batches = make_batch_schedule(64, S, T, seed=3)
     mirror = centralized_training(
         central.X, central.y, np.zeros(6), MODEL_LINEAR, batches, lr,
@@ -253,7 +254,7 @@ def test_08_end_to_end_training():
     fp_config = TrainingConfig(model_kind=MODEL_LINEAR, iterations=T,
                                batch_size=S, learning_rate=lr, seed=3,
                                codec=FixedPointConfig(12, 12))
-    fp_weights = run_training(shards, fp_config)
+    fp_weights = run_training(TrainingPlan(shards, fp_config))
     plain = centralized_training(central.X, central.y, np.zeros(6),
                                  MODEL_LINEAR, batches, lr)
     mse_secure = mse_loss(central.X, central.y, fp_weights)

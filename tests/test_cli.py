@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +384,21 @@ class TestErrors:
         assert captured.err == f"fedquad: error: {message}\n"
         assert captured.out == ""
 
+    # The inputs are loaded, and an oversized shape refused, before the
+    # settings are checked: the file or the shape is named, not --lr.
+    @pytest.mark.parametrize("flags,message", [
+        (["--dataset", "{tmp}/nope.csv", "--partition", "{tmp}/nope.json"],
+         "[Errno 2] No such file or directory: '{tmp}/nope.csv'"),
+        (["--synthetic", "--rows", "1000000000000000"],
+         "--rows 1000000000000000 with --features-per-client 2,2,2 needs about"),
+    ], ids=["missing-file", "oversized-shape"])
+    def test_inputs_are_checked_before_settings(self, flags, message, tmp_path, capsys):
+        assert main(["train", *[f.replace("{tmp}", str(tmp_path)) for f in flags],
+                     "--lr", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fedquad: error: {message.replace('{tmp}', str(tmp_path))}")
+        assert err.count("\n") == 1
+
 
 def _reject_constant(token):
     raise ValueError(f"non-finite value {token} in a record")
@@ -473,6 +490,40 @@ class TestStreamedRecords:
         text = out.read_text() if out.exists() else ""
         assert "NaN" not in text and "Infinity" not in text
         _strict_records(text)
+
+
+class TestHeldMemory:
+    def test_train_holds_one_plan_not_the_shards(self, monkeypatch, capsys):
+        # 20000 rows of 64 features and a label: a 9.9 MiB float table. From
+        # the first iteration on, train holds the plan's float and int64
+        # tables (about 2x); a reference to the shards kept through the run
+        # would add the partition's copy (3.05x).
+        rows, counts = 20000, "16,16,16,16"
+        table = rows * 65 * 8
+        held = []
+        original = protocol.run_iteration
+
+        def probe(*args, **kwargs):
+            if not held:
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_iteration", probe)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["train", "--synthetic", "--rows", str(rows),
+                         "--features-per-client", counts, "--iters", "2",
+                         "--batch-size", "64"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        # Reported, not gated: the plan's build overlaps the partition's copy.
+        print(f"held {held[0] / table:.2f}x, peak {peak / table:.2f}x the float table")
+        assert held[0] <= 2.2 * table
 
 
 class TestVerify:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -52,6 +55,24 @@ class TestCsvRoundtrip:
         write_csv(path, ["a", "b"], values)
         _, rows = load_csv(path)
         assert np.array_equal(rows, values)
+
+    def test_ascii_locale_writes_utf8(self, tmp_path):
+        # Under the C locale without UTF-8 mode, open() defaults to ASCII;
+        # write_csv writes UTF-8 anyway, so load_csv reads back the header.
+        path = tmp_path / "data.csv"
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from fedquad.data import load_csv, write_csv\n"
+                  "rows = np.array([[1.0, -0.5], [3.0, 2.0 ** -30]])\n"
+                  "write_csv(sys.argv[1], ['x0', 'gr\\u00f6\\u00dfe'], rows)\n"
+                  "header, back = load_csv(sys.argv[1])\n"
+                  "print(ascii(header), back.tobytes() == rows.tobytes())\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['x0', 'gr\\xf6\\xdfe'] True\n"
+        assert path.read_bytes().startswith("x0,gr\u00f6\u00dfe\r\n".encode("utf-8"))
 
     # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark; it
     # is not part of the first column's name.

@@ -5,7 +5,7 @@ import pytest
 
 from fedquad import fe
 from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors
-from fedquad.protocol import ClientShard, TrainingConfig, run_training
+from fedquad.protocol import ClientShard, TrainingConfig, TrainingPlan, run_training
 from fedquad.tensor import dense_kron, kron_flat, vec_columns
 from fedquad.verify import mix_and_match_probe
 
@@ -158,9 +158,8 @@ class TestIssuedHandles:
         shards = [ClientShard(np.arange(12.0).reshape(6, 2) % 5 - 2, np.arange(6.0) % 3),
                   ClientShard(np.arange(6.0).reshape(6, 1) % 4 - 1)]
         artifacts = []
-        run_training(shards, TrainingConfig(iterations=3, batch_size=3,
-                                            fe_policy="tagged"),
-                     artifacts_out=artifacts)
+        config = TrainingConfig(iterations=3, batch_size=3, fe_policy="tagged")
+        run_training(TrainingPlan(shards, config), artifacts_out=artifacts)
         assert mix_and_match_probe(artifacts).defended
         first, second = artifacts[0], artifacts[1]
         instance = first.instance

@@ -19,6 +19,7 @@ from fedquad.funcvec import (
 from fedquad.protocol import (
     ClientShard,
     TrainingConfig,
+    TrainingPlan,
     exact_codec,
     make_batch_schedule,
     run_training,
@@ -405,7 +406,7 @@ class TestDecryptMemo:
                                 learning_rate=0.05, codec=exact_codec(MODEL_LINEAR),
                                 fe_policy="reused")
         artifacts = []
-        run_training(shards, config, initial_weights=[1.0, -2.0, 1.0],
+        run_training(TrainingPlan(shards, config), initial_weights=[1.0, -2.0, 1.0],
                      artifacts_out=artifacts)
 
         report = mix_and_match_probe(artifacts)

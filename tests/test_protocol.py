@@ -113,7 +113,7 @@ class TestRunIteration:
         for _ in range(40):
             shards, weights = random_unit_instance(rng, binary_labels=binary)
             metrics = _step(weights, shards, config)
-            bound = gradient_error_bound(shards, weights, model_kind, codec)
+            bound = gradient_error_bound(TrainingPlan(shards, config), weights)
             assert metrics.max_abs_grad_diff_vs_oracle <= bound
 
     def test_weight_update_and_grid_projection(self):
@@ -153,7 +153,7 @@ class TestRunIteration:
 
     @pytest.mark.parametrize("call", [
         lambda: _step(np.zeros(1), [], TrainingConfig()),
-        lambda: run_training([], TrainingConfig()),
+        lambda: run_training(TrainingPlan([], TrainingConfig())),
     ], ids=["run_iteration", "run_training"])
     def test_empty_shard_list_rejected(self, call):
         with pytest.raises(ValueError, match="at least one client shard"):
@@ -187,7 +187,8 @@ class TestBudget:
     def test_one_home_for_guard_and_bound(self, monkeypatch):
         shards, weights = _hand_instance()
         codec = FixedPointConfig()
-        before = gradient_error_bound(shards, weights, MODEL_LINEAR, codec)
+        plan = TrainingPlan(shards, TrainingConfig(MODEL_LINEAR, codec=codec))
+        before = gradient_error_bound(plan, weights)
         budget = TrainingPlan.budget
 
         def past_the_guard(plan, rows, w_eff):
@@ -198,7 +199,7 @@ class TestBudget:
         with pytest.raises(OverflowError, match=r"^worst-case accumulation \d+ exceeds "
                            r"2\*\*126; reduce batch size, magnitudes, or fractional bits$"):
             _step(weights, shards, TrainingConfig(codec=codec))
-        assert gradient_error_bound(shards, weights, MODEL_LINEAR, codec) > before
+        assert gradient_error_bound(plan, weights) > before
 
 
 class TestMessageLog:
@@ -287,7 +288,7 @@ class TestRunTraining:
         config = TrainingConfig(iterations=0, batch_size=4)
         initial = np.arange(4.0)
         seen = []
-        weights = run_training(shards, config, initial_weights=initial,
+        weights = run_training(TrainingPlan(shards, config), initial_weights=initial,
                                on_iteration=seen.append)
         assert seen == []
         assert np.array_equal(weights, np.arange(4.0))
@@ -298,7 +299,7 @@ class TestRunTraining:
         config = TrainingConfig(iterations=12, batch_size=4, learning_rate=0.1,
                                 seed=9, codec=exact_codec(MODEL_LINEAR))
         history = []
-        weights = run_training(shards, config, on_iteration=history.append)
+        weights = run_training(TrainingPlan(shards, config), on_iteration=history.append)
         X = np.hstack([sh.features for sh in shards])
         y = shards[0].labels
         batches = make_batch_schedule(16, 4, 12, 9)
@@ -313,7 +314,7 @@ class TestRunTraining:
     def test_on_iteration_sees_each_metrics_record_in_order(self):
         seen = []
         config = TrainingConfig(iterations=5, batch_size=4)
-        weights = run_training(self._shards(), config, on_iteration=seen.append)
+        weights = run_training(TrainingPlan(self._shards(), config), on_iteration=seen.append)
         assert [m.iteration for m in seen] == list(range(5))
         assert weights is seen[-1].weights
 
@@ -333,16 +334,16 @@ class TestRunTraining:
         monkeypatch.setattr(protocol_module, "dequantize", inflated)
         monkeypatch.setattr(protocol_module, "snap_to_grid", lambda v, bits: v)
         seen = []
+        plan = TrainingPlan(self._shards(), TrainingConfig(iterations=3, batch_size=4))
         with pytest.raises(ValueError, match="iteration 1 diverged"):
-            run_training(self._shards(), TrainingConfig(iterations=3, batch_size=4),
-                         initial_weights=np.ones(4), on_iteration=seen.append)
+            run_training(plan, initial_weights=np.ones(4), on_iteration=seen.append)
         assert [m.iteration for m in seen] == [0]
 
     def test_fresh_instance_every_iteration(self):
         shards = self._shards()
         config = TrainingConfig(iterations=3, batch_size=4)
         artifacts = []
-        run_training(shards, config, artifacts_out=artifacts)
+        run_training(TrainingPlan(shards, config), artifacts_out=artifacts)
         ids = [a.instance.instance_id for a in artifacts]
         assert len(set(ids)) == 3
 
@@ -350,7 +351,8 @@ class TestRunTraining:
         outputs = []
         for _ in range(2):
             history, bus = [], MessageBus()
-            run_training(self._shards(), TrainingConfig(iterations=4, batch_size=4, seed=31),
+            config = TrainingConfig(iterations=4, batch_size=4, seed=31)
+            run_training(TrainingPlan(self._shards(), config),
                          on_iteration=history.append, bus=bus)
             records = [json.dumps(iteration_record(m), sort_keys=True)
                        for m in history]
@@ -361,7 +363,7 @@ class TestRunTraining:
         shards = self._shards()
         config = TrainingConfig(iterations=5, batch_size=4)
         history, artifacts = [], []
-        run_training(shards, config, on_iteration=history.append,
+        run_training(TrainingPlan(shards, config), on_iteration=history.append,
                      artifacts_out=artifacts)
         assert len(history) == len(artifacts) == 5
         for metrics, art in zip(history, artifacts):
@@ -389,7 +391,7 @@ class TestRunTraining:
         monkeypatch.setattr(tensor, "block_slices", slices)
         config = TrainingConfig(iterations=5, batch_size=4, fe_policy=fe_policy)
         history = []
-        run_training(self._shards(), config, on_iteration=history.append)
+        run_training(TrainingPlan(self._shards(), config), on_iteration=history.append)
         assert [m.decryptions for m in history] == [4] * 5
         assert calls == {"checks": 5, "slices": 5}
 
@@ -401,8 +403,8 @@ class TestRunTraining:
             config = TrainingConfig(iterations=5, batch_size=4, learning_rate=0.05,
                                     seed=6, fe_policy=fe_policy)
             history, bus = [], MessageBus()
-            final = run_training(self._shards(), config, on_iteration=history.append,
-                                 bus=bus)
+            final = run_training(TrainingPlan(self._shards(), config),
+                                 on_iteration=history.append, bus=bus)
             records = [json.dumps(iteration_record(m), sort_keys=True) for m in history]
             runs.append((records, bus.export_jsonl(), final.tobytes()))
         assert runs[0] == runs[1] == runs[2]
@@ -411,18 +413,58 @@ class TestRunTraining:
         shards = self._shards()
         config = TrainingConfig(iterations=3, batch_size=4, fe_policy="tagged")
         artifacts = []
-        run_training(shards, config, artifacts_out=artifacts)
+        run_training(TrainingPlan(shards, config), artifacts_out=artifacts)
         for t, art in enumerate(artifacts):
             assert {ct.tag for ct in art.ciphertexts} == {t}
             assert {sk.tag for sk in art.secret_keys} == {t}
         assert len({id(a.instance) for a in artifacts}) == 1
 
+    @pytest.mark.parametrize("fe_policy", ["fresh", "reused"])
+    def test_second_run_on_a_plan_repeats_the_first(self, fe_policy):
+        config = TrainingConfig(iterations=3, batch_size=4, fe_policy=fe_policy)
+        plan = TrainingPlan(self._shards(), config)
+        assert run_training(plan).tobytes() == run_training(plan).tobytes()
+
+    def test_second_run_on_a_tagged_plan_is_refused(self):
+        # A plan serves one run: its one instance took tags 0-2 on every
+        # slot, and the paper's tags are used once per slot.
+        config = TrainingConfig(iterations=3, batch_size=4, fe_policy="tagged")
+        plan = TrainingPlan(self._shards(), config)
+        run_training(plan)
+        with pytest.raises(fe.DuplicateSlot, match=r"^slot 0 was last encrypted under "
+                           r"tag 2; tag 0 does not order after it$"):
+            run_training(plan)
+
+    def test_a_plan_that_outlives_its_run_holds_none_of_its_ciphertexts(self):
+        # S=32 and F=16: the last ciphertext set and its x are 2 * 32 * 17 * 8
+        # bytes of payload, which the tagged plan's one instance would keep
+        # for as long as the plan lives unless the run drops them at its end.
+        rng = np.random.default_rng(29)
+        labels = rng.integers(-4, 5, size=64).astype(float)
+        shards = [ClientShard(rng.integers(-4, 5, size=(64, 8)).astype(float), labels),
+                  ClientShard(rng.integers(-4, 5, size=(64, 8)).astype(float))]
+        held = {}
+        for fe_policy in ("fresh", "tagged"):
+            plan = TrainingPlan(shards, TrainingConfig(iterations=3, batch_size=32,
+                                                       learning_rate=0.01,
+                                                       fe_policy=fe_policy))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run_training(plan)
+                gc.collect()
+                held[fe_policy] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert held["tagged"] - held["fresh"] < 1024
+
     def test_batch_size_larger_than_dataset_rejected(self):
         # Also with no iterations: the check does not wait for a batch.
         for iterations in (1, 0):
             with pytest.raises(ValueError, match="batch_size 5 exceeds dataset rows 4"):
-                run_training(self._shards(rows=4),
-                             TrainingConfig(iterations=iterations, batch_size=5))
+                run_training(TrainingPlan(self._shards(rows=4),
+                                          TrainingConfig(iterations=iterations, batch_size=5)))
 
     @staticmethod
     def _held_after(iterations, **sinks):
@@ -437,7 +479,8 @@ class TestRunTraining:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            weights = run_training(shards, config, initial_weights=np.ones(16), **sinks)
+            weights = run_training(TrainingPlan(shards, config),
+                                   initial_weights=np.ones(16), **sinks)
             gc.collect()
             return tracemalloc.get_traced_memory()[0] - before, weights
         finally:
@@ -474,7 +517,7 @@ class TestRunTraining:
         gc.collect()
         tracemalloc.start()
         try:
-            run_training(shards, config)
+            run_training(TrainingPlan(shards, config))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,7 +559,7 @@ class TestTrainingPlan:
                                 codec=codec, fe_policy="tagged" if tagged else "fresh")
         initial = np.array([0.5, -1.5, 2.0, -0.25, 1.0])
         history, run_bus = [], MessageBus()
-        final = run_training(shards, config, initial_weights=initial,
+        final = run_training(TrainingPlan(shards, config), initial_weights=initial,
                              on_iteration=history.append, bus=run_bus)
 
         plan = TrainingPlan(shards, config)
@@ -646,7 +689,7 @@ class TestMixAndMatch:
         config = TrainingConfig(iterations=iterations, batch_size=3,
                                 codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy)
         artifacts = []
-        run_training(shards, config, artifacts_out=artifacts)
+        run_training(TrainingPlan(shards, config), artifacts_out=artifacts)
         return artifacts
 
     def test_two_iterations_both_cross_pairs_rejected(self):

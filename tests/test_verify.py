@@ -19,7 +19,7 @@ from fedquad.verify import (
     random_unit_instance,
     run_all_checks,
 )
-from fedquad.protocol import ClientShard
+from fedquad.protocol import ClientShard, TrainingConfig, TrainingPlan
 
 
 class TestInstanceGenerators:
@@ -93,24 +93,24 @@ class TestGradientErrorBound:
 
     def test_positive(self):
         shards, weights = self._instance()
-        bound = gradient_error_bound(shards, weights, MODEL_LINEAR,
-                                     FixedPointConfig())
+        plan = TrainingPlan(shards, TrainingConfig(MODEL_LINEAR, codec=FixedPointConfig()))
+        bound = gradient_error_bound(plan, weights)
         assert bound > 0
 
     def test_more_bits_tighten_the_bound(self):
         shards, weights = self._instance()
-        coarse = gradient_error_bound(shards, weights, MODEL_LINEAR,
-                                      FixedPointConfig(8, 8))
-        fine = gradient_error_bound(shards, weights, MODEL_LINEAR,
-                                    FixedPointConfig(16, 16))
+        coarse = gradient_error_bound(TrainingPlan(shards, TrainingConfig(
+            MODEL_LINEAR, codec=FixedPointConfig(8, 8))), weights)
+        fine = gradient_error_bound(TrainingPlan(shards, TrainingConfig(
+            MODEL_LINEAR, codec=FixedPointConfig(16, 16))), weights)
         assert fine < coarse
 
     def test_logistic_bound_differs_from_linear(self):
         shards, weights = self._instance()
-        lin = gradient_error_bound(shards, weights, MODEL_LINEAR,
-                                   FixedPointConfig())
-        log = gradient_error_bound(shards, weights, MODEL_LOGISTIC_TAYLOR,
-                                   FixedPointConfig())
+        lin = gradient_error_bound(TrainingPlan(shards, TrainingConfig(
+            MODEL_LINEAR, codec=FixedPointConfig())), weights)
+        log = gradient_error_bound(TrainingPlan(shards, TrainingConfig(
+            MODEL_LOGISTIC_TAYLOR, codec=FixedPointConfig())), weights)
         assert lin != log
 
 
