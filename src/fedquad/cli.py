@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, model
+from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR
 from .data import (
     load_csv,
     load_partition_spec,
@@ -196,7 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "seed": plan.config.seed,
             "data_bits": plan.config.codec.data_bits,
             "weight_bits": plan.config.codec.weight_bits,
-            "final_loss": model(model_kind).loss(plan.X, plan.y, weights),
+            "final_loss": plan.model.loss(plan.X, plan.y, weights),
             "final_weights": [float(v) for v in weights],
         })
     finally:

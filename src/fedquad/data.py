@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, CentralDataset
-from .draws import seeded, uniform_ints
+from .draws import check_int, seeded, uniform_ints
 from .protocol import ClientShard
 
 
@@ -299,11 +299,10 @@ def synthesize(model_kind: str, n_rows: int, features_per_client: Sequence[int],
 
     Values come from draws.uniform_ints on draws.seeded(seed): the
     features row by row, then the weights, then (linear only) the noise.
-    A seed that is not an int raises TypeError and a negative one
-    ValueError.
+    An n_rows or seed that is not an int raises TypeError, and n_rows
+    below 1 or a negative seed ValueError (draws.check_int).
     """
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    n_rows = check_int("n_rows", n_rows, 1)
     if model_kind not in _SYNTHETIC_RANGES:
         raise ValueError(f"unknown model kind {model_kind!r}")
     feature_range, weight_range = _SYNTHETIC_RANGES[model_kind]

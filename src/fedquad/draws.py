@@ -21,8 +21,12 @@ def check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
 
     Both messages name the field. An int-like value (a numpy integer) is
     its int; a float is refused, even 2.0, and so is a bool. This is the
-    rule of every seed, of a run's iteration count and batch size, and of
-    a codec's bit counts (high given).
+    rule of every count and index the package takes: every seed, a run's
+    iteration count and batch size, a codec's bit counts (high given),
+    fe.setup's slot lengths, a ResidualBlock's rows, a SliceVector's
+    index, a SparseFunctionVector's dimension and entry indices (low is
+    the previous index + 1), overflow_bound's S and F, and synthesize's
+    n_rows.
     """
     try:
         if isinstance(value, bool):

@@ -40,8 +40,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .draws import check_int
 from .funcvec import ReadOnly, ResidualBlock, SliceVector, SparseFunctionVector, slot_setters
-from .tensor import block_slices, int_vector, seal, sparse_inner_kron
+from .tensor import block_slices, seal, sparse_inner_kron
 
 
 class FEError(Exception):
@@ -185,15 +186,18 @@ _set_sk_tag, _set_sk_funcvec, _set_sk_instance = slot_setters(SecretKey)
 
 
 def setup(slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]:
-    """Create a fresh instance with one slot per length and one encryption key per slot."""
+    """Create a fresh instance with one slot per length and one encryption key per slot.
+
+    Each length is a count (draws.check_int): a float or a bool raises
+    TypeError and a length below 1 ValueError, both naming the slot.
+    """
     # From a list, not a generator: a tuple built from a generator is resized,
     # so it does not come from CPython's tuple free list but goes back to it,
     # which then grows by one entry per call (up to 2000 per size).
-    lengths = tuple(int_vector(slot_lengths).tolist())
+    lengths = tuple([check_int(f"slot {slot} length", n, 1)
+                     for slot, n in enumerate(slot_lengths)])
     if len(lengths) < 2:
         raise ValueError(f"need at least 2 slots (features + labels), got {len(lengths)}")
-    if any(n < 1 for n in lengths):
-        raise ValueError(f"every slot length must be >= 1, got {lengths}")
     instance = FEInstance(lengths)
     keys = [_new(EncryptionKey) for _ in range(instance.n_slots)]
     for slot, ek in enumerate(keys):

@@ -114,11 +114,10 @@ def overflow_bound(S: int, F: int, qx: int, qw: int,
     Each of the S*(F+1) terms is one weight-scale coefficient times two
     data-scale factors. Callers must check the bound is < 2**126 before
     running, and must pass max_abs_w >= 1 when the constant label
-    coefficient (value 1 at weight scale) participates.
+    coefficient (value 1 at weight scale) participates. S and F are
+    counts of at least 1 (draws.check_int).
     """
-    for name, n in (("S", S), ("F", F)):
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
+    S, F = check_int("S", S, 1), check_int("F", F, 1)
     return (S * (F + 1)
             * math.ceil(max_abs_w * (1 << qw))
             * math.ceil(max_abs_x * (1 << qx)) ** 2)

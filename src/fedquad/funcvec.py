@@ -17,6 +17,13 @@ sorted (flat index, value) entries and dense form are derived on demand
 for the oracles. SparseFunctionVector keeps an explicit entry list for
 vectors built by hand.
 
+Coefficients follow the rule of a ciphertext's payload, tensor.int_vector:
+a value v is taken when int(v) == v and stored as that Python int (2.0 and
+numpy.int64(2) are 2), and any other value raises ValueError naming its
+position; none is truncated. Counts and indices (a block's rows, a slice
+index, a vector's dimension and its entries' flat indices) follow
+draws.check_int, which refuses a float and a bool with TypeError.
+
 The builders need only the flat quantized weights, in the column order of
 x, and the batch size S: feature column k starts at x[k*S], so slice k
 sits on rows k*S .. k*S + S - 1 of x (x) x. Which columns belong to which
@@ -25,32 +32,35 @@ client is the caller's record (TrainingPlan.columns), not this module's.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .tensor import DENSE_KRON_MAX_LEN
+from .draws import check_int
+from .tensor import DENSE_KRON_MAX_LEN, int_vector
 
 
 @dataclass(frozen=True)
 class SparseFunctionVector:
-    """Sorted nonzero (flat index, value) entries over a dimension-L**2 space."""
+    """Sorted nonzero (flat index, value) entries over a dimension-L**2 space.
+
+    dimension is a count and each index must exceed the one before it
+    and lie below dimension; the entries are stored as pairs of Python ints.
+    """
 
     dimension: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        prev = -1
-        for index, value in self.entries:
-            if not (0 <= index < self.dimension):
-                raise ValueError(
-                    f"entry index {index} out of range for dimension {self.dimension}"
-                )
-            if index <= prev:
-                raise ValueError(f"entry indices must be strictly increasing at {index}")
-            if value == 0:
-                raise ValueError(f"zero value stored at index {index}")
-            prev = index
+        object.__setattr__(self, "dimension", check_int("dimension", self.dimension))
+        indices = []
+        for position, (index, _) in enumerate(self.entries):
+            # low is the previous index + 1: one check for range and order.
+            indices.append(check_int(f"entry {position} index", index,
+                                     indices[-1] + 1 if indices else 0, self.dimension - 1))
+        values = int_vector([value for _, value in self.entries], "entry").tolist()
+        if 0 in values:
+            raise ValueError(f"zero value stored at index {indices[values.index(0)]}")
+        object.__setattr__(self, "entries", tuple(zip(indices, values)))
 
     @property
     def nnz(self) -> int:
@@ -93,15 +103,16 @@ class ResidualBlock:
     dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or not self.coefficients:
-            raise ValueError(
-                f"need rows >= 1 and at least one coefficient, got {self.rows} "
-                f"and {len(self.coefficients)}"
-            )
+        rows = check_int("rows", self.rows, 1)
+        coefficients = tuple(int_vector(self.coefficients, "coefficient").tolist())
+        if not coefficients:
+            raise ValueError("need at least one coefficient")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "coefficients", coefficients)
         # From a list, as in fe.setup: built once per iteration.
         object.__setattr__(self, "nonzero_columns", tuple(
-            [c for c, value in enumerate(self.coefficients) if value != 0]))
-        length = self.rows * len(self.coefficients)
+            [c for c, value in enumerate(coefficients) if value != 0]))
+        length = rows * len(coefficients)
         object.__setattr__(self, "vector_length", length)
         object.__setattr__(self, "dimension", length * length)
 
@@ -172,14 +183,7 @@ class SliceVector(ReadOnly):
     __slots__ = ("index", "block", "dimension")
 
     def __init__(self, index: int, block: ResidualBlock) -> None:
-        try:
-            operator.index(index)
-        except TypeError:
-            raise TypeError(f"slice index {index!r} is not an integer") from None
-        last = len(block.coefficients) - 1
-        if not (0 <= index <= last):
-            raise ValueError(f"slice index {index} outside 0..{last}")
-        _set_index(self, index)
+        _set_index(self, check_int("slice index", index, 0, len(block.coefficients) - 1))
         _set_block(self, block)
         _set_dimension(self, block.dimension)
 
@@ -218,9 +222,9 @@ def residual_block(quantized_weights: Sequence[int], one_quantized: int,
     quantized_weights is in the column order of x (client ascending,
     feature ascending) and rows is the batch size S.
     """
-    coefficients = [-int(w) for w in quantized_weights]
-    coefficients.append(int(one_quantized))
-    return ResidualBlock(rows=rows, coefficients=tuple(coefficients))
+    coefficients = [-w for w in quantized_weights]
+    coefficients.append(one_quantized)
+    return ResidualBlock(rows=rows, coefficients=coefficients)
 
 
 def residual_coefficients(quantized_weights: Sequence[int], one_quantized: int,

@@ -18,12 +18,15 @@ accumulator leaves its width. Otherwise limb_plan picks one of two paths:
 - Python ints in numpy object arrays.
 
 Integer vectors enter the kernel through int_vector, the one place that
-decides what an integer is: a value v is one when int(v) == v, and any
-other value is refused, never truncated. The result is int64 when every
-value fits, otherwise Python ints, never uint64 or float; seal is the
-read-only copy fe.encrypt keeps as a ciphertext payload. The dense
-Kronecker product exists purely as a desk-scale oracle for tests and is
-size-guarded accordingly.
+decides what an integer value is: a value v is one when int(v) == v, and
+any other value is refused, never truncated. It is the rule of every
+ciphertext payload and of every function vector's coefficients (a
+ResidualBlock's, a SparseFunctionVector's values), which are stored as
+the Python ints it returns. The result is int64 when every value fits,
+otherwise Python ints, never uint64 or float; seal is the read-only copy
+fe.encrypt keeps as a ciphertext payload. Counts and indices follow
+draws.check_int instead. The dense Kronecker product exists purely as a
+desk-scale oracle for tests and is size-guarded accordingly.
 """
 
 from __future__ import annotations
@@ -82,11 +85,12 @@ def dense_kron(x: Sequence[int]) -> list[int]:
     return [a * b for a in xs for b in xs]
 
 
-def int_vector(values) -> np.ndarray:
+def int_vector(values, name: str = "position") -> np.ndarray:
     """A 1-D integer vector as int64 when every value fits, else as Python ints.
 
     A value v is an integer when int(v) == v; any other value, and one
-    int() rejects (nan, inf, '3'), raises ValueError naming its position.
+    int() rejects (nan, inf, '3'), raises ValueError naming its position
+    ("{name} {position} holds {value!r}").
     The result is never uint64 or float: values past int64 go into an
     object array of Python ints. An int64 array comes back as is; any
     other input, an array of another dtype included, goes through Python
@@ -112,7 +116,7 @@ def int_vector(values) -> np.ndarray:
                     continue
             except (TypeError, ValueError, OverflowError):
                 pass
-            raise ValueError(f"position {position} holds {value!r}")
+            raise ValueError(f"{name} {position} holds {value!r}")
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:

@@ -111,8 +111,7 @@ def check_funcvec_identity(seed: int = 0) -> CheckResult:
     for _ in range(_IDENTITY_ROUNDS):
         shards, weights = random_exact_instance(rng)
         labels = shards[0].labels
-        vectors = all_gradient_slice_vectors([int(v) for v in weights], 1,
-                                             shards[0].features.shape[0])
+        vectors = all_gradient_slice_vectors(weights, 1, shards[0].features.shape[0])
         x = concatenated_input(shards, labels)
         u = labels - np.hstack([sh.features for sh in shards]) @ weights
         direct = np.hstack([u @ sh.features for sh in shards])

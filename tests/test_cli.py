@@ -469,7 +469,8 @@ class TestStreamedRecords:
     def test_non_finite_summary_is_refused(self, monkeypatch, capsys):
         record = dataclasses.replace(baseline.model(baseline.MODEL_LINEAR),
                                      loss=lambda *args: float("inf"))
-        monkeypatch.setattr(cli, "model", lambda kind: record)
+        # The summary reads the loss through the plan's model record.
+        monkeypatch.setattr(protocol, "model", lambda kind: record)
         assert main(["train", "--synthetic", "--iters", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1

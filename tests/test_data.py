@@ -370,6 +370,15 @@ class TestSynthesize:
         assert np.array_equal(a.rows, b.rows)
         assert not np.array_equal(a.rows, c.rows)
 
+    @pytest.mark.parametrize("n_rows, error, message", [
+        (2.5, TypeError, "n_rows must be an integer, got 2.5"),
+        (True, TypeError, "n_rows must be an integer, got True"),
+        (-3, ValueError, "n_rows must be >= 1, got -3"),
+    ], ids=["float", "bool", "negative"])
+    def test_n_rows_refused_by_name(self, n_rows, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            synthesize(MODEL_LINEAR, n_rows, [1], 0)
+
     # random.Random would hash these silently (default_rng raised).
     @pytest.mark.parametrize("seed", [1.5, "3", None], ids=["float", "str", "none"])
     def test_non_int_seed_rejected(self, seed):

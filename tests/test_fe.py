@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fedquad import fe
-from fedquad.funcvec import SparseFunctionVector, all_gradient_slice_vectors
+from fedquad.funcvec import (
+    ResidualBlock,
+    SliceVector,
+    SparseFunctionVector,
+    all_gradient_slice_vectors,
+)
 from fedquad.protocol import ClientShard, TrainingConfig, TrainingPlan, run_training
 from fedquad.tensor import dense_kron, kron_flat, vec_columns
 from fedquad.verify import mix_and_match_probe
@@ -34,6 +39,17 @@ class TestSetup:
     @pytest.mark.parametrize("lengths", [[1], [1, 0]], ids=["1-lengths0", "2-lengths2"])
     def test_rejects_bad_shapes(self, lengths):
         with pytest.raises(ValueError):
+            fe.setup(lengths)
+
+    # A length is a count (draws.check_int): 2.0 and True are not taken as 2 and 1.
+    @pytest.mark.parametrize("lengths, error, message", [
+        ([2.0, 1], TypeError, "slot 0 length must be an integer, got 2.0"),
+        ([True, 1], TypeError, "slot 0 length must be an integer, got True"),
+        ([1, "3"], TypeError, "slot 1 length must be an integer, got '3'"),
+        ([2, -1], ValueError, "slot 1 length must be >= 1, got -1"),
+    ], ids=["float", "bool", "str", "negative"])
+    def test_lengths_refused_by_slot(self, lengths, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
             fe.setup(lengths)
 
 
@@ -264,6 +280,22 @@ class TestDecrypt:
         instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, [5]), fe.encrypt(keys[1], None, [3])]
         assert fe.decrypt(cts, _single_product_key(instance)) == 15
+
+    # Coefficients are taken by tensor.int_vector's rule, as payloads are: an
+    # integer-valued float or numpy integer decrypts as the int it equals.
+    @pytest.mark.parametrize("coefficient", [2.0, np.int64(2), np.float64(2)],
+                             ids=["float", "numpy-int64", "numpy-float64"])
+    def test_integer_valued_coefficients_decrypt_as_ints(self, coefficient):
+        instance, keys = fe.setup([1, 1])
+        cts = (fe.encrypt(keys[0], None, [2]), fe.encrypt(keys[1], None, [3]))
+
+        def value(c):
+            return fe.decrypt(cts, fe.keygen(instance, None, c))
+
+        assert value(SparseFunctionVector(4, ((1, coefficient),))) == 12  # 2 * x0 * x1
+        block = ResidualBlock(rows=1, coefficients=(coefficient, 1))
+        expected = value(SliceVector(0, ResidualBlock(rows=1, coefficients=(2, 1))))
+        assert value(SliceVector(0, block)) == expected == 2 * (2 * 2 + 3)
 
     def test_cross_iteration_mix_rejected(self):
         inst_t, keys_t = fe.setup([1, 1])

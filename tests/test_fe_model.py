@@ -3,12 +3,14 @@
 A hypothesis state machine sets up 1-3 instances, encrypts under tags
 drawn from a small pool, issues keys for slice vectors and hand-built
 sparse vectors, and decrypts subsets, permutations and duplicates of the
-ciphertexts, passed as the same tuple, a copy or a list. After every step
-fe agrees with the model: the same value, or the same error type in
-decrypt's documented order (instance, then tag, then slots), and the same
-audit_counters. The model reveals a value exactly when every ciphertext
-has the key's instance and tag and the slots are complete, so
-mix-and-match across instances or tags is always refused.
+ciphertexts, passed as the same tuple, a copy or a list. Hand-built
+coefficients and slice weights are drawn as ints, integer-valued floats
+and numpy.int64 values. After every step fe agrees with the model: the
+same value, or the same error type in decrypt's documented order
+(instance, then tag, then slots), and the same audit_counters. The
+model reveals a value exactly when every ciphertext has the key's
+instance and tag and the slots are complete, so mix-and-match across
+instances or tags is always refused.
 
 Tier-1 runs the small "fe-model" profile of tests/conftest.py; a deeper
 run is
@@ -16,6 +18,7 @@ run is
     python -m pytest tests/test_fe_model.py --hypothesis-profile fe-model-deep
 """
 
+import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -33,7 +36,15 @@ TAGS = (None, 0, 1, 1.0, True, 2, "a")
 # Batch rows, then each slot's column count (the last slot is the label's).
 SHAPES = st.tuples(st.integers(1, 3), st.lists(st.integers(1, 2), min_size=2, max_size=4))
 VALUES = st.one_of(st.integers(-9, 9), st.sampled_from([-(1 << 40), 1 << 40]))
-COEFFICIENTS = st.integers(-9, 9).filter(bool)
+
+
+def integer_forms(ints):
+    """Each drawn integer as an int, an integer-valued float or a numpy.int64."""
+    return ints.flatmap(lambda v: st.sampled_from([v, float(v), np.int64(v)]))
+
+
+# A key's coefficients are taken by tensor.int_vector's rule, as a payload is.
+COEFFICIENTS = integer_forms(st.integers(-9, 9).filter(bool))
 
 
 class Model:
@@ -72,7 +83,9 @@ class Model:
         if dimension != sum(inst["lengths"]) ** 2:
             return ValueError
         inst["counts"][1] += 1
-        self.keys.append({"instance": i, "tag": tag, "entries": list(entries)})
+        # Each coefficient is the integer it equals (all drawn ones are integers).
+        self.keys.append({"instance": i, "tag": tag,
+                          "entries": [(f, int(v)) for f, v in entries]})
         return None
 
     def decrypt(self, picks, k):
@@ -155,9 +168,10 @@ class FEModel(RuleBasedStateMachine):
             vectors = self.vectors
         elif sliced:
             # All F vectors of one weight vector share a block, as in an iteration.
-            weights = data.draw(st.lists(st.integers(-9, 9), min_size=sum(columns) - 1,
-                                         max_size=sum(columns) - 1))
-            vectors = all_gradient_slice_vectors(weights, data.draw(st.integers(1, 4)), rows)
+            weights = data.draw(st.lists(integer_forms(st.integers(-9, 9)),
+                                         min_size=sum(columns) - 1, max_size=sum(columns) - 1))
+            vectors = all_gradient_slice_vectors(
+                weights, data.draw(integer_forms(st.integers(1, 4))), rows)
             self.vectors = vectors
         else:
             flats = data.draw(st.lists(st.integers(0, length * length - 1),
@@ -166,7 +180,9 @@ class FEModel(RuleBasedStateMachine):
             vectors = [SparseFunctionVector(length * length, entries)]
         instance = self.instances[i][0]
         for c in vectors:
-            expected = self.model.keygen(i, tag, c.dimension, c.entries)
+            # The model takes a hand-built vector's entries as drawn.
+            expected = self.model.keygen(i, tag, c.dimension,
+                                         c.entries if sliced else entries)
             sk, error = _outcome(lambda: fe.keygen(instance, tag, c), ValueError)
             assert error is expected
             if sk is not None:

@@ -200,6 +200,16 @@ class TestOverflowBound:
         with pytest.raises(ValueError):
             overflow_bound(0, 1, 0, 0, 1.0, 1.0)
 
+    # S and F are counts (draws.check_int); 2.5 was taken and gave a float bound.
+    @pytest.mark.parametrize("S, F, message", [
+        (2.5, 1, "S must be an integer, got 2.5"),
+        (True, 1, "S must be an integer, got True"),
+        (1, 2.0, "F must be an integer, got 2.0"),
+    ], ids=["S-float", "S-bool", "F-float"])
+    def test_counts_refused_by_name(self, S, F, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            overflow_bound(S, F, 0, 0, 1.0, 1.0)
+
     def test_bounds_actual_accumulation(self):
         rng = np.random.default_rng(3)
         qx = qw = 6

@@ -6,6 +6,7 @@ from fedquad.funcvec import (
     SliceVector,
     SparseFunctionVector,
     all_gradient_slice_vectors,
+    residual_block,
     residual_coefficients,
 )
 from fedquad import fe
@@ -103,8 +104,55 @@ class TestResidualCoefficients:
             assert entries[s * L + 2 * S + s] == 9
 
     def test_rejects_zero_rows(self):
-        with pytest.raises(ValueError, match="rows >= 1"):
+        with pytest.raises(ValueError, match="rows must be >= 1, got 0"):
             residual_coefficients([1], 1, 0)
+
+
+def _block():
+    return ResidualBlock(rows=2, coefficients=(4, -1, 1))
+
+
+class TestIntegerRules:
+    """Coefficients follow tensor.int_vector, counts and indices draws.check_int."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: residual_block([1.5, 2], 1, 2), ValueError, "coefficient 0 holds -1.5"),
+        (lambda: all_gradient_slice_vectors([0.9, -2.5], 4096, 3), ValueError,
+         "coefficient 0 holds -0.9"),
+        (lambda: ResidualBlock(rows=1, coefficients=(1.5, 1)), ValueError,
+         "coefficient 0 holds 1.5"),
+        (lambda: ResidualBlock(rows=2.0, coefficients=(1, 1)), TypeError,
+         "rows must be an integer, got 2.0"),
+        (lambda: ResidualBlock(rows=True, coefficients=(1, 1)), TypeError,
+         "rows must be an integer, got True"),
+        (lambda: SparseFunctionVector(4, ((1, 2.5),)), ValueError, "entry 0 holds 2.5"),
+        (lambda: SparseFunctionVector(4, ((1.0, 2),)), TypeError,
+         "entry 0 index must be an integer, got 1.0"),
+        (lambda: SparseFunctionVector(4, ((0, 1), (True, 2))), TypeError,
+         "entry 1 index must be an integer, got True"),
+        (lambda: SparseFunctionVector(4, ((2, 1), (2, 1))), ValueError,
+         r"entry 1 index must be in \[3, 3\], got 2"),
+        (lambda: SparseFunctionVector(4.0, ((1, 2),)), TypeError,
+         "dimension must be an integer, got 4.0"),
+        (lambda: SliceVector(True, _block()), TypeError,
+         "slice index must be an integer, got True"),
+    ], ids=["residual_block-weight", "slice_vectors-weight", "block-coefficient",
+            "block-rows-float", "block-rows-bool", "sparse-value", "sparse-index-float",
+            "sparse-index-bool", "sparse-index-repeated", "sparse-dimension-float",
+            "slice-index-bool"])
+    def test_refused_by_field_or_position(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
+
+    def test_integer_values_are_stored_as_ints(self):
+        block = ResidualBlock(rows=np.int64(1), coefficients=(2.0, np.int64(-1), 1))
+        assert block == ResidualBlock(rows=1, coefficients=(2, -1, 1))
+        assert hash(block) == hash(ResidualBlock(rows=1, coefficients=(2, -1, 1)))
+        assert all(type(v) is int for v in (block.rows, *block.coefficients))
+        c = SparseFunctionVector(4, ((np.int64(1), 2.0), (3, np.int64(-5))))
+        assert c.entries == ((1, 2), (3, -5))
+        assert all(type(v) is int for entry in c.entries for v in entry)
+        assert type(SliceVector(np.int64(2), block).index) is int
 
 
 def _hand_input():
