@@ -299,10 +299,13 @@ def synthesize(model_kind: str, n_rows: int, features_per_client: Sequence[int],
 
     Values come from draws.uniform_ints on draws.seeded(seed): the
     features row by row, then the weights, then (linear only) the noise.
-    An n_rows or seed that is not an int raises TypeError, and n_rows
-    below 1 or a negative seed ValueError (draws.check_int).
+    An n_rows, feature count or seed that is not an int raises TypeError,
+    and n_rows or a count below 1, or a negative seed, ValueError
+    (draws.check_int); a count's message names its client.
     """
     n_rows = check_int("n_rows", n_rows, 1)
+    features_per_client = [check_int(f"client {i} feature count", count, 1)
+                           for i, count in enumerate(features_per_client)]
     if model_kind not in _SYNTHETIC_RANGES:
         raise ValueError(f"unknown model kind {model_kind!r}")
     feature_range, weight_range = _SYNTHETIC_RANGES[model_kind]

@@ -25,8 +25,9 @@ def check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
     iteration count and batch size, a codec's bit counts (high given),
     fe.setup's slot lengths, a ResidualBlock's rows, a SliceVector's
     index, a SparseFunctionVector's dimension and entry indices (low is
-    the previous index + 1), overflow_bound's S and F, and synthesize's
-    n_rows.
+    the previous index + 1), overflow_bound's S and F, synthesize's
+    n_rows and per-client feature counts, and iter_batches' (so
+    make_batch_schedule's) n_rows, batch_size and n_iterations.
     """
     try:
         if isinstance(value, bool):

@@ -30,7 +30,8 @@ a later key of that instance skips the checks when it brings that very
 tuple object, the same tag object and the same block. A caller that
 passes one tuple to every decrypt (as run_iteration does) hits the memo;
 a list, or another tuple of the same ciphertexts, is checked again.
-clear_memo drops the kept set (run_training does, when a run ends).
+The kept set lives as long as its instance: a run's instance, and with
+it that run's last set, is freed when the run ends (protocol.run_training).
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
     (slot, tag) is used once and the instance keeps one tag per slot.
     Untagged use (tag None) has no such restriction. The ciphertext keeps a
     read-only copy, so later changes to `values` do not reach it. A value
-    that is not an integer (see tensor.int_vector) raises ValueError
+    that is not an integer (see tensor.int_list) raises ValueError
     naming the slot and the position; it is never truncated.
     """
     instance = ek._instance
@@ -272,8 +273,9 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     set that passed with its concatenated x and the slice values of its
     block, so a later key of that instance skips the checks when it
     brings that very tuple object, the same tag object and the same
-    block; any other call, a list included, runs every check again. Each
-    call counts once.
+    block; any other call, a list included, runs every check again. The
+    kept set is replaced by the next one that passes and freed with the
+    instance. Each call counts once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance
@@ -316,16 +318,6 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
     x = np.concatenate([by_slot[slot]._payload for slot in range(instance.n_slots)])
     slices = None if block is None else block_slices(block, x)
     return _Operands(cts, sk.tag, x, block, slices)
-
-
-def clear_memo(instance: FEInstance) -> None:
-    """Drop the last checked ciphertext set the instance keeps, with its x and slices.
-
-    The next decrypt with a key of the instance checks its set again. An
-    instance that outlives the run it served (TrainingPlan.shared_fe) would
-    otherwise keep that run's last ciphertexts alive.
-    """
-    instance._operands = None
 
 
 def audit_counters(instance: FEInstance) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ sorted (flat index, value) entries and dense form are derived on demand
 for the oracles. SparseFunctionVector keeps an explicit entry list for
 vectors built by hand.
 
-Coefficients follow the rule of a ciphertext's payload, tensor.int_vector:
+Coefficients follow the rule of a ciphertext's payload, tensor.int_list:
 a value v is taken when int(v) == v and stored as that Python int (2.0 and
 numpy.int64(2) are 2), and any other value raises ValueError naming its
 position; none is truncated. Counts and indices (a block's rows, a slice
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .draws import check_int
-from .tensor import DENSE_KRON_MAX_LEN, int_vector
+from .tensor import DENSE_KRON_MAX_LEN, int_list
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class SparseFunctionVector:
             # low is the previous index + 1: one check for range and order.
             indices.append(check_int(f"entry {position} index", index,
                                      indices[-1] + 1 if indices else 0, self.dimension - 1))
-        values = int_vector([value for _, value in self.entries], "entry").tolist()
+        values = int_list([value for _, value in self.entries], "entry")
         if 0 in values:
             raise ValueError(f"zero value stored at index {indices[values.index(0)]}")
         object.__setattr__(self, "entries", tuple(zip(indices, values)))
@@ -104,7 +104,7 @@ class ResidualBlock:
 
     def __post_init__(self) -> None:
         rows = check_int("rows", self.rows, 1)
-        coefficients = tuple(int_vector(self.coefficients, "coefficient").tolist())
+        coefficients = tuple(int_list(self.coefficients, "coefficient"))
         if not coefficients:
             raise ValueError("need at least one coefficient")
         object.__setattr__(self, "rows", rows)

@@ -227,9 +227,7 @@ class TrainingPlan:
     x: one slice per client, then the label's. client_slots is the one
     record of which slots each client fills: its own slot i, and the label
     slot N too for the label holder; encryptions_per_client counts them.
-    shared_fe is None under fe_policy "fresh", else the run's one fe.setup
-    (batch_size rows per slot). A plan serves one run (run_training):
-    under "tagged", its instance has taken every tag of that run.
+    A plan is data: it holds no FE state and serves any number of runs.
     """
 
     def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
@@ -262,10 +260,6 @@ class TrainingPlan:
         slots[holders[0]] = (holders[0], len(shards))
         self.client_slots = tuple(slots)
         self.encryptions_per_client = tuple([len(s) for s in slots])
-        self.shared_fe = None
-        if config.fe_policy != "fresh":
-            self.shared_fe = fe.setup([
-                config.batch_size * (c.stop - c.start) for c in self.columns])
 
     def budget(self, rows: np.ndarray, w_eff: np.ndarray
                ) -> tuple[int, int, int, int, float, float]:
@@ -283,13 +277,15 @@ class TrainingPlan:
 def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: int = 0,
                   bus: MessageBus | None = None,
                   artifacts_out: list[IterationArtifacts] | None = None,
+                  fe_setup: tuple[fe.FEInstance, list[fe.EncryptionKey]] | None = None,
                   ) -> IterationMetrics:
     """One secure gradient step on the plan's rows: setup, encrypt, keygen, decrypt, update.
 
     Settings come from plan.config; weights are only read, and the
-    updated ones are returned in the metrics. Each call sets up a fresh
-    FE instance unless the plan holds the run's one (plan.shared_fe); under
-    fe_policy "tagged" the iteration tags every ciphertext and key.
+    updated ones are returned in the metrics. fe_setup is the (instance,
+    encryption keys) pair of fe.setup to encrypt under, as run_training
+    passes its run's one; when None the call sets up a fresh instance.
+    Under fe_policy "tagged" the iteration tags every ciphertext and key.
     """
     if bus is None:
         bus = MessageBus()
@@ -316,8 +312,8 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     x = vec_columns(plan.quantized[rows])
     payloads = [x[c.start * S:c.stop * S] for c in plan.columns]
 
-    # TTP: fresh (or the plan's shared) instance, a slot per client plus labels.
-    instance, eks = plan.shared_fe or fe.setup([len(p) for p in payloads])
+    # TTP: fresh (or the run's shared) instance, a slot per client plus labels.
+    instance, eks = fe_setup or fe.setup([len(p) for p in payloads])
     for i, slots in enumerate(plan.client_slots):
         bus.send(Header(TTP, client_name(i), iteration, "deliver_keys", len(slots)))
 
@@ -386,10 +382,15 @@ def iter_batches(n_rows: int, batch_size: int, n_iterations: int,
     starts. Fully determined by (n_rows, batch_size, n_iterations, seed).
     A permutation is the stable argsort of n_rows little-endian 64-bit
     keys (draws.keys of draws.seeded(seed)); a tie (probability below
-    n_rows**2 / 2**65) goes to the lower row. A seed that is not an int
-    raises TypeError and a negative one ValueError, as does
-    batch_size > n_rows, all before any batch is drawn.
+    n_rows**2 / 2**65) goes to the lower row. The counts and the seed
+    follow draws.check_int, each named: one that is not an int raises
+    TypeError, and n_rows or batch_size below 1, n_iterations or the
+    seed below 0, or batch_size > n_rows ValueError, all before any
+    batch is drawn.
     """
+    n_rows = draws.check_int("n_rows", n_rows, 1)
+    batch_size = draws.check_int("batch_size", batch_size, 1)
+    n_iterations = draws.check_int("n_iterations", n_iterations)
     rng = draws.seeded(seed)
     if batch_size > n_rows:
         raise ValueError(f"batch_size {batch_size} exceeds dataset rows {n_rows}")
@@ -423,21 +424,20 @@ def run_training(plan: TrainingPlan, initial_weights=None, *,
                  ) -> np.ndarray:
     """T secure iterations over seeded mini-batches of the plan's rows; returns the final weights.
 
-    Settings come from plan.config. Every iteration uses a fresh FE
-    instance unless the plan holds the run's one (plan.shared_fe). A
-    plan serves one run: a second run on a "fresh" or "reused" plan
-    repeats the first, and on a "tagged" plan it raises fe.DuplicateSlot
-    at its first encryption, since a slot takes each tag once. When the
-    run ends, the plan's instance drops its last ciphertext set
-    (fe.clear_memo), so a plan that outlives its run holds none of it.
-    Exact-mode guarantees assume the initial weights sit on the weight
-    grid (the zero default always does). Only the weights carry over
-    between iterations; on_iteration gets each iteration's metrics as
-    soon as they are made, bus the headers (a throwaway bus per
-    iteration when None) and artifacts_out the FE objects. A non-finite
-    loss or gradient raises ValueError before its metrics are passed on,
-    and an OverflowError (a value past the quantizer guard) is raised
-    again with its iteration named.
+    Settings come from plan.config. Under fe_policy "fresh" every
+    iteration sets up its own FE instance; under "tagged" or "reused"
+    the run sets up one before its first batch (batch_size rows per
+    slot) and passes it to every iteration (run_iteration's fe_setup).
+    That instance dies with the run unless artifacts_out holds it, so
+    a second run on the same plan repeats the first on its own
+    instance, with tags from 0 again. Exact-mode guarantees assume the
+    initial weights sit on the weight grid (the zero default always
+    does). Only the weights carry over between iterations; on_iteration
+    gets each iteration's metrics as soon as they are made, bus the
+    headers (a throwaway bus per iteration when None) and artifacts_out
+    the FE objects. A non-finite loss or gradient raises ValueError
+    before its metrics are passed on, and an OverflowError (a value past
+    the quantizer guard) is raised again with its iteration named.
     """
     config = plan.config
     if initial_weights is None:
@@ -445,10 +445,12 @@ def run_training(plan: TrainingPlan, initial_weights=None, *,
     else:
         weights = np.array(initial_weights, dtype=float)
     batches = iter_batches(plan.n_rows, config.batch_size, config.iterations, config.seed)
+    fe_setup = (None if config.fe_policy == "fresh" else
+                fe.setup([config.batch_size * (c.stop - c.start) for c in plan.columns]))
     for t, rows in enumerate(batches):
         try:
             metrics = run_iteration(weights, plan, rows, iteration=t, bus=bus,
-                                    artifacts_out=artifacts_out)
+                                    artifacts_out=artifacts_out, fe_setup=fe_setup)
         except OverflowError as err:
             raise OverflowError(f"iteration {t}: {err}") from None
         if not (math.isfinite(metrics.loss) and np.isfinite(metrics.gradient).all()):
@@ -457,6 +459,4 @@ def run_training(plan: TrainingPlan, initial_weights=None, *,
         if on_iteration is not None:
             on_iteration(metrics)
         weights = metrics.weights
-    if plan.shared_fe is not None:
-        fe.clear_memo(plan.shared_fe[0])
     return weights

@@ -17,16 +17,17 @@ accumulator leaves its width. Otherwise limb_plan picks one of two paths:
   limb products are recombined in Python ints;
 - Python ints in numpy object arrays.
 
-Integer vectors enter the kernel through int_vector, the one place that
+Integer vectors enter the kernel through int_list, the one place that
 decides what an integer value is: a value v is one when int(v) == v, and
 any other value is refused, never truncated. It is the rule of every
 ciphertext payload and of every function vector's coefficients (a
 ResidualBlock's, a SparseFunctionVector's values), which are stored as
-the Python ints it returns. The result is int64 when every value fits,
-otherwise Python ints, never uint64 or float; seal is the read-only copy
-fe.encrypt keeps as a ciphertext payload. Counts and indices follow
-draws.check_int instead. The dense Kronecker product exists purely as a
-desk-scale oracle for tests and is size-guarded accordingly.
+the Python ints it returns. int_vector is that list as an array: int64
+when every value fits, otherwise Python ints, never uint64 or float;
+seal is the read-only copy fe.encrypt keeps as a ciphertext payload.
+Counts and indices follow draws.check_int instead. The dense Kronecker
+product exists purely as a desk-scale oracle for tests and is
+size-guarded accordingly.
 """
 
 from __future__ import annotations
@@ -81,26 +82,21 @@ def dense_kron(x: Sequence[int]) -> list[int]:
             f"dense Kronecker materialization is capped at {DENSE_KRON_MAX_LEN} "
             f"entries (got {n}); it exists only as a test oracle"
         )
-    xs = int_vector(x).tolist()
+    xs = int_list(x)
     return [a * b for a in xs for b in xs]
 
 
-def int_vector(values, name: str = "position") -> np.ndarray:
-    """A 1-D integer vector as int64 when every value fits, else as Python ints.
+def int_list(values, name: str = "position") -> list[int]:
+    """The values of a 1-D integer vector as a list of Python ints.
 
     A value v is an integer when int(v) == v; any other value, and one
     int() rejects (nan, inf, '3'), raises ValueError naming its position
-    ("{name} {position} holds {value!r}").
-    The result is never uint64 or float: values past int64 go into an
-    object array of Python ints. An int64 array comes back as is; any
-    other input, an array of another dtype included, goes through Python
-    ints.
+    ("{name} {position} holds {value!r}"). An array is read through its
+    tolist, so every value is compared as a Python object.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"expected a 1-D vector, got shape {values.shape}")
-        if values.dtype == np.int64:
-            return values
         values = values.tolist()
     else:
         values = list(values)
@@ -117,6 +113,18 @@ def int_vector(values, name: str = "position") -> np.ndarray:
             except (TypeError, ValueError, OverflowError):
                 pass
             raise ValueError(f"{name} {position} holds {value!r}")
+    return ints
+
+
+def int_vector(values, name: str = "position") -> np.ndarray:
+    """int_list(values, name) as int64 when every value fits, else as Python ints.
+
+    The result is never uint64 or float: values past int64 go into an
+    object array of Python ints. A 1-D int64 array comes back as is.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        return values
+    ints = int_list(values, name)
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -213,7 +221,7 @@ def sparse_inner_kron(c, x: Sequence[int], *, slices=None) -> int:
             slices = block_slices(block, x)
         if slices is not None:
             return slices[c.index]
-    xs = int_vector(x).tolist()
+    xs = int_list(x)
     limit = ACCUMULATOR_BITS - 1
     acc = 0
     for k, v in c.entries:

@@ -32,7 +32,7 @@ from .protocol import (
     run_iteration,
     run_training,
 )
-from .tensor import dense_kron, int_vector, sparse_inner_kron, vec_columns
+from .tensor import dense_kron, int_list, sparse_inner_kron, vec_columns
 
 
 @dataclass
@@ -88,10 +88,10 @@ def concatenated_input(shards, labels_effective) -> list[int]:
     """The integer vector x = [x_0 || ... || x_{N-1} || y] of an exact instance.
 
     A value that is not an integer raises ValueError naming its position
-    in x (tensor.int_vector); none is truncated.
+    in x (tensor.int_list); none is truncated.
     """
     table = np.column_stack([*(sh.features for sh in shards), labels_effective])
-    return int_vector(vec_columns(table)).tolist()
+    return int_list(vec_columns(table))
 
 
 def gradient_error_bound(plan: TrainingPlan, weights) -> float:

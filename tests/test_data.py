@@ -379,6 +379,21 @@ class TestSynthesize:
         with pytest.raises(error, match=f"^{message}$"):
             synthesize(MODEL_LINEAR, n_rows, [1], 0)
 
+    @pytest.mark.parametrize("counts, error, message", [
+        ([-1, 2], ValueError, "client 0 feature count must be >= 1, got -1"),
+        ([2, 0], ValueError, "client 1 feature count must be >= 1, got 0"),
+        ([True, 2], TypeError, "client 0 feature count must be an integer, got True"),
+        ([2.0], TypeError, "client 0 feature count must be an integer, got 2.0"),
+    ], ids=["negative", "zero", "bool", "float"])
+    def test_feature_counts_refused_by_client(self, counts, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            synthesize(MODEL_LINEAR, 4, counts, 0)
+
+    def test_numpy_feature_counts_are_their_ints(self):
+        data = synthesize(MODEL_LINEAR, 4, np.array([1, 2]), 0)
+        assert data.header == synthesize(MODEL_LINEAR, 4, [1, 2], 0).header == [
+            "x0", "x1", "x2", "y"]
+
     # random.Random would hash these silently (default_rng raised).
     @pytest.mark.parametrize("seed", [1.5, "3", None], ids=["float", "str", "none"])
     def test_non_int_seed_rejected(self, seed):

@@ -29,6 +29,7 @@ from fedquad.tensor import (
     AccumulatorOverflow,
     block_slices,
     dense_kron,
+    int_list,
     int_vector,
     limb_plan,
     sparse_inner_kron,
@@ -328,6 +329,19 @@ class TestIntVector:
             int_vector(np.zeros((2, 2), dtype=np.int64))
         assert int_vector([True, 2.0, -3]).tolist() == [1, 2, -3]
         assert int_vector(np.array([2.0, -1.0])).dtype == np.int64
+
+
+class TestIntList:
+    @pytest.mark.parametrize("values", [
+        [2.0, np.int64(-3), True, 1 << 70], np.array([-1.0, 4.0]),
+        np.array([7, -8], dtype=np.int32), np.array([(1 << 64) - 1], dtype=np.uint64),
+        np.array([True, False]), [],
+    ], ids=["mixed-list", "float64", "int32", "uint64-max", "bool", "empty"])
+    def test_python_ints_of_int_vector(self, values):
+        ints = int_list(values)
+        assert type(ints) is list
+        assert all(type(v) is int for v in ints)
+        assert ints == int_vector(values).tolist()
 
 
 class TestKernelsRefuseNonIntegers:

@@ -419,21 +419,26 @@ class TestRunTraining:
             assert {sk.tag for sk in art.secret_keys} == {t}
         assert len({id(a.instance) for a in artifacts}) == 1
 
-    @pytest.mark.parametrize("fe_policy", ["fresh", "reused"])
+    @pytest.mark.parametrize("fe_policy", ["fresh", "tagged", "reused"])
     def test_second_run_on_a_plan_repeats_the_first(self, fe_policy):
         config = TrainingConfig(iterations=3, batch_size=4, fe_policy=fe_policy)
         plan = TrainingPlan(self._shards(), config)
         assert run_training(plan).tobytes() == run_training(plan).tobytes()
 
-    def test_second_run_on_a_tagged_plan_is_refused(self):
-        # A plan serves one run: its one instance took tags 0-2 on every
-        # slot, and the paper's tags are used once per slot.
+    def test_two_tagged_runs_on_a_plan_use_two_instances(self):
+        # Each run sets up its own instance, tagged from 0 again; a key of
+        # one run still decrypts nothing of the other's.
         config = TrainingConfig(iterations=3, batch_size=4, fe_policy="tagged")
         plan = TrainingPlan(self._shards(), config)
-        run_training(plan)
-        with pytest.raises(fe.DuplicateSlot, match=r"^slot 0 was last encrypted under "
-                           r"tag 2; tag 0 does not order after it$"):
-            run_training(plan)
+        first, second = [], []
+        run_training(plan, artifacts_out=first)
+        run_training(plan, artifacts_out=second)
+        assert len({id(a.instance) for a in first}) == 1
+        assert len({id(a.instance) for a in second}) == 1
+        assert first[0].instance is not second[0].instance
+        assert [a.ciphertexts[0].tag for a in second] == [0, 1, 2]
+        with pytest.raises(fe.InstanceMismatch):
+            fe.decrypt(second[0].ciphertexts, first[0].secret_keys[0])
 
     def test_a_plan_that_outlives_its_run_holds_none_of_its_ciphertexts(self):
         # S=32 and F=16: the last ciphertext set and its x are 2 * 32 * 17 * 8
@@ -602,7 +607,9 @@ class TestTrainingPlan:
         plan = TrainingPlan(shards, TrainingConfig(batch_size=5, fe_policy="tagged"))
         assert plan.columns == (slice(0, 3), slice(3, 4), slice(4, 8), slice(8, 9))
         assert plan.X.shape[1] == 8
-        assert plan.shared_fe[0].slot_lengths == (15, 5, 20, 5)
+        artifacts = []
+        run_training(plan, artifacts_out=artifacts)
+        assert artifacts[0].instance.slot_lengths == (15, 5, 20, 5)
 
     def test_quarter_weights_and_shifted_labels(self):
         shards = [ClientShard(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 0.0]))]
@@ -658,6 +665,25 @@ class TestBatchSchedule:
         # random.Random would take -1 as 1; refused before any batch is drawn.
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             iter_batches(10, 3, iterations, -1)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((4, True, 2), TypeError, "batch_size must be an integer, got True"),
+        ((4, 2.0, 1), TypeError, "batch_size must be an integer, got 2.0"),
+        ((4, 0, 1), ValueError, "batch_size must be >= 1, got 0"),
+        ((4, 2, -1), ValueError, "n_iterations must be >= 0, got -1"),
+        ((4, 2, 1.0), TypeError, "n_iterations must be an integer, got 1.0"),
+        ((4.0, 2, 1), TypeError, "n_rows must be an integer, got 4.0"),
+        ((0, 1, 1), ValueError, "n_rows must be >= 1, got 0"),
+    ], ids=["batch-bool", "batch-float", "batch-zero", "iterations-negative",
+            "iterations-float", "rows-float", "rows-zero"])
+    def test_counts_are_refused_by_name(self, args, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            make_batch_schedule(*args, 0)
+
+    def test_numpy_counts_are_their_ints(self):
+        schedule = make_batch_schedule(np.int64(10), np.int32(3), np.int64(7), 2)
+        assert [rows.tolist() for rows in schedule] == [
+            rows.tolist() for rows in make_batch_schedule(10, 3, 7, 2)]
 
     @pytest.mark.parametrize("seed", [2.5, "3"])
     def test_non_integer_seed_is_refused(self, seed):
