@@ -5,6 +5,11 @@ finite differences of the matching loss, and (in the protocol tests) the
 decrypted value itself. The closed-form expressions here are written in
 the same arithmetic shape the protocol uses to assemble its gradient, so
 exact-mode comparisons can demand bitwise float equality.
+
+The four oracles (two gradients, two losses) and centralized_training
+share one input rule: X, y and w become float arrays, X must be 2-D and y
+and w must fit it, else ValueError names the one that does not. model is
+the one place that tells the two model kinds apart.
 """
 
 from __future__ import annotations
@@ -94,8 +99,10 @@ class Model:
 
     Both models run through the linear model's quadratic residual form:
     weights enter as w / 2**weight_shift, labels as y - label_shift, and a
-    decrypted slice is scaled by slice_scale / S. gradient and loss are
-    the plaintext oracle and its loss.
+    decrypted slice is scaled by slice_scale / S. The linear model has
+    (0, 0, -2); the logistic model trains on the degree-2 Taylor surrogate
+    of its loss with (2, 1/2, -1), so weights enter as w/4 and labels as
+    y - 1/2. gradient and loss are the plaintext oracle and its loss.
     """
 
     kind: str
@@ -154,7 +161,7 @@ def centralized_training(X, y, initial_weights, model_kind: str,
     With weight_grid_bits set, weights are projected to that fixed-point
     grid after every update, mirroring the weight schedule of the secure
     protocol so trajectories can be compared step by step. With None the
-    run is plain float descent.
+    run is plain float descent. initial_weights is copied, never updated.
     """
     m = model(model_kind)
     X, y, w = _operands(X, y, np.array(initial_weights, dtype=float))

@@ -6,7 +6,9 @@ metrics: one record per iteration, written as soon as it is made, then
 one summary record. A record holding a NaN or an infinity is refused, not
 written. verify runs the named self-check battery and exits nonzero if
 any check fails. synth writes a synthetic dataset, its partition spec,
-and the generating weights to a directory.
+and the generating weights to a directory. train --tagged and verify
+--tagged select fe_policy "tagged", and verify --debug-reuse-instance
+without --tagged "reused" (protocol.TrainingConfig).
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ def _refuse_oversized(rows: int, features_per_client: list[int]) -> None:
     Raises ValueError naming --rows and --features-per-client before any
     array of that shape is allocated.
     """
-    # A train run peaks at about 4.4 float64 copies of the data (560 MiB of
-    # RSS, the interpreter included, for a 32768 x 513 table of 128 MiB):
-    # the partition's X, whose shards are views of it, and the plan's float
-    # and int64 tables with the quantizer's temporaries. So five are budgeted.
+    # A train run peaks at about 4.2 float64 copies of the data under
+    # tracemalloc (4096 x 65, 20000 x 65 and 4096 x 513 tables). The plan's
+    # build reaches 4.14-4.25: the partition's X, whose shards are views of
+    # it, and the plan's float and int64 tables with the quantizer's
+    # temporaries. A full-batch iteration reaches 4.03-4.21: the plan's two
+    # tables and two integer copies of the batch. So five are budgeted.
     estimate = rows * (sum(features_per_client) + 1) * 8 * 5
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > memory:

@@ -54,7 +54,9 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     straight from the open file: cells are ASCII decimal, ``inf`` or
     ``nan`` spellings, optionally quoted with ``"``; blank lines are
     skipped. Each value is bitwise the ``float`` of its cell, as numpy
-    parses through the same routine.
+    parses through the same routine. Only a refused body is read again,
+    record by record, to name the file line and column of its first bad
+    row or cell; a byte that is not UTF-8 is named by its file line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -215,7 +217,8 @@ def partition_dataset(header: Sequence[str], rows: np.ndarray,
     """Slice columns per client; the central dataset keeps the same column order.
 
     The feature columns are gathered from rows once, into the central X;
-    each shard's features are a view of its columns of that X.
+    each shard's features are a view of its columns of that X, so a
+    partition holds one copy of the table.
     """
     column_index = {name: i for i, name in enumerate(header)}
     if spec.label_column not in column_index:

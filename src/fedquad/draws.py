@@ -19,15 +19,11 @@ import numpy as np
 def check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
     """value as an int in [low, high], else TypeError (no int) or ValueError (outside).
 
-    Both messages name the field. An int-like value (a numpy integer) is
-    its int; a float is refused, even 2.0, and so is a bool. This is the
-    rule of every count and index the package takes: every seed, a run's
-    iteration count and batch size, a codec's bit counts (high given),
-    fe.setup's slot lengths, a ResidualBlock's rows, a SliceVector's
-    index, a SparseFunctionVector's dimension and entry indices (low is
-    the previous index + 1), overflow_bound's S and F, synthesize's
-    n_rows and per-client feature counts, and iter_batches' (so
-    make_batch_schedule's) n_rows, batch_size and n_iterations.
+    Both messages name the field, as in "batch_size must be an integer,
+    got 2.0" or "seed must be >= 0, got -1". An int-like value (a numpy
+    integer) is its int; a float is refused, even 2.0, and so is a bool.
+    This is the package's rule for a count or an index, as opposed to a
+    value (tensor.int_list).
     """
     try:
         if isinstance(value, bool):

@@ -12,26 +12,18 @@ Only setup issues encryption keys, only encrypt issues ciphertexts and
 only keygen issues secret keys. Each makes its handle with object.__new__
 and sets the slots through the class's own slot descriptors
 (funcvec.slot_setters); no token or keyword opens the constructor, and
-calling one of the three classes raises, with any arguments or none. No
-field of an issued handle can be assigned or deleted. So a key's
-instance, tag and function are the ones keygen bound, and the instance
-keeps no record of the keys it issued.
+calling one of the three classes raises FEError, with any arguments or
+none. No field of an issued handle can be assigned or deleted
+(AttributeError). So a key's instance, tag and function are the ones
+keygen bound, and the instance keeps no record of the keys it issued.
 
 Slot convention: one slot per feature-holding client plus one final slot for
 the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 
 An encryption key holds its instance and slot, a secret key its instance,
 tag and function, and a ciphertext its instance's id, slot, tag and payload;
-a key's instance id is read from its instance.
-
-Every decrypt call is counted on its own, but a ciphertext set is checked
-and evaluated once: the key's instance keeps the last set that passed, and
-a later key of that instance skips the checks when it brings that very
-tuple object, the same tag object and the same block. A caller that
-passes one tuple to every decrypt (as run_iteration does) hits the memo;
-a list, or another tuple of the same ciphertexts, is checked again.
-The kept set lives as long as its instance: a run's instance, and with
-it that run's last set, is freed when the run ends (protocol.run_training).
+a key's instance id is read from its instance. decrypt states how a
+checked ciphertext set is kept for the next key.
 """
 
 from __future__ import annotations
@@ -90,7 +82,11 @@ class _Operands:
 
 
 class FEInstance:
-    """One setup's worth of keys and counters; payloads never leave the module."""
+    """One setup's worth of keys and counters; payloads never leave the module.
+
+    It holds its id, slot lengths, counters and the last tag of each slot.
+    The schedule is single-threaded, so it holds no lock.
+    """
 
     def __init__(self, slot_lengths: tuple[int, ...]) -> None:
         self.instance_id = next(_instance_ids)
@@ -189,8 +185,10 @@ _set_sk_tag, _set_sk_funcvec, _set_sk_instance = slot_setters(SecretKey)
 def setup(slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]:
     """Create a fresh instance with one slot per length and one encryption key per slot.
 
-    Each length is a count (draws.check_int): a float or a bool raises
-    TypeError and a length below 1 ValueError, both naming the slot.
+    It takes at least two lengths, else ValueError. Each length is a
+    count (draws.check_int): a float or a bool raises TypeError and a
+    length below 1 ValueError, both naming the slot, as in "slot 0 length
+    must be an integer, got 2.0".
     """
     # From a list, not a generator: a tuple built from a generator is resized,
     # so it does not come from CPython's tuple free list but goes back to it,
@@ -249,7 +247,11 @@ def encrypt(ek: EncryptionKey, tag: object, values: Sequence[int]) -> Ciphertext
 
 def keygen(instance: FEInstance, tag: object,
            funcvec: SparseFunctionVector | SliceVector) -> SecretKey:
-    """Bind a coefficient vector to the instance and tag."""
+    """Bind a coefficient vector to the instance and tag.
+
+    The vector's dimension must be the instance's, the square of its
+    total slot length, else ValueError.
+    """
     if funcvec.dimension != instance.dimension:
         raise ValueError(
             f"function vector dimension {funcvec.dimension} does not match "
@@ -266,16 +268,19 @@ def keygen(instance: FEInstance, tag: object,
 def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     """Reveal <c, x (x) x> for the concatenation of all slot payloads.
 
-    Checks run in order: every ciphertext must share the key's instance,
-    then its tag, then the slots must cover 0..n_slots-1 exactly once.
-    Any violation raises; no partial value is ever returned. The
-    ciphertexts may come in any order. The key's instance keeps the last
-    set that passed with its concatenated x and the slice values of its
-    block, so a later key of that instance skips the checks when it
-    brings that very tuple object, the same tag object and the same
-    block; any other call, a list included, runs every check again. The
-    kept set is replaced by the next one that passes and freed with the
-    instance. Each call counts once.
+    Checks run in order: every ciphertext must share the key's instance
+    (else InstanceMismatch), then its tag (TagMismatch), then the slots
+    must cover 0..n_slots-1 exactly once (DuplicateSlot, MissingSlot). No
+    partial value is ever returned. The ciphertexts may come in any
+    order. The key's instance keeps the last set that passed with its
+    concatenated x and the slice values of its block, so a later key of
+    that instance skips the checks when it brings that very tuple object,
+    the same tag object and the same block; any other call, a list or
+    another tuple of the same ciphertexts included, runs every check
+    again, in the same order and with the same errors. So a caller that
+    passes one tuple to every decrypt of a set (as run_iteration does)
+    has it checked once. The kept set is replaced by the next one that
+    passes and freed with the instance. Each call counts once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance

@@ -25,7 +25,11 @@ MAX_FRACTIONAL_BITS = 24
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Fractional bit counts for data (features, labels) and weights."""
+    """Fractional bit counts for data (features, labels) and weights.
+
+    Each is an int in [0, MAX_FRACTIONAL_BITS] (draws.check_int), as in
+    "data_bits must be in [0, 24], got 25".
+    """
 
     data_bits: int = 12
     weight_bits: int = 12
@@ -61,9 +65,10 @@ def quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
 
     The same float operations in the same order as quantize, so every
     entry is bitwise equal to the scalar result. The guard is checked as
-    |v| < 2**(guard - bits), exact and before ldexp can overflow; the error
-    names the first entry that fails it, by its index in a vector and by
-    (row, column) in a table.
+    |v| < 2**(guard - bits), exact and before ldexp can overflow. NaN
+    raises ValueError, and an infinity, like any value past the guard,
+    OverflowError; the error names the first entry that fails, by its
+    index in a vector and by (row, column) in a table.
     """
     magnitude = np.abs(values)
     within = magnitude < math.ldexp(1.0, QUANTIZE_GUARD_BITS - bits)

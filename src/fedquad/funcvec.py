@@ -28,6 +28,8 @@ The builders need only the flat quantized weights, in the column order of
 x, and the batch size S: feature column k starts at x[k*S], so slice k
 sits on rows k*S .. k*S + S - 1 of x (x) x. Which columns belong to which
 client is the caller's record (TrainingPlan.columns), not this module's.
+Nor does the module know a model kind: the logistic model reaches it as
+scaled weights and shifted labels (baseline.Model).
 """
 
 from __future__ import annotations
@@ -173,10 +175,12 @@ class SliceVector(ReadOnly):
     """Gradient slice `index`: the shared block on rows index*S .. index*S + S - 1.
 
     index runs over 0..F, one per column of x, the label column F
-    included. Every entry outside those rows of x (x) x is zero. A value
-    with the eq, hash and repr of a frozen dataclass of (index, block):
-    two slice vectors are equal when their indices and block coefficients
-    are, and no field can be assigned or deleted. The block's dimension
+    included; it is a count (draws.check_int), so 1.0 or a bool raises
+    TypeError and an index outside 0..F ValueError. Every entry outside
+    those rows of x (x) x is zero. A value with the eq, hash and repr of
+    a frozen dataclass of (index, block): two slice vectors are equal
+    when their indices and block coefficients are, and no field can be
+    assigned or deleted. The block's dimension
     is stored once, since keygen and the kernel read it for every key.
     """
 
@@ -201,6 +205,7 @@ class SliceVector(ReadOnly):
     # perfbench/tracer.py sums v.nnz over every vector the protocol builds.
     @property
     def nnz(self) -> int:
+        """The logical nonzeros, S per nonzero coefficient, though no entry is stored."""
         return self.block.rows * len(self.block.nonzero_columns)
 
     @property
@@ -220,7 +225,8 @@ def residual_block(quantized_weights: Sequence[int], one_quantized: int,
     """The shared block: minus each quantized weight, then one_quantized for y.
 
     quantized_weights is in the column order of x (client ascending,
-    feature ascending) and rows is the batch size S.
+    feature ascending) and rows is the batch size S. Nothing is cast: a
+    non-integer weight raises ValueError (ResidualBlock), never truncated.
     """
     coefficients = [-w for w in quantized_weights]
     coefficients.append(one_quantized)

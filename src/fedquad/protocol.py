@@ -119,7 +119,26 @@ class ClientShard:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Run parameters shared by the protocol and its plaintext mirrors."""
+    """Run parameters shared by the protocol and its plaintext mirrors.
+
+    The one place a run's settings live and are checked, each error
+    naming its field:
+    - model_kind: a kind baseline.model knows, else ValueError;
+    - iterations (>= 0), batch_size (>= 1) and seed (>= 0): ints by
+      draws.check_int, so 2.0 or a bool raises TypeError and a value
+      below its floor ValueError ("batch_size must be an integer, got
+      2.0");
+    - learning_rate (finite, > 0) and reg_lambda (finite, >= 0): real
+      numbers, so a bool, a string or None raises TypeError
+      ("learning_rate must be a real number, got '0.1'") and nan, an
+      infinity or a value out of range ValueError;
+    - codec: a FixedPointConfig, else (None included) TypeError;
+    - fe_policy: which FE instances the run uses, else ValueError.
+      "fresh" sets up an untagged instance per iteration. "tagged" is the
+      paper's deployment: one setup per run, iteration t's ciphertexts
+      and keys tagged t. "reused" is one untagged setup per run, the
+      negative control the mix-and-match probe must catch.
+    """
 
     model_kind: str = MODEL_LINEAR
     iterations: int = 1
@@ -128,8 +147,6 @@ class TrainingConfig:
     reg_lambda: float = 0.0
     seed: int = 0
     codec: FixedPointConfig = field(default_factory=FixedPointConfig)
-    # "fresh" (an instance per iteration), "tagged" (one per run, iteration t
-    # tagged t) or "reused" (one untagged instance: the attack's control).
     fe_policy: str = "fresh"
 
     def __post_init__(self) -> None:
@@ -217,17 +234,21 @@ def iteration_record(metrics: IterationMetrics) -> dict:
 class TrainingPlan:
     """What a run needs from its shards, computed once before the first iteration.
 
-    It holds the checked row count, the central X and y for the oracle,
-    and every row of [X_0 | ... | X_{N-1} | y_eff] quantized at data scale
-    together with its largest magnitude for the overflow bound (y_eff is y
-    minus the model's label shift).
+    The shards must be at least one, exactly one of them holding labels,
+    all with the same row count, else ValueError. The plan holds the
+    config, its model record, the row count, the central X and y for
+    the oracle, the weight factor 2**-weight_shift, and every row of
+    [X_0 | ... | X_{N-1} | y_eff] quantized at data scale together with
+    its largest magnitude for the overflow bound (y_eff is y minus the
+    model's label shift).
     Quantization is elementwise, so the rows of a batch sliced from here
     are exactly the integers each client would quantize from that batch
     itself. columns is the one record of where each slot's columns sit in
     x: one slice per client, then the label's. client_slots is the one
     record of which slots each client fills: its own slot i, and the label
-    slot N too for the label holder; encryptions_per_client counts them.
-    A plan is data: it holds no FE state and serves any number of runs.
+    slot N too for the label holder; encryptions_per_client counts them
+    (2 for the label holder, 1 for every other client). A plan is data:
+    it holds no FE state and serves any number of runs.
     """
 
     def __init__(self, shards: Sequence[ClientShard], config: TrainingConfig) -> None:
@@ -282,10 +303,16 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     """One secure gradient step on the plan's rows: setup, encrypt, keygen, decrypt, update.
 
     Settings come from plan.config; weights are only read, and the
-    updated ones are returned in the metrics. fe_setup is the (instance,
-    encryption keys) pair of fe.setup to encrypt under, as run_training
-    passes its run's one; when None the call sets up a fresh instance.
-    Under fe_policy "tagged" the iteration tags every ciphertext and key.
+    updated ones are returned in the metrics. For one step over all
+    rows, pass np.arange(plan.n_rows). A step whose overflow_bound
+    reaches 2**OVERFLOW_LIMIT_BITS raises OverflowError before anything
+    is encrypted. fe_setup is the (instance, encryption keys) pair of
+    fe.setup to encrypt under, as run_training passes its run's one;
+    when None the call sets up a fresh instance. Under fe_policy
+    "tagged" the iteration tags every ciphertext and key. Every call
+    makes N+1 encryptions, F keygens and F decryptions; key delivery and
+    encryption walk plan.client_slots, so headers go out in client order
+    and the ciphertexts reach decrypt in the order they were sent.
     """
     if bus is None:
         bus = MessageBus()
@@ -307,10 +334,25 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
             f"reduce batch size, magnitudes, or fractional bits"
         )
 
+    # Plaintext oracle view for diagnostics, at the weights used below. It
+    # runs first, so its float gather is freed before the integer copies exist.
+    lam = config.reg_lambda
+    X, y = plan.X[rows], plan.y[rows]
+    # Not plan.model's functions: perfbench/tracer.py times these module names.
+    if config.model_kind == MODEL_LINEAR:
+        oracle = centralized_gradient_linear(X, y, w, lam)
+        loss = mse_loss(X, y, w)
+    else:
+        oracle = centralized_gradient_logistic_taylor(X, y, w, lam)
+        loss = taylor_loss(X, y, w)
+    del X, y
+
     tag = iteration if config.fe_policy == "tagged" else None
     # Each slot's quantized batch columns, stacked: x = [x_0||...||x_{N-1}||y].
+    # The payloads are views of x; x's memory goes with the last of them.
     x = vec_columns(plan.quantized[rows])
     payloads = [x[c.start * S:c.stop * S] for c in plan.columns]
+    del x
 
     # TTP: fresh (or the run's shared) instance, a slot per client plus labels.
     instance, eks = fe_setup or fe.setup([len(p) for p in payloads])
@@ -323,6 +365,8 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
         sent.extend([fe.encrypt(eks[k], tag, payloads[k]) for k in slots])
         bus.send(Header(client_name(i), AGGREGATOR, iteration,
                         "client_ciphertexts", len(slots)))
+    # The ciphertexts hold sealed copies, so the batch's x is freed here.
+    del payloads
     # One tuple for every decrypt and the artifacts: the FE memo knows it by identity.
     all_cts = tuple(sent)
 
@@ -336,21 +380,11 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     # Aggregator: one decryption per gradient slice, in (client, feature) order.
     raws = [fe.decrypt(all_cts, sk) for sk in secret_keys]
     res = dequantize(np.array(raws, dtype=float), codec.scale_exp)
-    lam = config.reg_lambda
     gradient = (plan.model.slice_scale * res) / S + lam * w
 
     new_w = snap_to_grid(w - config.learning_rate * gradient,
                          weight_grid_bits(config.model_kind, codec))
 
-    # Plaintext oracle view for diagnostics, at the weights just used.
-    X, y = plan.X[rows], plan.y[rows]
-    # Not plan.model's functions: perfbench/tracer.py times these module names.
-    if config.model_kind == MODEL_LINEAR:
-        oracle = centralized_gradient_linear(X, y, w, lam)
-        loss = mse_loss(X, y, w)
-    else:
-        oracle = centralized_gradient_logistic_taylor(X, y, w, lam)
-        loss = taylor_loss(X, y, w)
     diff = float(abs(gradient - oracle).max())
 
     metrics = IterationMetrics(
@@ -430,7 +464,8 @@ def run_training(plan: TrainingPlan, initial_weights=None, *,
     slot) and passes it to every iteration (run_iteration's fe_setup).
     That instance dies with the run unless artifacts_out holds it, so
     a second run on the same plan repeats the first on its own
-    instance, with tags from 0 again. Exact-mode guarantees assume the
+    instance, with tags from 0 again, and a key of one run decrypts
+    nothing of another's (fe.InstanceMismatch). Exact-mode guarantees assume the
     initial weights sit on the weight grid (the zero default always
     does). Only the weights carry over between iterations; on_iteration
     gets each iteration's metrics as soon as they are made, bus the

@@ -1,33 +1,19 @@
 """Dense/sparse kernels for vectors and their Kronecker squares.
 
-Arithmetic on quantized data is exact. The per-term sparse loop works on
-Python integers and checks the accumulator width as it goes; it is the
-reference. Block-structured vectors (one shared coefficient block on a
-row block, see funcvec.SliceVector) take the block kernel instead:
-block_slices computes the block's residual r = coef·x once per input and
-every slice k (rows k·S .. k·S + S - 1) from one (F+1)×S matrix-vector
-product per limb of r. Write S for the block's rows, C = max(1, sum|coef|),
-X = max(1, max|x|) and B = S·C·X², which bounds every partial sum. Past
-B >= 2**127 the per-term loop runs and raises exactly where the
-accumulator leaves its width. Otherwise limb_plan picks one of two paths:
-
-- int64 limbs, when C·X < 2**63 and S·X < 2**62: r is computed in int64
-  and split into k = ceil(bitlen(C·X) / b) limbs of b = 63 - bitlen(S·X)
-  bits, so each limb's dot product stays below S·X·2**b <= 2**63, and the
-  limb products are recombined in Python ints;
-- Python ints in numpy object arrays.
+Arithmetic on quantized data is exact, in a signed accumulator of
+ACCUMULATOR_BITS whose overflow raises AccumulatorOverflow, never wraps.
+The per-term sparse loop of sparse_inner_kron works on Python integers
+and is the reference. Block-structured vectors (one shared coefficient
+block on a row block, see funcvec.SliceVector) take the block kernel
+instead: block_slices gives every slice value of a block at once, and
+limb_plan picks its arithmetic.
 
 Integer vectors enter the kernel through int_list, the one place that
-decides what an integer value is: a value v is one when int(v) == v, and
-any other value is refused, never truncated. It is the rule of every
-ciphertext payload and of every function vector's coefficients (a
-ResidualBlock's, a SparseFunctionVector's values), which are stored as
-the Python ints it returns. int_vector is that list as an array: int64
-when every value fits, otherwise Python ints, never uint64 or float;
-seal is the read-only copy fe.encrypt keeps as a ciphertext payload.
-Counts and indices follow draws.check_int instead. The dense Kronecker
-product exists purely as a desk-scale oracle for tests and is
-size-guarded accordingly.
+decides what an integer value is. It is the rule of every ciphertext
+payload and of every function vector's coefficients; int_vector is that
+rule as an array and seal its read-only copy. Counts and indices follow
+draws.check_int instead. The dense Kronecker product exists purely as a
+desk-scale oracle for tests and is size-guarded accordingly.
 """
 
 from __future__ import annotations
@@ -63,7 +49,10 @@ def vec_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def kron_flat(a: int, b: int, length: int) -> int:
-    """Flat index of entry (a, b) in the Kronecker square of a length-`length` vector."""
+    """Flat index of entry (a, b) in the Kronecker square of a length-`length` vector.
+
+    divmod(flat, length) inverts it.
+    """
     if not (0 <= a < length and 0 <= b < length):
         raise ValueError(f"index ({a}, {b}) out of range for length {length}")
     return a * length + b
@@ -89,10 +78,11 @@ def dense_kron(x: Sequence[int]) -> list[int]:
 def int_list(values, name: str = "position") -> list[int]:
     """The values of a 1-D integer vector as a list of Python ints.
 
-    A value v is an integer when int(v) == v; any other value, and one
-    int() rejects (nan, inf, '3'), raises ValueError naming its position
-    ("{name} {position} holds {value!r}"). An array is read through its
-    tolist, so every value is compared as a Python object.
+    A value v is an integer when int(v) == v, so True and 2.0 pass; any
+    other value (2.9), and one int() rejects (nan, inf, '3'), raises
+    ValueError naming its position ("{name} {position} holds {value!r}",
+    as in "coefficient 0 holds -1.5"). No value is truncated. An array is
+    read through its tolist, so every value is compared as a Python object.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
@@ -209,6 +199,8 @@ def sparse_inner_kron(c, x: Sequence[int], *, slices=None) -> int:
     and is looked up in block_slices(c.block, x); pass that list as
     `slices` to share it across the vectors of one block and input. Any
     other vector, and a block past the width, takes the per-term loop.
+    Wherever x is read, it is read by int_list's rule: a non-integer
+    value raises ValueError.
     """
     length = len(x)
     if c.dimension != length * length:

@@ -273,7 +273,10 @@ def mix_and_match_probe(artifacts: Sequence[IterationArtifacts]) -> ProbeReport:
 
 
 def check_mix_and_match(seed: int = 4, *, fe_policy: str = "fresh") -> CheckResult:
-    """Cross-iteration decryptions must all be rejected (controls must pass)."""
+    """Cross-iteration decryptions must all be rejected (controls must pass).
+
+    It passes when mix_and_match_probe's report is defended.
+    """
     artifacts = []
     _synthetic_run(seed, 5, exact_codec(MODEL_LINEAR), fe_policy, artifacts_out=artifacts)
     report = mix_and_match_probe(artifacts)
@@ -353,7 +356,11 @@ def check_determinism(seed: int = 5) -> CheckResult:
 
 
 def run_all_checks(*, seed: int = 0, fe_policy: str = "fresh") -> list[CheckResult]:
-    """The full battery; fe_policy "reused" is the deliberate negative control."""
+    """The full battery; fe_policy "reused" is the deliberate negative control.
+
+    seed is an int >= 0 (draws.check_int); each check draws from its own
+    offset of it.
+    """
     check_int("seed", seed)
     return [
         check_funcvec_identity(seed),

@@ -526,6 +526,27 @@ class TestHeldMemory:
         print(f"held {held[0] / table:.2f}x, peak {peak / table:.2f}x the float table")
         assert held[0] <= 2.2 * table
 
+    def test_full_batch_peak(self, capsys):
+        # 4096 rows of 64 features and a label, one full batch: a 2.1 MB float
+        # table. The plan's build and an iteration each peak at about 4.2x:
+        # an iteration holds the plan's float and int64 tables and at most
+        # two integer copies of the batch at once, since its oracle runs
+        # before the integer gather and each copy is freed after its use.
+        rows = 4096
+        table = rows * 65 * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["train", "--synthetic", "--rows", str(rows),
+                         "--features-per-client", "16,16,16,16", "--iters", "2",
+                         "--batch-size", str(rows)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert peak <= 4.5 * table, f"peak {peak / table:.2f}x the float table"
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
