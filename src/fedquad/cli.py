@@ -63,11 +63,14 @@ def _refuse_oversized(rows: int, features_per_client: list[int]) -> None:
     array of that shape is allocated.
     """
     # A train run peaks at about 4.2 float64 copies of the data under
-    # tracemalloc (4096 x 65, 20000 x 65 and 4096 x 513 tables). The plan's
-    # build reaches 4.14-4.25: the partition's X, whose shards are views of
-    # it, and the plan's float and int64 tables with the quantizer's
-    # temporaries. A full-batch iteration reaches 4.03-4.21: the plan's two
-    # tables and two integer copies of the batch. So five are budgeted.
+    # tracemalloc (4096 x 65, 20000 x 65 and 4096 x 513 tables), with or
+    # without --tagged. The plan's build reaches 4.14-4.25: the partition's
+    # X, whose shards are views of it, and the plan's float and int64
+    # tables with the quantizer's temporaries. A full-batch iteration
+    # reaches 4.03-4.21: the plan's two tables and two integer copies of
+    # the batch. A tagged run's one FE instance keeps no iteration's
+    # checked set into the next (fe.decrypt_all), so it reads the same.
+    # So five are budgeted.
     estimate = rows * (sum(features_per_client) + 1) * 8 * 5
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > memory:

@@ -51,12 +51,14 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
 
     The file is read as UTF-8 whatever the locale, and a leading
     byte-order mark is dropped. The body is parsed by numpy's C reader
-    straight from the open file: cells are ASCII decimal, ``inf`` or
-    ``nan`` spellings, optionally quoted with ``"``; blank lines are
-    skipped. Each value is bitwise the ``float`` of its cell, as numpy
-    parses through the same routine. Only a refused body is read again,
+    straight from the open file: cells are ASCII decimal, optionally
+    quoted with ``"``; blank lines are skipped. Each value is bitwise the
+    ``float`` of its cell, as numpy parses through the same routine. A
+    cell that is not a finite float (``inf``, ``nan``, or ``1e400``,
+    which overflows) is refused. Only a refused body is read again,
     record by record, to name the file line and column of its first bad
-    row or cell; a byte that is not UTF-8 is named by its file line.
+    row or cell, as in "line 4, column 'a': non-finite cell 'inf'"; a
+    byte that is not UTF-8 is named by its file line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -76,7 +78,7 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
         raise ValueError(f"{path}: {_undecodable_byte(path, err)}") from None
     if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
-    if rows.shape[1] != len(header):
+    if rows.shape[1] != len(header) or not np.isfinite(rows).all():
         problem = (_first_bad_cell(path, header)
                    or f"rows have {rows.shape[1]} cells, expected {len(header)}")
         raise ValueError(f"{path}: {problem}")
@@ -109,19 +111,23 @@ def _loadtxt(lines, **kwargs) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, **kwargs)
 
 
-def _c_reader_accepts(line: str, width: int) -> bool:
-    """Whether numpy's C reader parses one unquoted line as exactly width floats."""
+def _c_reader_refuses(line: str, width: int) -> str | None:
+    """Why numpy's C reader does not parse one unquoted line as width finite floats, or None."""
     try:
-        return _loadtxt([line], quotechar=None).size == width
+        # reshape refuses a line of any other width.
+        values = _loadtxt([line], quotechar=None).reshape(width)
     except ValueError:
-        return False
+        return "non-numeric"
+    return None if np.isfinite(values).all() else "non-finite"
 
 
 def _first_bad_cell(path, header: Sequence[str]) -> str | None:
     """Rescan a refused body; name the file line of its first bad row or cell.
 
-    Cells are judged by the C reader's rule (which refuses ``1_000``), cell
-    by cell only within a record it refuses. None if no cell is refused.
+    A cell is good if the C reader parses it as a finite float (so
+    ``1_000`` is non-numeric and ``inf``, ``nan`` or ``1e400``
+    non-finite), judged cell by cell only within a record it refuses.
+    None if no cell is refused.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -132,12 +138,12 @@ def _first_bad_cell(path, header: Sequence[str]) -> str | None:
             if len(record) != len(header):
                 return (f"row at line {reader.line_num} has {len(record)} cells, "
                         f"expected {len(header)}")
-            if _c_reader_accepts(",".join(record), len(header)):
+            if not _c_reader_refuses(",".join(record), len(header)):
                 continue
             for name, cell in zip(header, record):
-                if not _c_reader_accepts(cell, 1):
+                if problem := _c_reader_refuses(cell, 1):
                     return (f"line {reader.line_num}, column {name!r}: "
-                            f"non-numeric cell {cell!r}")
+                            f"{problem} cell {cell!r}")
     return None
 
 
@@ -273,17 +279,11 @@ class SyntheticDataset:
 
 
 def _partition_for(features_per_client: Sequence[int]) -> tuple[list[str], PartitionSpec]:
-    names = []
-    clients = []
-    start = 0
-    for i, count in enumerate(features_per_client):
-        cols = tuple(f"x{start + k}" for k in range(count))
-        names.extend(cols)
-        clients.append(ClientSpec(name=f"c{i}", feature_columns=cols))
-        start += count
-    names.append("y")
-    spec = PartitionSpec(tuple(clients), label_client="c0", label_column="y")
-    return names, spec
+    edges = list(accumulate(features_per_client, initial=0))
+    clients = tuple(ClientSpec(f"c{i}", tuple(f"x{k}" for k in range(a, b)))
+                    for i, (a, b) in enumerate(zip(edges, edges[1:])))
+    names = [f"x{k}" for k in range(edges[-1])] + ["y"]
+    return names, PartitionSpec(clients, label_client="c0", label_column="y")
 
 
 # Per model kind, the ranges [-r, r] of the synthetic features and weights.

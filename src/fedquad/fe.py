@@ -23,13 +23,14 @@ the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 An encryption key holds its instance and slot, a secret key its instance,
 tag and function, and a ciphertext its instance's id, slot, tag and payload;
 a key's instance id is read from its instance. decrypt states how a
-checked ciphertext set is kept for the next key.
+checked ciphertext set is kept for the next key, and decrypt_all how
+long.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class DuplicateSlot(FEError):
 _instance_ids = itertools.count()
 
 
-class _Operands:
+class _Operands(NamedTuple):
     """What one checked ciphertext set gives the keys of its instance.
 
     ciphertexts is the tuple decrypt was given, the memo's key; holding it
@@ -70,15 +71,11 @@ class _Operands:
     block on x (None past the accumulator width, or for no block).
     """
 
-    __slots__ = ("ciphertexts", "tag", "x", "block", "slices")
-
-    def __init__(self, ciphertexts: tuple[Ciphertext, ...], tag: object, x: np.ndarray,
-                 block: ResidualBlock | None, slices: list[int] | None) -> None:
-        self.ciphertexts = ciphertexts
-        self.tag = tag
-        self.x = x
-        self.block = block
-        self.slices = slices
+    ciphertexts: tuple[Ciphertext, ...]
+    tag: object
+    x: np.ndarray
+    block: ResidualBlock | None
+    slices: list[int] | None
 
 
 class FEInstance:
@@ -90,19 +87,17 @@ class FEInstance:
 
     def __init__(self, slot_lengths: tuple[int, ...]) -> None:
         self.instance_id = next(_instance_ids)
-        self.n_slots = len(slot_lengths)
         self.slot_lengths = slot_lengths
-        self.total_length = sum(slot_lengths)
         # Stored once: keygen checks every key's dimension against it.
-        self.dimension = self.total_length ** 2
+        self.dimension = sum(slot_lengths) ** 2
         self._n_encrypt = 0
         self._n_keygen = 0
         self._n_decrypt = 0
-        self._last_tags: list[object] = [None] * self.n_slots
+        self._last_tags: list[object] = [None] * len(slot_lengths)
         self._operands: _Operands | None = None
 
     def __repr__(self) -> str:
-        return f"FEInstance(instance_id={self.instance_id}, n_slots={self.n_slots})"
+        return f"FEInstance(instance_id={self.instance_id}, n_slots={len(self.slot_lengths)})"
 
 
 class _Issued(ReadOnly):
@@ -198,7 +193,7 @@ def setup(slot_lengths: Sequence[int]) -> tuple[FEInstance, list[EncryptionKey]]
     if len(lengths) < 2:
         raise ValueError(f"need at least 2 slots (features + labels), got {len(lengths)}")
     instance = FEInstance(lengths)
-    keys = [_new(EncryptionKey) for _ in range(instance.n_slots)]
+    keys = [_new(EncryptionKey) for _ in lengths]
     for slot, ek in enumerate(keys):
         _set_ek_slot(ek, slot)
         _set_ek_instance(ek, instance)
@@ -270,17 +265,18 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
 
     Checks run in order: every ciphertext must share the key's instance
     (else InstanceMismatch), then its tag (TagMismatch), then the slots
-    must cover 0..n_slots-1 exactly once (DuplicateSlot, MissingSlot). No
-    partial value is ever returned. The ciphertexts may come in any
-    order. The key's instance keeps the last set that passed with its
-    concatenated x and the slice values of its block, so a later key of
-    that instance skips the checks when it brings that very tuple object,
-    the same tag object and the same block; any other call, a list or
-    another tuple of the same ciphertexts included, runs every check
-    again, in the same order and with the same errors. So a caller that
-    passes one tuple to every decrypt of a set (as run_iteration does)
+    must cover each slot of the instance exactly once (DuplicateSlot,
+    MissingSlot). No partial value is ever returned. The ciphertexts may
+    come in any order. The key's instance keeps the last set that passed
+    with its concatenated x and the slice values of its block, so a later
+    key of that instance skips the checks when it brings that very tuple
+    object, the same tag object and the same block; any other call, a
+    list or another tuple of the same ciphertexts included, runs every
+    check again, in the same order and with the same errors. So a caller
+    that passes one tuple to every decrypt of a set (as decrypt_all does)
     has it checked once. The kept set is replaced by the next one that
-    passes and freed with the instance. Each call counts once.
+    passes; decrypt_all drops it when it returns or raises, and a set
+    kept by a bare decrypt goes with its instance. Each call counts once.
     """
     cts = tuple(ciphertexts)
     instance = sk._instance
@@ -295,6 +291,23 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     value = sparse_inner_kron(sk.funcvec, operands.x, slices=operands.slices)
     instance._n_decrypt += 1
     return value
+
+
+def decrypt_all(ciphertexts: Iterable[Ciphertext], keys: Sequence[SecretKey]) -> list[int]:
+    """[decrypt(cts, sk) for sk in keys] on one tuple cts of the ciphertexts.
+
+    Each key is checked and counted as decrypt does, and the first error
+    is raised as decrypt raises it. Whether the call returns or raises,
+    every key's instance then drops its kept set, so the set lives only
+    as long as the decrypts that share it, whichever instance serves the
+    run.
+    """
+    cts = tuple(ciphertexts)
+    try:
+        return [decrypt(cts, sk) for sk in keys]
+    finally:
+        for sk in keys:
+            sk._instance._operands = None
 
 
 def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
@@ -317,10 +330,10 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
         if ct.slot in by_slot:
             raise DuplicateSlot(f"slot {ct.slot} appears more than once")
         by_slot[ct.slot] = ct
-    missing = [slot for slot in range(instance.n_slots) if slot not in by_slot]
+    missing = [slot for slot in range(len(instance.slot_lengths)) if slot not in by_slot]
     if missing:
         raise MissingSlot(f"no ciphertext for slots {missing}")
-    x = np.concatenate([by_slot[slot]._payload for slot in range(instance.n_slots)])
+    x = np.concatenate([by_slot[slot]._payload for slot in range(len(instance.slot_lengths))])
     slices = None if block is None else block_slices(block, x)
     return _Operands(cts, sk.tag, x, block, slices)
 

@@ -378,7 +378,9 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     bus.send(Header(TTP, AGGREGATOR, iteration, "secret_keys", len(secret_keys)))
 
     # Aggregator: one decryption per gradient slice, in (client, feature) order.
-    raws = [fe.decrypt(all_cts, sk) for sk in secret_keys]
+    # decrypt_all checks the set once and drops it on return, so a run-long
+    # (tagged) instance holds no iteration's x into the next.
+    raws = fe.decrypt_all(all_cts, secret_keys)
     res = dequantize(np.array(raws, dtype=float), codec.scale_exp)
     gradient = (plan.model.slice_scale * res) / S + lam * w
 

@@ -24,7 +24,8 @@ class TestSetup:
     def test_minimal_instance(self):
         instance, keys = fe.setup([1, 1])
         assert len(keys) == 2
-        assert instance.total_length == 2
+        assert instance.slot_lengths == (1, 1)
+        assert instance.dimension == 4
         assert [k.slot for k in keys] == [0, 1]
 
     def test_instances_are_fresh(self):
@@ -604,3 +605,57 @@ class TestCheckedOnce:
         assert self._cold_equals_warm(
             instance, cts, sks, expected,
             lambda: fe.decrypt(cts, loose)) == ("value", expected[1])
+
+
+class TestDecryptAll:
+    S, COUNTS = TestCheckedOnce.S, TestCheckedOnce.COUNTS
+    _set = TestCheckedOnce._set
+
+    @pytest.mark.parametrize("tag", [None, "t"])
+    def test_values_are_per_key_decrypts(self, tag):
+        instance, _, cts, _, sks, _, expected = self._set(tag)
+        assert fe.decrypt_all(cts, sks) == expected
+        assert fe.decrypt_all(list(cts), sks) == expected
+        assert [fe.decrypt(cts, sk) for sk in sks] == expected
+        assert fe.decrypt_all(cts, []) == []
+
+    def test_one_decrypt_per_key_through_the_module_name(self, monkeypatch):
+        # perfbench times and counts fe.decrypt by this attribute.
+        instance, _, cts, _, sks, _, expected = self._set("t")
+        calls, checks = [], []
+        decrypt, checked = fe.decrypt, fe._checked_operands
+        monkeypatch.setattr(fe, "decrypt", lambda *args: calls.append(1) or decrypt(*args))
+        monkeypatch.setattr(fe, "_checked_operands",
+                            lambda *args: checks.append(1) or checked(*args))
+        for rounds in (1, 2):
+            assert fe.decrypt_all(cts, sks) == expected
+            assert fe.audit_counters(instance) == (3, len(sks), rounds * len(sks))
+            assert (len(calls), len(checks)) == (rounds * len(sks), rounds)
+
+    @pytest.mark.parametrize("fault", ["instance", "tag"])
+    def test_a_mismatched_key_raises_as_decrypt(self, fault):
+        instance, _, cts, vectors, sks, _, expected = self._set("t")
+        other, _ = fe.setup(instance.slot_lengths)
+        bad = (fe.keygen(other, "t", vectors[1]) if fault == "instance"
+               else fe.keygen(instance, "u", vectors[1]))
+        with pytest.raises(fe.FEError) as direct:
+            fe.decrypt(cts, bad)
+        with pytest.raises(type(direct.value)) as batched:
+            fe.decrypt_all(cts, [sks[0], bad, sks[2]])
+        assert str(batched.value) == str(direct.value)
+        # The key before the bad one was decrypted and counted; none after.
+        assert fe.audit_counters(instance)[2] == 1
+        assert fe.audit_counters(other)[2] == 0
+
+    def test_no_kept_set_is_left_behind(self):
+        instance, _, cts, vectors, sks, _, expected = self._set("t")
+        other, _ = fe.setup(instance.slot_lengths)
+        foreign = fe.keygen(other, "t", vectors[0])
+        assert fe.decrypt_all(cts, sks) == expected
+        assert instance._operands is None
+        # A bare decrypt keeps its set; a failing decrypt_all drops it too.
+        assert fe.decrypt(cts, sks[0]) == expected[0]
+        assert instance._operands is not None
+        with pytest.raises(fe.InstanceMismatch):
+            fe.decrypt_all(cts, [sks[1], foreign])
+        assert instance._operands is None and other._operands is None

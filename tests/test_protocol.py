@@ -15,6 +15,7 @@ from fedquad.baseline import (
     centralized_gradient_logistic_taylor,
     centralized_training,
 )
+from fedquad.data import partition_dataset, synthesize
 from fedquad.fixedpoint import FixedPointConfig, quantize_vector
 from fedquad.protocol import (
     ClientShard,
@@ -310,6 +311,28 @@ class TestRunTraining:
         for metrics, central_w in zip(history, mirror.weight_history):
             assert np.array_equal(metrics.weights, central_w)
         assert weights is history[-1].weights
+
+    # The default 12/12 codec represents integer data exactly, so a
+    # fixed-point run leaves no rounding for an error to hide in: a decrypted
+    # slice off by one moves its gradient entry by about 2**-36, and the gap
+    # sees it.
+    @pytest.mark.parametrize("fe_policy", ["fresh", "tagged"])
+    @pytest.mark.parametrize("model_kind", [MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR])
+    def test_default_codec_on_integer_data_matches_centralized_descent(self, model_kind,
+                                                                       fe_policy):
+        data = synthesize(model_kind, 48, [2, 3], seed=3)
+        shards, central = partition_dataset(data.header, data.rows, data.spec)
+        config = TrainingConfig(model_kind=model_kind, iterations=30, batch_size=12,
+                                learning_rate=0.05, reg_lambda=0.01, seed=11,
+                                fe_policy=fe_policy)
+        assert config.codec == FixedPointConfig(data_bits=12, weight_bits=12)
+        history = []
+        weights = run_training(TrainingPlan(shards, config), on_iteration=history.append)
+        assert [m.max_abs_grad_diff_vs_oracle for m in history] == [0.0] * 30
+        mirror = centralized_training(
+            central.X, central.y, np.zeros(5), model_kind, make_batch_schedule(48, 12, 30, 11),
+            0.05, 0.01, weight_grid_bits(model_kind, config.codec))
+        assert weights.tobytes() == mirror.weights.tobytes()
 
     def test_on_iteration_sees_each_metrics_record_in_order(self):
         seen = []
