@@ -26,6 +26,7 @@ from .data import (
     load_csv,
     load_partition_spec,
     partition_dataset,
+    refuse_past_guard,
     save_partition_spec,
     synthesize,
     write_csv,
@@ -68,8 +69,8 @@ def _refuse_oversized(rows: int, features_per_client: list[int]) -> None:
     # X, whose shards are views of it, and the plan's float and int64
     # tables with the quantizer's temporaries. A full-batch iteration
     # reaches 4.03-4.21: the plan's two tables and two integer copies of
-    # the batch. A tagged run's one FE instance keeps no iteration's
-    # checked set into the next (fe.decrypt_all), so it reads the same.
+    # the batch. No fe call keeps a checked set past its return, so a
+    # tagged run's one FE instance holds no iteration's x: it reads the same.
     # So five are budgeted.
     estimate = rows * (sum(features_per_client) + 1) * 8 * 5
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -168,17 +169,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     # The inputs are loaded before the settings are checked, so a missing
     # file is named before a bad flag. No reference to the shards outlives
     # the plan's build: from then on the plan holds the run's one table.
-    plan = TrainingPlan(_load_shards(args, model_kind), TrainingConfig(
-        model_kind=model_kind,
-        iterations=args.iters,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        reg_lambda=args.reg_lambda,
-        seed=args.seed,
-        codec=exact_codec(model_kind) if args.exact else FixedPointConfig(
-            data_bits=args.data_bits, weight_bits=args.weight_bits),
-        fe_policy="tagged" if args.tagged else "fresh",
-    ))
+    try:
+        plan = TrainingPlan(_load_shards(args, model_kind), config := TrainingConfig(
+            model_kind=model_kind,
+            iterations=args.iters,
+            batch_size=args.batch_size,
+            learning_rate=args.lr,
+            reg_lambda=args.reg_lambda,
+            seed=args.seed,
+            codec=exact_codec(model_kind) if args.exact else FixedPointConfig(
+                data_bits=args.data_bits, weight_bits=args.weight_bits),
+            fe_policy="tagged" if args.tagged else "fresh",
+        ))
+    except OverflowError:
+        # The plan names a value past its quantizer guard by table entry; a
+        # file names it by line and column. If no cell is at fault, the
+        # plan's error stands.
+        if args.dataset:
+            refuse_past_guard(args.dataset, config.codec.data_bits)
+        raise
     out = None
 
     def emit(record: dict) -> None:

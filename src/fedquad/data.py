@@ -30,6 +30,7 @@ import numpy as np
 
 from .baseline import MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR, CentralDataset
 from .draws import check_int, seeded, uniform_ints
+from .fixedpoint import quantize_array
 from .protocol import ClientShard
 
 
@@ -72,14 +73,14 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
             try:
                 rows = _loadtxt(fh, quotechar='"', ndmin=2)
             except ValueError as err:
-                problem = _first_bad_cell(path, header) or " ".join(str(err).split())
+                problem = _first_bad_cell(path) or " ".join(str(err).split())
                 raise ValueError(f"{path}: {problem}") from None
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {_undecodable_byte(path, err)}") from None
     if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
     if rows.shape[1] != len(header) or not np.isfinite(rows).all():
-        problem = (_first_bad_cell(path, header)
+        problem = (_first_bad_cell(path)
                    or f"rows have {rows.shape[1]} cells, expected {len(header)}")
         raise ValueError(f"{path}: {problem}")
     return header, rows
@@ -117,34 +118,54 @@ def _c_reader_refuses(line: str, width: int) -> str | None:
         # reshape refuses a line of any other width.
         values = _loadtxt([line], quotechar=None).reshape(width)
     except ValueError:
-        return "non-numeric"
-    return None if np.isfinite(values).all() else "non-finite"
+        return f"non-numeric cell {line!r}"
+    return None if np.isfinite(values).all() else f"non-finite cell {line!r}"
 
 
-def _first_bad_cell(path, header: Sequence[str]) -> str | None:
-    """Rescan a refused body; name the file line of its first bad row or cell.
+def _first_bad_cell(path, refuses=_c_reader_refuses) -> str | None:
+    """Rescan a body; name the file line of its first bad row or cell.
 
-    A cell is good if the C reader parses it as a finite float (so
-    ``1_000`` is non-numeric and ``inf``, ``nan`` or ``1e400``
-    non-finite), judged cell by cell only within a record it refuses.
-    None if no cell is refused.
+    refuses(line, width) says why one unquoted line of width cells is bad,
+    or returns None. It judges each record, and each cell of a record it
+    refuses; line numbers count blank lines. By default a cell is good if
+    the C reader parses it as a finite float (so ``1_000`` is non-numeric
+    and ``inf``, ``nan`` or ``1e400`` non-finite). None if no cell is
+    refused.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader)
         for record in reader:
             if not record:
                 continue
             if len(record) != len(header):
                 return (f"row at line {reader.line_num} has {len(record)} cells, "
                         f"expected {len(header)}")
-            if not _c_reader_refuses(",".join(record), len(header)):
-                continue
-            for name, cell in zip(header, record):
-                if problem := _c_reader_refuses(cell, 1):
-                    return (f"line {reader.line_num}, column {name!r}: "
-                            f"{problem} cell {cell!r}")
+            if refuses(",".join(record), len(header)):
+                for name, cell in zip(header, record):
+                    if problem := refuses(cell, 1):
+                        return f"line {reader.line_num}, column {name!r}: {problem}"
     return None
+
+
+def refuse_past_guard(path, bits: int) -> None:
+    """Name the first cell of a loaded CSV that the plan's quantizer refuses at 2**bits.
+
+    Raises OverflowError with the file line and column, as in "d.csv: line
+    4, column 'y': |1e+300| * 2**12 exceeds the 2**62 quantizer guard"
+    (fixedpoint.quantize_array's message without its entry), and returns
+    if every cell passes the guard. The guard is applied to the file's
+    values, so a label that only the model's label shift takes past it
+    is not named.
+    """
+    def past_guard(line: str, width: int) -> str | None:
+        try:
+            quantize_array(_loadtxt([line], quotechar=None).reshape(width), bits)
+        except OverflowError as err:
+            return str(err).partition(" at entry")[0]
+
+    if problem := _first_bad_cell(path, past_guard):
+        raise OverflowError(f"{path}: {problem}")
 
 
 def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:

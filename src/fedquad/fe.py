@@ -22,15 +22,15 @@ the label vector, so the concatenation in slot order is [x_0||...||x_{N-1}||y].
 
 An encryption key holds its instance and slot, a secret key its instance,
 tag and function, and a ciphertext its instance's id, slot, tag and payload;
-a key's instance id is read from its instance. decrypt states how a
-checked ciphertext set is kept for the next key, and decrypt_all how
-long.
+a key's instance id is read from its instance. No call keeps state past
+its return but the counters and each slot's last tag: keys share one
+checked ciphertext set only within one decrypt_all call.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,22 +62,6 @@ class DuplicateSlot(FEError):
 _instance_ids = itertools.count()
 
 
-class _Operands(NamedTuple):
-    """What one checked ciphertext set gives the keys of its instance.
-
-    ciphertexts is the tuple decrypt was given, the memo's key; holding it
-    keeps that identity from being reused. tag is the checked key's tag
-    object, x the payloads in slot order and slices every slice value of
-    block on x (None past the accumulator width, or for no block).
-    """
-
-    ciphertexts: tuple[Ciphertext, ...]
-    tag: object
-    x: np.ndarray
-    block: ResidualBlock | None
-    slices: list[int] | None
-
-
 class FEInstance:
     """One setup's worth of keys and counters; payloads never leave the module.
 
@@ -94,7 +78,6 @@ class FEInstance:
         self._n_keygen = 0
         self._n_decrypt = 0
         self._last_tags: list[object] = [None] * len(slot_lengths)
-        self._operands: _Operands | None = None
 
     def __repr__(self) -> str:
         return f"FEInstance(instance_id={self.instance_id}, n_slots={len(self.slot_lengths)})"
@@ -137,9 +120,7 @@ class Ciphertext(_Issued):
     accessor and never appears in repr or header output. Decryption
     inside this module is the single reader. Nothing can be reassigned
     after encrypt, so decrypt may trust a header it has checked once. It
-    holds its instance's id, not the instance: the instance's memo holds
-    ciphertexts, and a reference back would make a cycle for the cyclic
-    garbage collector to free.
+    holds its instance's id, not the instance.
     """
 
     __slots__ = ("instance_id", "slot", "tag", "_payload")
@@ -260,6 +241,18 @@ def keygen(instance: FEInstance, tag: object,
     return sk
 
 
+class _CheckedSet(tuple):
+    """The ciphertexts of one decrypt or decrypt_all call, and their last check.
+
+    instance, tag and block are the objects of the last key the set passed
+    for (instance None before the first), x the payloads in slot order and
+    slices every slice value of block on x (None past the accumulator
+    width, or for no block).
+    """
+
+    instance = None
+
+
 def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     """Reveal <c, x (x) x> for the concatenation of all slot payloads.
 
@@ -267,66 +260,51 @@ def decrypt(ciphertexts: Iterable[Ciphertext], sk: SecretKey) -> int:
     (else InstanceMismatch), then its tag (TagMismatch), then the slots
     must cover each slot of the instance exactly once (DuplicateSlot,
     MissingSlot). No partial value is ever returned. The ciphertexts may
-    come in any order. The key's instance keeps the last set that passed
-    with its concatenated x and the slice values of its block, so a later
-    key of that instance skips the checks when it brings that very tuple
-    object, the same tag object and the same block; any other call, a
-    list or another tuple of the same ciphertexts included, runs every
-    check again, in the same order and with the same errors. So a caller
-    that passes one tuple to every decrypt of a set (as decrypt_all does)
-    has it checked once. The kept set is replaced by the next one that
-    passes; decrypt_all drops it when it returns or raises, and a set
-    kept by a bare decrypt goes with its instance. Each call counts once.
+    come in any order. Every call runs every check; only the keys of one
+    decrypt_all call share one. Nothing is kept after the call returns
+    or raises, and each call counts once.
     """
-    cts = tuple(ciphertexts)
-    instance = sk._instance
-    operands = instance._operands
+    checked = ciphertexts if type(ciphertexts) is _CheckedSet else _CheckedSet(ciphertexts)
     block = getattr(sk.funcvec, "block", None)
     # Identity throughout: an equal tag is checked again, since == need not
-    # be transitive, and tuple() of a tuple is that tuple.
-    if (operands is None or operands.ciphertexts is not cts
-            or operands.tag is not sk.tag or operands.block is not block):
-        operands = _checked_operands(cts, sk, block)
-        instance._operands = operands
-    value = sparse_inner_kron(sk.funcvec, operands.x, slices=operands.slices)
-    instance._n_decrypt += 1
+    # be transitive.
+    if (checked.instance is not sk._instance or checked.tag is not sk.tag
+            or checked.block is not block):
+        _checked_operands(checked, sk, block)
+    value = sparse_inner_kron(sk.funcvec, checked.x, slices=checked.slices)
+    sk._instance._n_decrypt += 1
     return value
 
 
 def decrypt_all(ciphertexts: Iterable[Ciphertext], keys: Sequence[SecretKey]) -> list[int]:
-    """[decrypt(cts, sk) for sk in keys] on one tuple cts of the ciphertexts.
+    """[decrypt(ciphertexts, sk) for sk in keys], with one check per run of alike keys.
 
-    Each key is checked and counted as decrypt does, and the first error
-    is raised as decrypt raises it. Whether the call returns or raises,
-    every key's instance then drops its kept set, so the set lives only
-    as long as the decrypts that share it, whichever instance serves the
-    run.
+    Each key goes through decrypt, is counted as decrypt counts it, and
+    the first error is raised as decrypt raises it. Keys that bring the
+    same instance, tag and block objects as the key before them share
+    its check, x and slices, so the F keys of an iteration check their
+    set once. Nothing is kept after the call returns or raises.
     """
-    cts = tuple(ciphertexts)
-    try:
-        return [decrypt(cts, sk) for sk in keys]
-    finally:
-        for sk in keys:
-            sk._instance._operands = None
+    checked = _CheckedSet(ciphertexts)
+    return [decrypt(checked, sk) for sk in keys]
 
 
-def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
-                      block: ResidualBlock | None) -> _Operands:
-    """decrypt's checks in their order; the memo entry for a set that passes."""
+def _checked_operands(checked: _CheckedSet, sk: SecretKey, block: ResidualBlock | None) -> None:
+    """decrypt's checks in their order; a set that passes is filled in for sk."""
     instance = sk._instance
-    for ct in cts:
+    for ct in checked:
         if ct.instance_id != instance.instance_id:
             raise InstanceMismatch(
                 f"ciphertext from instance {ct.instance_id} cannot be decrypted "
                 f"with a key from instance {instance.instance_id}"
             )
-    for ct in cts:
+    for ct in checked:
         if ct.tag != sk.tag:
             raise TagMismatch(
                 f"ciphertext tag {ct.tag!r} does not match key tag {sk.tag!r}"
             )
     by_slot: dict[int, Ciphertext] = {}
-    for ct in cts:
+    for ct in checked:
         if ct.slot in by_slot:
             raise DuplicateSlot(f"slot {ct.slot} appears more than once")
         by_slot[ct.slot] = ct
@@ -334,8 +312,8 @@ def _checked_operands(cts: tuple[Ciphertext, ...], sk: SecretKey,
     if missing:
         raise MissingSlot(f"no ciphertext for slots {missing}")
     x = np.concatenate([by_slot[slot]._payload for slot in range(len(instance.slot_lengths))])
-    slices = None if block is None else block_slices(block, x)
-    return _Operands(cts, sk.tag, x, block, slices)
+    checked.instance, checked.tag, checked.block = instance, sk.tag, block
+    checked.x, checked.slices = x, None if block is None else block_slices(block, x)
 
 
 def audit_counters(instance: FEInstance) -> tuple[int, int, int]:

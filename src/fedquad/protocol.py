@@ -367,7 +367,6 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
                         "client_ciphertexts", len(slots)))
     # The ciphertexts hold sealed copies, so the batch's x is freed here.
     del payloads
-    # One tuple for every decrypt and the artifacts: the FE memo knows it by identity.
     all_cts = tuple(sent)
 
     # Aggregator: coefficient vectors from its (effective) weights.
@@ -378,8 +377,8 @@ def run_iteration(weights, plan: TrainingPlan, rows: np.ndarray, *, iteration: i
     bus.send(Header(TTP, AGGREGATOR, iteration, "secret_keys", len(secret_keys)))
 
     # Aggregator: one decryption per gradient slice, in (client, feature) order.
-    # decrypt_all checks the set once and drops it on return, so a run-long
-    # (tagged) instance holds no iteration's x into the next.
+    # decrypt_all checks the set once for all F keys and keeps nothing, so a
+    # run-long (tagged) instance holds no iteration's x into the next.
     raws = fe.decrypt_all(all_cts, secret_keys)
     res = dequantize(np.array(raws, dtype=float), codec.scale_exp)
     gradient = (plan.model.slice_scale * res) / S + lam * w

@@ -334,6 +334,32 @@ class TestErrors:
                                 f"{column!r}: non-finite cell {cell!r}\n")
         assert captured.out == ""
 
+    # A finite value past the quantizer guard fails only once the codec is
+    # known, in the plan's build; train names it by the file's line, blank
+    # lines counted, and column, not by the plan's (row, column).
+    @pytest.mark.parametrize("body,flags,problem", [
+        ("1,2,3\n4,5,6\n1e300,8,9\n", [],
+         "line 4, column 'y': |1e+300| * 2**12 exceeds the 2**62 quantizer guard"),
+        ("1,2,3\n\n4,5,6\n7,8,1e300\n", [],
+         "line 5, column 'b': |1e+300| * 2**12 exceeds the 2**62 quantizer guard"),
+        ("1,2,3\n4,-1e12,6\n7,8,9\n", ["--data-bits", "24"],
+         "line 3, column 'a': |-1000000000000.0| * 2**24 exceeds the 2**62 quantizer guard"),
+    ], ids=["label", "after-blank-line", "data-bits"])
+    def test_value_past_the_quantizer_guard_is_named_by_line_and_column(
+            self, body, flags, problem, tmp_path, capsys):
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text("y,a,b\n" + body)
+        (tmp_path / "partition.json").write_text(json.dumps(
+            {"clients": [{"name": "c0", "features": ["a"]},
+                         {"name": "c1", "features": ["b"]}],
+             "label": {"client": "c0", "column": "y"}}))
+        assert main(["train", "--dataset", str(dataset),
+                     "--partition", str(tmp_path / "partition.json"),
+                     "--batch-size", "2", "--iters", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"fedquad: error: {dataset}: {problem}\n"
+        assert captured.out == ""
+
     # A bare MemoryError has no message; numpy's names the allocation.
     @pytest.mark.parametrize("error,message", [
         (MemoryError(), "out of memory"),
@@ -564,7 +590,7 @@ class TestHeldMemory:
         # under either policy: an iteration holds the plan's float and int64
         # tables and at most two integer copies of the batch at once, since
         # its oracle runs before the integer gather, each copy is freed after
-        # its use, and decrypt_all drops the checked set when it returns.
+        # its use, and no fe call keeps the checked set past its return.
         rows = 4096
         table = rows * 65 * 8
         gc.collect()

@@ -17,10 +17,12 @@ from fedquad.data import (
     load_csv,
     load_partition_spec,
     partition_dataset,
+    refuse_past_guard,
     save_partition_spec,
     synthesize,
     write_csv,
 )
+from fedquad.protocol import TrainingConfig, TrainingPlan
 
 
 @pytest.fixture
@@ -120,6 +122,30 @@ class TestCsvRoundtrip:
         path.write_text('a,b\n1,"2\n"\n4,x\n')
         with pytest.raises(ValueError, match="line 4, column 'b': non-numeric cell 'x'"):
             load_csv(path)
+
+
+class TestRefusePastGuard:
+    # The guard at 2**12 is |v| < 2**50.
+    @pytest.mark.parametrize("cell,problem", [
+        (repr(2.0 ** 50 - 1), None),
+        (repr(-2.0 ** 50), "line 3, column 'b': |-1125899906842624.0| * 2**12 "
+                           "exceeds the 2**62 quantizer guard"),
+    ], ids=["below", "at"])
+    def test_the_plan_guard_by_file_line_and_column(self, cell, problem, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(f'y,a,b\n1,2,3\n4,"5",{cell}\n')
+        spec = PartitionSpec((ClientSpec("c0", ("a", "b")),), "c0", "y")
+        shards = partition_dataset(*load_csv(path), spec)[0]
+        if problem is None:
+            assert refuse_past_guard(path, 12) is None
+            TrainingPlan(shards, TrainingConfig())
+            return
+        with pytest.raises(OverflowError) as named:
+            refuse_past_guard(path, 12)
+        assert str(named.value) == f"{path}: {problem}"
+        # A library caller gets the plan's own message, by table entry.
+        with pytest.raises(OverflowError, match=r"guard at entry \(1, 1\)$"):
+            TrainingPlan(shards, TrainingConfig())
 
 
 def _bits(values) -> list[int]:

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,7 +251,6 @@ class TestSealedPayload:
         assert fe.decrypt(cts, sk) == 42
         source[0] = -100
         label[0] = -100
-        # A fresh ciphertext set, so decrypt cannot answer from its memo.
         assert fe.decrypt(list(reversed(cts)), sk) == 42
 
 
@@ -436,15 +437,14 @@ class _Near:
 
 
 class TestCheckedOnce:
-    """A warm ciphertext set answers every call exactly as a cold one would."""
+    """Keys that share one check in a decrypt_all call read what bare decrypts would."""
 
     S, COUNTS = 2, [2, 1]
 
     def _set(self, tag, key_tag=None, seed=3):
         """Tagged set on a fresh instance, and one key per slice under key_tag.
 
-        The ciphertexts come as one tuple, the memo's key, as run_iteration
-        passes them.
+        The ciphertexts come as one tuple, as run_iteration passes them.
         """
         S, counts = self.S, self.COUNTS
         instance, eks = fe.setup([S * f for f in counts] + [S])
@@ -471,33 +471,48 @@ class TestCheckedOnce:
         assert fe.audit_counters(instance)[2] - before == (outcome[0] == "value")
         return outcome
 
-    def _cold_equals_warm(self, instance, cts, sks, expected, call):
-        cold = self._counted(instance, call)
-        for _ in range(2):
-            assert [self._counted(instance, lambda: fe.decrypt(cts, sk))
-                    for sk in sks] == [("value", v) for v in expected]
-        assert self._counted(instance, call) == cold
-        # The memo still serves the warm set after the odd call.
-        assert [fe.decrypt(cts, sk) for sk in sks] == expected
+    def _cold_equals_warm(self, instance, cts, sks, expected, key, group=None):
+        """key's outcome on group (default cts), alone and among keys sharing a check.
+
+        Cold: a bare decrypt. Warm: one decrypt_all on group in which key
+        comes after the keys sks and before them again; on cts they share
+        one check, and they must still read their values around key.
+        """
+        group = cts if group is None else group
+        cold = self._counted(instance, lambda: fe.decrypt(group, key))
+        keys = [*sks, key, *sks]
+        before = fe.audit_counters(instance)[2]
+        try:
+            values = fe.decrypt_all(group, keys)
+        except fe.FEError as err:
+            warm = (type(err), str(err))
+        else:
+            warm = ("value", values[len(sks)])
+            assert fe.audit_counters(instance)[2] - before == len(keys)
+            if group is cts:
+                assert values == [*expected, warm[1], *expected]
+        assert warm == cold
+        assert fe.decrypt_all(cts, sks) == expected
         return cold
 
     def test_one_check_per_set_and_one_count_per_key(self, monkeypatch):
+        # Within one decrypt_all call the keys share one check of the set;
+        # every key is counted.
         instance, _, cts, _, sks, _, expected = self._set("t")
         checks = []
         checked = fe._checked_operands
         monkeypatch.setattr(fe, "_checked_operands",
                             lambda *args: checks.append(1) or checked(*args))
         for rounds in (1, 2):
-            assert [fe.decrypt(cts, sk) for sk in sks] == expected
+            assert fe.decrypt_all(cts, sks) == expected
             assert fe.audit_counters(instance)[2] == rounds * len(sks)
-        assert len(checks) == 1
+            assert len(checks) == rounds
         # The order the clients send in when client 0 holds the labels: the
         # label slot second, not last. One check for that set too.
         sent = (cts[0], cts[2], cts[1])
-        for rounds in (3, 4):
-            assert [fe.decrypt(sent, sk) for sk in sks] == expected
-            assert fe.audit_counters(instance)[2] == rounds * len(sks)
-        assert len(checks) == 2
+        assert fe.decrypt_all(sent, sks) == expected
+        assert fe.audit_counters(instance)[2] == 3 * len(sks)
+        assert len(checks) == 3
 
     def test_checked_headers_cannot_change(self):
         instance, _, cts, _, sks, _, expected = self._set("t")
@@ -513,15 +528,13 @@ class TestCheckedOnce:
         other, _ = fe.setup(instance.slot_lengths)
         foreign = fe.keygen(other, "t", vectors[0])
         assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(cts, foreign))[0] is fe.InstanceMismatch
+            instance, cts, sks, expected, foreign)[0] is fe.InstanceMismatch
 
     def test_another_tag(self):
         instance, _, cts, vectors, sks, _, expected = self._set("t")
         wrong = fe.keygen(instance, "u", vectors[0])
         assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(cts, wrong))[0] is fe.TagMismatch
+            instance, cts, sks, expected, wrong)[0] is fe.TagMismatch
 
     def test_equal_tag_object_is_checked_again(self):
         tag = tuple(["iteration", 7])
@@ -529,17 +542,15 @@ class TestCheckedOnce:
         twin = fe.keygen(instance, tuple(["iteration", 7]), vectors[1])
         assert twin.tag == tag and twin.tag is not tag
         assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(cts, twin)) == ("value", expected[1])
+            instance, cts, sks, expected, twin) == ("value", expected[1])
 
     def test_non_transitive_tag_equality(self):
-        # Ciphertexts under _Near(0), warm keys under _Near(1): both pass.
+        # Ciphertexts under _Near(0), shared keys under _Near(1): both pass.
         # _Near(2) equals the warm keys' tag but not the ciphertexts'.
         instance, _, cts, vectors, sks, _, expected = self._set(_Near(0), _Near(1))
         far = fe.keygen(instance, _Near(2), vectors[0])
         assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(cts, far))[0] is fe.TagMismatch
+            instance, cts, sks, expected, far)[0] is fe.TagMismatch
 
     @pytest.mark.parametrize("fault,kind", [
         ("reordered", "value"), ("missing", fe.MissingSlot),
@@ -549,8 +560,7 @@ class TestCheckedOnce:
         instance, _, cts, _, sks, _, expected = self._set("t")
         group = {"reordered": cts[::-1], "missing": cts[:-1],
                  "duplicate": cts + (cts[0],)}[fault]
-        outcome = self._cold_equals_warm(instance, cts, sks, expected,
-                                         lambda: fe.decrypt(group, sks[2]))
+        outcome = self._cold_equals_warm(instance, cts, sks, expected, sks[2], group)
         assert outcome[0] == kind
         assert kind != "value" or outcome[1] == expected[2]
 
@@ -562,32 +572,38 @@ class TestCheckedOnce:
         changed = sum(a * b for a, b in zip(vectors[0].to_dense(), kron))
         assert changed != expected[0]
         assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(other, sks[0])) == ("value", changed)
+            instance, cts, sks, expected, sks[0], other) == ("value", changed)
 
     @pytest.mark.parametrize("form", [list, lambda cts: tuple(list(cts))],
                              ids=["list", "fresh-tuple"])
     def test_another_container_is_checked_again(self, form, monkeypatch):
-        # The memo's key is the tuple object: the same ciphertexts in a list
-        # or in a fresh tuple run every check again, with the same value and
-        # one count per call.
+        # The container makes no difference: the same ciphertexts in a list
+        # or in a fresh tuple give the same values, one check per call of
+        # either function and one count per key.
         instance, _, cts, _, sks, _, expected = self._set("t")
         checks = []
         checked = fe._checked_operands
         monkeypatch.setattr(fe, "_checked_operands",
                             lambda *args: checks.append(1) or checked(*args))
-        assert [fe.decrypt(cts, sk) for sk in sks] == expected
+        again = form(cts)
+        assert tuple(again) == cts and again is not cts
+        assert fe.decrypt_all(again, sks) == expected
         assert len(checks) == 1
         for i, sk in enumerate(sks):
-            again = form(cts)
-            assert tuple(again) == cts and again is not cts
             assert fe.decrypt(again, sk) == expected[i]
             assert len(checks) == 2 + i
-            assert fe.audit_counters(instance)[2] == len(sks) + 1 + i
-        # The last fresh tuple checked is now the memo's key; a list, which
-        # decrypt turns into a new tuple, never is.
-        assert fe.decrypt(again, sks[0]) == expected[0]
-        assert len(checks) == 1 + len(sks) + (form is list)
+        assert fe.audit_counters(instance)[2] == 2 * len(sks)
+
+    def test_the_same_tuple_is_checked_again(self, monkeypatch):
+        # A bare decrypt keeps nothing, so the next call on that very tuple,
+        # with that very key, runs every check again.
+        instance, _, cts, _, sks, _, expected = self._set("t")
+        checks = []
+        checked = fe._checked_operands
+        monkeypatch.setattr(fe, "_checked_operands",
+                            lambda *args: checks.append(1) or checked(*args))
+        assert [fe.decrypt(cts, sks[0]) for _ in range(2)] == [expected[0]] * 2
+        assert len(checks) == 2
 
     def test_key_of_another_block(self):
         instance, _, cts, _, sks, x, expected = self._set("t")
@@ -595,16 +611,14 @@ class TestCheckedOnce:
         value = sum(a * b for a, b in zip(c.to_dense(), dense_kron(x)))
         assert value != expected[0]
         assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(cts, fe.keygen(instance, "t", c))) == ("value", value)
+            instance, cts, sks, expected, fe.keygen(instance, "t", c)) == ("value", value)
 
     def test_hand_built_vector(self):
         instance, _, cts, vectors, sks, _, expected = self._set("t")
         loose = fe.keygen(instance, "t", SparseFunctionVector(
             vectors[1].dimension, tuple(vectors[1].entries)))
         assert self._cold_equals_warm(
-            instance, cts, sks, expected,
-            lambda: fe.decrypt(cts, loose)) == ("value", expected[1])
+            instance, cts, sks, expected, loose) == ("value", expected[1])
 
 
 class TestDecryptAll:
@@ -647,15 +661,54 @@ class TestDecryptAll:
         assert fe.audit_counters(instance)[2] == 1
         assert fe.audit_counters(other)[2] == 0
 
-    def test_no_kept_set_is_left_behind(self):
-        instance, _, cts, vectors, sks, _, expected = self._set("t")
-        other, _ = fe.setup(instance.slot_lengths)
-        foreign = fe.keygen(other, "t", vectors[0])
+    def test_one_check_per_run_of_alike_keys(self, monkeypatch):
+        # Keys share a check while they bring the same instance, tag and
+        # block objects as the key before them: the F keys of an iteration
+        # check their set once, and each change of block checks it again.
+        instance, _, cts, _, sks, x, expected = self._set("t")
+        c = all_gradient_slice_vectors([0, 5, -4], 3, self.S)
+        other = [fe.keygen(instance, "t", v) for v in c]
+        kron = dense_kron(x)
+        values = [sum(a * b for a, b in zip(v.to_dense(), kron)) for v in c]
+        checks = []
+        checked = fe._checked_operands
+        monkeypatch.setattr(fe, "_checked_operands",
+                            lambda *args: checks.append(1) or checked(*args))
         assert fe.decrypt_all(cts, sks) == expected
-        assert instance._operands is None
-        # A bare decrypt keeps its set; a failing decrypt_all drops it too.
-        assert fe.decrypt(cts, sks[0]) == expected[0]
-        assert instance._operands is not None
-        with pytest.raises(fe.InstanceMismatch):
-            fe.decrypt_all(cts, [sks[1], foreign])
-        assert instance._operands is None and other._operands is None
+        assert len(checks) == 1
+        assert fe.decrypt_all(cts, [*sks, *other, sks[0]]) == [*expected, *values, expected[0]]
+        assert len(checks) == 1 + 3
+        assert fe.audit_counters(instance)[2] == 2 * len(sks) + len(other) + 1
+
+    def test_no_kept_set_is_left_behind(self):
+        # A set with a 2 MiB x: held memory is the same before and after a
+        # bare decrypt, a decrypt_all that returned and one that raised.
+        S = 1 << 16
+        instance, eks = fe.setup([2 * S, S, S])
+        cts = tuple([fe.encrypt(ek, "t", np.full(n, i + 1, dtype=np.int64))
+                     for i, (ek, n) in enumerate(zip(eks, instance.slot_lengths))])
+        sks = [fe.keygen(instance, "t", c)
+               for c in all_gradient_slice_vectors([2, -1, 3], 1, S)]
+        other, _ = fe.setup(instance.slot_lengths)
+        foreign = fe.keygen(other, "t", sks[0].funcvec)
+        expected = fe.decrypt_all(cts, sks)
+
+        def held_after(call):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                call()
+            except fe.InstanceMismatch:
+                pass
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+
+        tracemalloc.start()
+        try:
+            held = [held_after(lambda: fe.decrypt(cts, sks[1])),
+                    held_after(lambda: fe.decrypt_all(cts, sks)),
+                    held_after(lambda: fe.decrypt_all(cts, [sks[1], foreign]))]
+        finally:
+            tracemalloc.stop()
+        assert max(held) < 64 * 1024, held
+        assert fe.decrypt_all(cts, sks) == expected

@@ -3,11 +3,14 @@
 A hypothesis state machine sets up 1-3 instances, encrypts under tags
 drawn from a small pool, issues keys for slice vectors and hand-built
 sparse vectors, and decrypts subsets, permutations and duplicates of the
-ciphertexts, passed as the same tuple, a copy or a list. Hand-built
-coefficients and slice weights are drawn as ints, integer-valued floats
-and numpy.int64 values. After every step fe agrees with the model: the
-same value, or the same error type in decrypt's documented order
-(instance, then tag, then slots), and the same audit_counters. The
+ciphertexts, passed as the same tuple, a copy or a list, to decrypt one
+key at a time or to decrypt_all with a list of keys that mixes
+instances, tags and blocks. Hand-built coefficients and slice weights
+are drawn as ints, integer-valued floats and numpy.int64 values. After
+every step fe agrees with the model: the same value, or the same error
+type in decrypt's documented order (instance, then tag, then slots), and
+the same audit_counters. decrypt_all is per-key decrypt in order: it
+stops at the first error, and only the keys before it count. The
 model reveals a value exactly when every ciphertext has the key's
 instance and tag and the slots are complete, so mix-and-match across
 instances or tags is always refused.
@@ -124,8 +127,8 @@ class FEModel(RuleBasedStateMachine):
         self.cts: list[fe.Ciphertext] = []
         self.keys: list[fe.SecretKey] = []
         self.vectors: list = []  # the slice vectors of the last block built
-        # The last set that decrypted (the one fe's memo holds): the container
-        # decrypt was given, its ciphertexts' indices and its key.
+        # The last set that decrypted: the container decrypt was given, its
+        # ciphertexts' indices and its key.
         self.last: tuple | None = None
 
     @initialize(shapes=st.lists(SHAPES, min_size=1, max_size=3))
@@ -213,9 +216,8 @@ class FEModel(RuleBasedStateMachine):
                 choices.append(tagged or candidates)
         return choices
 
-    @precondition(lambda self: self.keys and self.cts)
-    @rule(data=st.data(), as_list=st.booleans())
-    def decrypt(self, data, as_list):
+    def _draw_set(self, data):
+        """A key and the indices of a ciphertext set to decrypt with it."""
         # Often a key whose instance holds a ciphertext under its tag in every slot.
         ready = [k for k, key in enumerate(self.model.keys)
                  if len(self._slot_choices(key, matching=True)) == len(
@@ -230,7 +232,12 @@ class FEModel(RuleBasedStateMachine):
         if data.draw(st.integers(0, 3)) == 0:
             picks += data.draw(st.lists(st.integers(0, len(self.cts) - 1), min_size=1,
                                         max_size=2))
-        picks = data.draw(st.permutations(picks))
+        return k, data.draw(st.permutations(picks))
+
+    @precondition(lambda self: self.keys and self.cts)
+    @rule(data=st.data(), as_list=st.booleans())
+    def decrypt(self, data, as_list):
+        k, picks = self._draw_set(data)
         chosen = [self.cts[p] for p in picks]
         self._decrypt(chosen if as_list else tuple(chosen), picks, k)
 
@@ -240,11 +247,35 @@ class FEModel(RuleBasedStateMachine):
         passed, picks, k = self.last
         if form != "same":
             passed = list(passed) if form == "list" else tuple(list(passed))
-        # Often another key of the same instance: the memo's keys.
+        # Often another key of the same instance.
+        self._decrypt(passed, picks, data.draw(self._sibling_or_any(k)))
+
+    def _sibling_or_any(self, k):
+        """A key of key k's instance, or any key."""
         instance = self.model.keys[k]["instance"]
         siblings = [j for j, key in enumerate(self.model.keys) if key["instance"] == instance]
-        self._decrypt(passed, picks, data.draw(
-            st.sampled_from(siblings) | st.integers(0, len(self.keys) - 1)))
+        return st.sampled_from(siblings) | st.integers(0, len(self.keys) - 1)
+
+    @precondition(lambda self: self.keys and self.cts)
+    @rule(data=st.data(), as_list=st.booleans())
+    def decrypt_all(self, data, as_list):
+        k, picks = self._draw_set(data)
+        # Runs of keys issued one after another (often slice keys of one
+        # instance, tag and block, which share a check), each run starting at
+        # a key of the set's instance or at any key.
+        runs = data.draw(st.lists(st.tuples(self._sibling_or_any(k), st.integers(1, 3)),
+                                  max_size=4))
+        ks = [j for first, n in runs for j in range(first, min(first + n, len(self.keys)))]
+        values, error = [], None
+        for j in ks:
+            value, error = self.model.decrypt(picks, j)
+            if error is not None:
+                break
+            values.append(value)
+        chosen = [self.cts[p] for p in picks]
+        passed = chosen if as_list else tuple(chosen)
+        assert _outcome(lambda: fe.decrypt_all(passed, [self.keys[j] for j in ks]),
+                        fe.FEError) == ((values, None) if error is None else (None, error))
 
     @invariant()
     def counters(self):

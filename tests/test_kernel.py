@@ -4,6 +4,8 @@ The per-term loop over a SparseFunctionVector built from the same entries
 is the reference; the dense Kronecker product is the second oracle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,7 +457,7 @@ def _every_slice(block):
 class TestFusedSlices:
     """All slices of a block from one product, each key a lookup."""
 
-    def _check_warm_decrypts(self, S, weights, one, x):
+    def _check_one_product(self, S, weights, one, x):
         vectors = _every_slice(
             all_gradient_slice_vectors(weights, one, S)[0].block)
         kron = dense_kron(x)
@@ -463,19 +465,26 @@ class TestFusedSlices:
         assert expected == [sum(a * b for a, b in zip(c.to_dense(), kron))
                             for c in vectors]
         instance, cts = _one_set(x, S)
-        # The first key fills the memo; every later one reads its slice from it.
-        assert [fe.decrypt(cts, fe.keygen(instance, None, c))
-                for c in vectors] == expected
-        # On every path, the object path included, the memo holds them all.
-        slices = instance._operands.slices
-        assert slices == block_slices(vectors[0].block, x) == expected
-        assert all(type(v) is int for v in slices)
+        products = []
+
+        def counted(block, x):
+            products.append(block_slices(block, x))
+            return products[-1]
+
+        # One block product serves every key of the call; each key reads its
+        # slice from it. On every path, the object path included, it holds
+        # them all.
+        with mock.patch.object(fe, "block_slices", counted):
+            assert fe.decrypt_all(cts, [fe.keygen(instance, None, c)
+                                        for c in vectors]) == expected
+        assert products == [expected]
+        assert all(type(v) is int for v in products[0])
         assert fe.audit_counters(instance)[2] == len(vectors)
 
     @settings(max_examples=150, deadline=None)
     @given(weights_and_inputs())
     def test_every_path_matches_per_term_loop(self, case):
-        self._check_warm_decrypts(*case)
+        self._check_one_product(*case)
 
     @settings(max_examples=150, deadline=None)
     @given(limb_band_inputs())
@@ -483,14 +492,14 @@ class TestFusedSlices:
         S, weights, one, x = case
         block = all_gradient_slice_vectors(weights, one, S)[0].block
         assert _plan(block, x)[1] == 2
-        self._check_warm_decrypts(*case)
+        self._check_one_product(*case)
 
-    def test_object_path_fills_the_memo(self):
+    def test_object_path_shares_one_product(self):
         # C·X = 2**63: object arrays, still one evaluation per set.
         x = [1 << 62, -(1 << 62) + 1, 5, -(1 << 62)]
         block = all_gradient_slice_vectors([2], 0, 2)[0].block
         assert _plan(block, x) is None
-        self._check_warm_decrypts(2, [2], 0, x)
+        self._check_one_product(2, [2], 0, x)
 
     # A one-limb and a two-limb block, S >= 2. A block placed at a base row
     # that is no multiple of S straddles two slices, so it is no slice

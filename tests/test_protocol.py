@@ -14,9 +14,16 @@ from fedquad.baseline import (
     centralized_gradient_linear,
     centralized_gradient_logistic_taylor,
     centralized_training,
+    model,
 )
 from fedquad.data import partition_dataset, synthesize
-from fedquad.fixedpoint import FixedPointConfig, quantize_vector
+from fedquad.fixedpoint import (
+    FixedPointConfig,
+    dequantize,
+    quantize,
+    quantize_vector,
+    snap_to_grid,
+)
 from fedquad.protocol import (
     ClientShard,
     Header,
@@ -275,6 +282,32 @@ class TestMessageLog:
             assert sentinel not in log
 
 
+def _quantized_mirror(X, y, model_kind, codec, batches, learning_rate, reg_lambda):
+    """(gradient, weights) of each secure step, from the raw floats in plain Python ints.
+
+    Rows, shifted labels and weights are quantized with the scalar
+    quantize; raw slice k is sum_s x_{k,s} * r_s over the batch, with r_s
+    the quantized residual one * y_s - sum_j w_j * x_{j,s}. The floats
+    after it are run_iteration's: dequantize, scale, regularize, snap.
+    """
+    m = model(model_kind)
+    one = 1 << codec.weight_bits
+    w = np.zeros(X.shape[1])
+    steps = []
+    for rows in batches:
+        S = len(rows)
+        wq = [quantize(v, codec.weight_bits) for v in w * 2.0 ** -m.weight_shift]
+        xq = [[quantize(v, codec.data_bits) for v in X[s]] for s in rows]
+        yq = [quantize(y[s] - m.label_shift, codec.data_bits) for s in rows]
+        r = [one * ys - sum(a * b for a, b in zip(wq, xs)) for xs, ys in zip(xq, yq)]
+        raws = [sum(xs[k] * rs for xs, rs in zip(xq, r)) for k in range(len(w))]
+        res = dequantize(np.array(raws, dtype=float), codec.scale_exp)
+        gradient = (m.slice_scale * res) / S + reg_lambda * w
+        w = snap_to_grid(w - learning_rate * gradient, weight_grid_bits(model_kind, codec))
+        steps.append((gradient, w))
+    return steps
+
+
 class TestRunTraining:
     def _shards(self, seed=24, rows=16):
         rng = np.random.default_rng(seed)
@@ -333,6 +366,33 @@ class TestRunTraining:
             central.X, central.y, np.zeros(5), model_kind, make_batch_schedule(48, 12, 30, 11),
             0.05, 0.01, weight_grid_bits(model_kind, config.codec))
         assert weights.tobytes() == mirror.weights.tobytes()
+
+    # On real-valued data a fixed-point step rounds, so the gap to the float
+    # oracle no longer shows a protocol error. The quantized mirror computes
+    # the same integers in Python ints and the same float operations after
+    # them, so it equals the secure run bitwise under every codec.
+    @pytest.mark.parametrize("fe_policy", ["fresh", "tagged"])
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    @pytest.mark.parametrize("model_kind", [MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR])
+    def test_fixed_point_run_equals_the_quantized_mirror(self, model_kind, bits, fe_policy):
+        rng = np.random.default_rng(bits)
+        X = rng.uniform(-1, 1, size=(40, 9))
+        y = (rng.uniform(-1, 1, size=40) if model_kind == MODEL_LINEAR
+             else rng.integers(0, 2, size=40).astype(float))
+        shards = [ClientShard(X[:, :3], y), ClientShard(X[:, 3:5], None),
+                  ClientShard(X[:, 5:], None)]
+        codec = FixedPointConfig(data_bits=bits, weight_bits=bits)
+        config = TrainingConfig(model_kind=model_kind, iterations=20, batch_size=8,
+                                learning_rate=0.1, reg_lambda=0.01, seed=bits,
+                                codec=codec, fe_policy=fe_policy)
+        history = []
+        run_training(TrainingPlan(shards, config), on_iteration=history.append)
+        mirror = _quantized_mirror(X, y, model_kind, codec,
+                                   make_batch_schedule(40, 8, 20, bits), 0.1, 0.01)
+        assert len(history) == len(mirror) == 20
+        for metrics, (gradient, weights) in zip(history, mirror):
+            assert metrics.gradient.tobytes() == gradient.tobytes()
+            assert metrics.weights.tobytes() == weights.tobytes()
 
     def test_on_iteration_sees_each_metrics_record_in_order(self):
         seen = []
@@ -397,8 +457,8 @@ class TestRunTraining:
     @pytest.mark.parametrize("fe_policy", ["fresh", "tagged"])
     def test_one_set_check_and_one_block_product_per_iteration(self, fe_policy,
                                                                monkeypatch):
-        # run_iteration passes one tuple to all F decrypts, so the set is
-        # checked once and its block's slices are computed once.
+        # run_iteration decrypts all F keys in one decrypt_all call, so the
+        # set is checked once and its block's slices are computed once.
         calls = {"checks": 0, "slices": 0}
 
         def counted(name, function):
