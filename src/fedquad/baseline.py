@@ -148,7 +148,6 @@ class CentralTrainingResult:
 
     weights: np.ndarray
     weight_history: list[np.ndarray] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
 
 
 def centralized_training(X, y, initial_weights, model_kind: str,
@@ -167,14 +166,10 @@ def centralized_training(X, y, initial_weights, model_kind: str,
     X, y, w = _operands(X, y, np.array(initial_weights, dtype=float))
     result = CentralTrainingResult(weights=w)
     for rows in batches:
-        Xb = X[rows]
-        yb = y[rows]
-        grad = m.gradient(Xb, yb, w, reg_lambda)
-        loss = m.loss(Xb, yb, w)
+        grad = m.gradient(X[rows], y[rows], w, reg_lambda)
         w = w - learning_rate * grad
         if weight_grid_bits is not None:
             w = snap_to_grid(w, weight_grid_bits)
         result.weight_history.append(w.copy())
-        result.losses.append(loss)
     result.weights = w
     return result

@@ -50,13 +50,19 @@ class FixedPointConfig:
 
 
 def quantize(value: float, bits: int) -> int:
-    """Round value * 2**bits to an integer, halves away from zero."""
-    magnitude = math.ldexp(abs(float(value)), bits)
-    if magnitude >= float(1 << QUANTIZE_GUARD_BITS):
-        raise OverflowError(
-            f"|{value}| * 2**{bits} exceeds the 2**{QUANTIZE_GUARD_BITS} quantizer guard"
-        )
-    q = math.floor(magnitude + 0.5)
+    """Round value * 2**bits to an integer, halves away from zero.
+
+    The guard comes first, as in quantize_array and with its messages
+    (no entry): NaN raises ValueError, and |value| >= 2**(guard - bits),
+    an infinity included, OverflowError, before ldexp can overflow.
+    """
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"cannot quantize NaN (at 2**{bits})")
+    if not abs(value) < math.ldexp(1.0, QUANTIZE_GUARD_BITS - bits):
+        raise OverflowError(f"|{value}| * 2**{bits} exceeds the "
+                            f"2**{QUANTIZE_GUARD_BITS} quantizer guard")
+    q = math.floor(math.ldexp(abs(value), bits) + 0.5)
     return -q if value < 0 else q
 
 

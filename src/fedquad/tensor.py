@@ -4,9 +4,11 @@ Arithmetic on quantized data is exact, in a signed accumulator of
 ACCUMULATOR_BITS whose overflow raises AccumulatorOverflow, never wraps.
 The per-term sparse loop of sparse_inner_kron works on Python integers
 and is the reference. Block-structured vectors (one shared coefficient
-block on a row block, see funcvec.SliceVector) take the block kernel
-instead: block_slices gives every slice value of a block at once, and
-limb_plan picks its arithmetic.
+block on a row block, see funcvec.SliceVector) have a block kernel:
+block_slices gives every slice value of a block at once, and limb_plan
+picks its arithmetic. sparse_inner_kron only looks a slice up in the
+list its caller passes; fe makes that list once per checked ciphertext
+set, the one package caller of block_slices.
 
 Integer vectors enter the kernel through int_list, the one place that
 decides what an integer value is. It is the rule of every ciphertext
@@ -195,24 +197,21 @@ def sparse_inner_kron(c, x: Sequence[int], *, slices=None) -> int:
     materialized: entry k contributes value * x[k // L] * x[k % L].
     Accumulation is exact; leaving the accumulator width raises.
 
-    A `c` that also provides `block` names slice `c.index` of that block
-    and is looked up in block_slices(c.block, x); pass that list as
-    `slices` to share it across the vectors of one block and input. Any
-    other vector, and a block past the width, takes the per-term loop.
-    Wherever x is read, it is read by int_list's rule: a non-integer
-    value raises ValueError.
+    A `c` that also provides `block` names slice `c.index` of that block.
+    When the caller passes `slices`, block_slices(c.block, x) for this x,
+    it is looked up there; this function never computes them itself.
+    Every other call takes the per-term loop: a vector without a block,
+    a slice vector passed without slices, and one whose block is past the
+    width (slices None). Wherever x is read, it is read by int_list's
+    rule: a non-integer value raises ValueError.
     """
     length = len(x)
     if c.dimension != length * length:
         raise ValueError(
             f"dimension mismatch: c has {c.dimension}, x (x) x has {length * length}"
         )
-    block = getattr(c, "block", None)
-    if block is not None:
-        if slices is None:
-            slices = block_slices(block, x)
-        if slices is not None:
-            return slices[c.index]
+    if slices is not None and getattr(c, "block", None) is not None:
+        return slices[c.index]
     xs = int_list(x)
     limit = ACCUMULATOR_BITS - 1
     acc = 0

@@ -33,3 +33,8 @@ settings.register_profile("fe-model", max_examples=60, stateful_step_count=30,
                           deadline=None)
 settings.register_profile("fe-model-deep", max_examples=400, stateful_step_count=60,
                           deadline=None)
+
+# tests/test_protocol.py::TestWholeRuns: "whole-run" in tier-1, and
+# "whole-run-deep" when a run passes --hypothesis-profile whole-run-deep.
+settings.register_profile("whole-run", max_examples=100, deadline=None)
+settings.register_profile("whole-run-deep", max_examples=2000, deadline=None)

@@ -36,7 +36,7 @@ from fedquad.protocol import (
     run_training,
     weight_grid_bits,
 )
-from fedquad.tensor import dense_kron, kron_flat, sparse_inner_kron
+from fedquad.tensor import block_slices, dense_kron, kron_flat, sparse_inner_kron
 from fedquad.verify import (
     concatenated_input,
     gradient_error_bound,
@@ -68,8 +68,9 @@ def test_01_function_vector_identity():
         X = np.hstack([sh.features for sh in shards])
         u = shards[0].labels - X @ weights
         direct = np.hstack([u @ sh.features for sh in shards])
+        slices = block_slices(vectors[0].block, x)
         for k, c in enumerate(vectors):
-            sparse = sparse_inner_kron(c, x)
+            sparse = sparse_inner_kron(c, x, slices=slices)
             dense = sum(v * xx[flat] for flat, v in c.entries)
             assert sparse == dense == int(direct[k])
             slices_checked += 1

@@ -46,6 +46,23 @@ class TestQuantize:
         with pytest.raises(OverflowError):
             quantize(float(1 << 40), 24)
 
+    # The guard comes before ldexp, which overflows past 2**(1024 - bits),
+    # and its messages are quantize_array's without the entry.
+    @pytest.mark.parametrize("value", [1e305, -1e305])
+    def test_far_past_the_guard_raises_the_guard_message(self, value):
+        message = re.escape(f"|{value}| * 2**12 exceeds the 2**62 quantizer guard")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            quantize(value, 12)
+        with pytest.raises(OverflowError, match=f"^{message} at entry 0$"):
+            quantize_array(np.array([value]), 12)
+
+    def test_nan_raises_the_guard_message(self):
+        message = re.escape("cannot quantize NaN (at 2**12)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quantize(math.nan, 12)
+        with pytest.raises(ValueError, match=f"^{message} at entry 0$"):
+            quantize_array(np.array([math.nan]), 12)
+
     def test_vector_helper(self):
         assert quantize_vector(np.array([0.5, -0.5]), 1) == [1, -1]
 

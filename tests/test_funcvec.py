@@ -11,7 +11,7 @@ from fedquad.funcvec import (
 )
 from fedquad import fe
 from fedquad.protocol import ClientShard, TrainingConfig, TrainingPlan
-from fedquad.tensor import dense_kron, sparse_inner_kron
+from fedquad.tensor import block_slices, dense_kron, sparse_inner_kron
 from fedquad.verify import concatenated_input
 
 
@@ -168,7 +168,7 @@ class TestGradientSliceVector:
         x = _hand_input()
         assert sparse_inner_kron(c, x) == -135
         # u = 4 - 10 - 21 = -27; (u^T X_0)[0] = -27 * 5
-        assert sparse_inner_kron(c, x) == -27 * 5
+        assert sparse_inner_kron(c, x, slices=block_slices(c.block, x)) == -27 * 5
 
     def test_second_client_rows_stay_in_its_block(self):
         c = all_gradient_slice_vectors([2, 3], 1, 1)[1]
@@ -178,6 +178,7 @@ class TestGradientSliceVector:
         assert rows == {1}
         x = _hand_input()
         assert sparse_inner_kron(c, x) == -27 * 7
+        assert sparse_inner_kron(c, x, slices=block_slices(c.block, x)) == -27 * 7
 
     def test_identity_against_two_oracles(self):
         rng = np.random.default_rng(6)
@@ -197,8 +198,9 @@ class TestGradientSliceVector:
             direct = u @ X
             vectors = all_gradient_slice_vectors(flat_w, 1, S)
             assert len(vectors) == sum(counts)
+            slices = block_slices(vectors[0].block, x)
             for k, c in enumerate(vectors):
-                sparse = sparse_inner_kron(c, x)
+                sparse = sparse_inner_kron(c, x, slices=slices)
                 dense = sum(a * b for a, b in zip(c.to_dense(), kron))
                 assert sparse == dense == direct[k]
 

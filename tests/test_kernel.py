@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedquad import fe
+from fedquad import fe, tensor
 from fedquad.baseline import MODEL_LINEAR
 from fedquad.funcvec import (
     ResidualBlock,
@@ -43,6 +43,15 @@ from fedquad.verify import mix_and_match_probe
 def _reference(c, x):
     """The per-term loop: the same entries, as a hand-built vector."""
     return sparse_inner_kron(SparseFunctionVector(c.dimension, tuple(c.entries)), x)
+
+
+def _block_kernel(c, x):
+    """sparse_inner_kron on the slices of c's block, as fe passes them.
+
+    Past the accumulator width block_slices gives None, and the call
+    takes the per-term loop.
+    """
+    return sparse_inner_kron(c, x, slices=block_slices(c.block, x))
 
 
 def _plan(block, x):
@@ -82,11 +91,12 @@ class TestStructuredKernel:
         kron = dense_kron(x)
         vectors = all_gradient_slice_vectors(weights, one, S)
         assert len(vectors) == len(weights)
+        slices = block_slices(vectors[0].block, x)
         for c in vectors:
             assert isinstance(c, SliceVector)
             assert c.nnz == len(c.entries) == len(list(c.entries))
             dense = sum(a * b for a, b in zip(c.to_dense(), kron))
-            assert sparse_inner_kron(c, x) == _reference(c, x) == dense
+            assert sparse_inner_kron(c, x, slices=slices) == _reference(c, x) == dense
 
     def test_shared_residual_gives_the_same_values(self):
         vectors = all_gradient_slice_vectors([1, -2, 0], 5, 3)
@@ -118,22 +128,21 @@ class TestInt64Boundary:
         assert _plan(c.block, x) == plan
         expected = _reference(c, x)
         assert expected == one - w
-        assert sparse_inner_kron(c, x) == expected
-        assert block_slices(c.block, x)[0] == expected
+        assert _block_kernel(c, x) == expected
 
     def test_negative_x_counts_in_the_bound(self):
         # sum|coef| = 2**61 and max|x| = 2 comes from the negative entry:
         # C·X = 2**62 and S·X = 2 plan two 61-bit limbs (read as 1, one limb).
         c = _one_slice(-(1 << 60), 1 << 60)
         assert _plan(c.block, [-2, 1]) == (61, 2)
-        assert sparse_inner_kron(c, [-2, 1]) == _reference(c, [-2, 1])
+        assert _block_kernel(c, [-2, 1]) == _reference(c, [-2, 1])
         # max|x| = 2**40 from the negative entry: S·X = 2**40 leaves 22-bit
         # limbs for C·X = 2**60. Read as 1 it would be one limb, where
         # x0 * r0 = 2**100 wraps.
         c = _one_slice(-(1 << 20), 0)
         x = [-(1 << 40), 1]
         assert _plan(c.block, x) == (22, 3)
-        assert sparse_inner_kron(c, x) == _reference(c, x) == 1 << 100
+        assert _block_kernel(c, x) == _reference(c, x) == 1 << 100
 
     def test_negative_x_counts_in_the_limb_precondition(self):
         # sum|coef| = 2**62 and max|x| = 2 from the negative entry: C·X = 2**63,
@@ -142,7 +151,7 @@ class TestInt64Boundary:
         c = _one_slice(-(1 << 62), 0)
         x = [-2, 1]
         assert _plan(c.block, x) is None
-        assert sparse_inner_kron(c, x) == _reference(c, x) == 1 << 64
+        assert _block_kernel(c, x) == _reference(c, x) == 1 << 64
 
     def test_bound_edge_across_rows(self):
         # S=7 rows, sum|coef| = (2**63 - 1) / 7, |x| = 1: bound 2**63 - 1,
@@ -152,7 +161,7 @@ class TestInt64Boundary:
                                           per_row - per_row // 2, 7)
         x = [1] * 14
         assert _plan(c.block, x) == (60, 2)
-        assert sparse_inner_kron(c, x) == _reference(c, x) == 2 ** 63 - 1
+        assert _block_kernel(c, x) == _reference(c, x) == 2 ** 63 - 1
 
 
 @st.composite
@@ -201,8 +210,7 @@ class TestLimbKernel:
         assert (_plan(c.block, x) is None) == (path == "object")
         expected = _reference(c, x)
         assert abs(expected) >= 1 << 63
-        assert sparse_inner_kron(c, x) == expected
-        assert sparse_inner_kron(c, x, slices=block_slices(c.block, x)) == expected
+        assert _block_kernel(c, x) == expected
 
     @pytest.mark.parametrize("S,largest,path", [
         (1, (1 << 62) - 1, "limbs"),   # S·X = 2**62 - 1
@@ -219,8 +227,7 @@ class TestLimbKernel:
             plan = _plan(c.block, x)
             assert plan == (None if path == "object" else (1, largest.bit_length()))
             expected = _reference(c, x)
-            assert sparse_inner_kron(c, x) == expected
-            assert block_slices(c.block, x)[0] == expected
+            assert _block_kernel(c, x) == expected
 
     # (S, X, C, plan): one limb up to bitlen(C·X) = b, three past 2·b.
     @pytest.mark.parametrize("S,largest,total,plan", [
@@ -351,9 +358,9 @@ class TestKernelsRefuseNonIntegers:
         c = _one_slice(2, 1)
         x = [1, 2.5]
         with pytest.raises(ValueError, match="^position 1 holds 2.5$"):
-            sparse_inner_kron(c, x)
+            block_slices(c.block, x)
         with pytest.raises(ValueError, match="^position 1 holds 2.5$"):
-            sparse_inner_kron(SparseFunctionVector(c.dimension, tuple(c.entries)), x)
+            sparse_inner_kron(c, x)
         with pytest.raises(ValueError, match="^position 1 holds 2.5$"):
             dense_kron(x)
 
@@ -372,7 +379,7 @@ class TestAccumulatorWidth:
     def test_raises_exactly_when_reference_does(self, w, one, x):
         c = _one_slice(w, one)
         expected = _outcome(lambda: _reference(c, x))
-        assert _outcome(lambda: sparse_inner_kron(c, x)) == expected
+        assert _outcome(lambda: _block_kernel(c, x)) == expected
 
         instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, x[:1]), fe.encrypt(keys[1], None, x[1:])]
@@ -382,8 +389,31 @@ class TestAccumulatorWidth:
     def test_width_guard_still_trips(self):
         c = _one_slice(-self.top, self.top)
         with pytest.raises(AccumulatorOverflow):
-            sparse_inner_kron(c, [1, 1])
+            _block_kernel(c, [1, 1])
         assert block_slices(c.block, [1, 1]) is None
+
+    def test_past_the_width_no_key_makes_its_own_block_product(self):
+        # C = 2**127 + 1 puts B = S·C·X² past the width, so block_slices
+        # gives None and each of the F = 3 keys takes the per-term loop,
+        # whose partial sums reach 2**126 and stay inside it. The set's one
+        # block product is still the only one, under either module's name.
+        vectors = all_gradient_slice_vectors([1 << 126, -(1 << 126), 0], 1, 1)
+        x = [1, 1, 1, 5]
+        expected = [_reference(c, x) for c in vectors]
+        assert expected == [5, 5, 5]
+        instance, cts = _one_set(x, 1)
+        keys = [fe.keygen(instance, None, c) for c in vectors]
+        products = []
+
+        def counted(block, x):
+            products.append(block_slices(block, x))
+            return products[-1]
+
+        with mock.patch.object(fe, "block_slices", counted), \
+                mock.patch.object(tensor, "block_slices", counted):
+            assert fe.decrypt_all(cts, keys) == expected
+        assert products == [None]
+        assert fe.audit_counters(instance)[2] == 3
 
 
 class TestDecryptMemo:

@@ -1,11 +1,16 @@
+import dataclasses
 import gc
 import json
+import math
 import random
 import re
 import tracemalloc
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fedquad import fe, tensor
 from fedquad.baseline import (
@@ -20,6 +25,7 @@ from fedquad.data import partition_dataset, synthesize
 from fedquad.fixedpoint import (
     FixedPointConfig,
     dequantize,
+    overflow_bound,
     quantize,
     quantize_vector,
     snap_to_grid,
@@ -282,21 +288,33 @@ class TestMessageLog:
             assert sentinel not in log
 
 
-def _quantized_mirror(X, y, model_kind, codec, batches, learning_rate, reg_lambda):
+def _quantized_mirror(X, y, model_kind, codec, batches, learning_rate, reg_lambda,
+                      weights=None):
     """(gradient, weights) of each secure step, from the raw floats in plain Python ints.
 
     Rows, shifted labels and weights are quantized with the scalar
     quantize; raw slice k is sum_s x_{k,s} * r_s over the batch, with r_s
     the quantized residual one * y_s - sum_j w_j * x_{j,s}. The floats
     after it are run_iteration's: dequantize, scale, regularize, snap.
+    The steps start from `weights` (zeros when None) and stop before the
+    first one a run must refuse: its overflow_bound reaches 2**126, or a
+    weight is past the quantizer guard.
     """
     m = model(model_kind)
     one = 1 << codec.weight_bits
-    w = np.zeros(X.shape[1])
+    w = np.zeros(X.shape[1]) if weights is None else np.array(weights, dtype=float)
     steps = []
     for rows in batches:
         S = len(rows)
-        wq = [quantize(v, codec.weight_bits) for v in w * 2.0 ** -m.weight_shift]
+        w_eff = w * 2.0 ** -m.weight_shift
+        largest = max(np.abs(X[rows]).max(), np.abs(y[rows] - m.label_shift).max())
+        if overflow_bound(S, len(w), codec.data_bits, codec.weight_bits, float(largest),
+                          max(1.0, float(np.abs(w_eff).max()))) >= 1 << 126:
+            break
+        try:
+            wq = [quantize(v, codec.weight_bits) for v in w_eff]
+        except OverflowError:
+            break
         xq = [[quantize(v, codec.data_bits) for v in X[s]] for s in rows]
         yq = [quantize(y[s] - m.label_shift, codec.data_bits) for s in rows]
         r = [one * ys - sum(a * b for a, b in zip(wq, xs)) for xs, ys in zip(xq, yq)]
@@ -944,3 +962,169 @@ class TestActorAndConfig:
             "from": "ttp", "to": "client0", "iteration": 3,
             "kind": "deliver_keys", "size": 2,
         }
+
+
+
+class RunCase(NamedTuple):
+    """One whole run of TestWholeRuns, fully determined by its fields.
+
+    features holds each client's column count, and holder is the client
+    with the labels. fe_policy is the policy run first; the other one
+    runs next. weights are the initial weights, on the run's weight grid.
+    magnitude is the bit length that bounds every quantized data value
+    (None: real values in [-4, 4)); seed draws the data and the batches.
+    """
+
+    model_kind: str
+    codec: str
+    features: tuple
+    holder: int
+    batch_size: int
+    iterations: int
+    n_rows: int
+    fe_policy: str
+    weights: tuple
+    magnitude: int | None
+    seed: int
+
+
+_RUN_CODECS = {f"{b}/{b}": FixedPointConfig(b, b) for b in (8, 12, 16, 24)}
+
+
+def _run_codec(model_kind, codec):
+    return exact_codec(model_kind) if codec == "exact" else _RUN_CODECS[codec]
+
+
+@st.composite
+def run_cases(draw):
+    model_kind = draw(st.sampled_from([MODEL_LINEAR, MODEL_LOGISTIC_TAYLOR]))
+    codec = draw(st.sampled_from(["exact", *_RUN_CODECS]))
+    features = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    holder = draw(st.integers(0, len(features) - 1))
+    batch_size = draw(st.integers(1, 6))
+    iterations = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(batch_size, 12))
+    fe_policy = draw(st.sampled_from(["fresh", "tagged"]))
+    grid = weight_grid_bits(model_kind, _run_codec(model_kind, codec))
+    weights = tuple(math.ldexp(draw(st.integers(-4 << grid, 4 << grid)), -grid)
+                    for _ in range(sum(features)))
+    # 30 to 50 bits reach block_slices' limbs and its object path; 61 bits
+    # put most runs past 2**126.
+    magnitude = draw(st.sampled_from([None, 30, 40, 50, 61]))
+    return RunCase(model_kind, codec, features, holder, batch_size, iterations, n_rows,
+                   fe_policy, weights, magnitude, draw(st.integers(0, 1 << 16)))
+
+
+# Runs that reach each path of block_slices, and one that fails its first
+# iteration's overflow check; test_pinned_runs_reach_their_path keeps
+# them there. Every profile runs them.
+PINNED_RUNS = {
+    "one-limb": RunCase(MODEL_LINEAR, "12/12", (2, 1), 0, 4, 3, 8, "fresh",
+                        (0.5, -1.25, 2.0), None, 1),
+    "limbs": RunCase(MODEL_LOGISTIC_TAYLOR, "16/16", (1, 2, 1), 1, 3, 4, 7, "tagged",
+                     (1.0, -0.5, 0.25, 3.0), 30, 2),
+    "object": RunCase(MODEL_LINEAR, "24/24", (3, 1), 1, 5, 2, 9, "fresh",
+                      (-2.0, 1.5, 0.75, -3.0), 40, 3),
+    "past-2**126": RunCase(MODEL_LINEAR, "12/12", (1, 2), 0, 2, 3, 6, "tagged",
+                           (1.0, 2.0, -1.0), 61, 4),
+}
+
+
+def _whole_run(case):
+    """(central X, y, shards, config) of a case: uniform data, labels on its holder."""
+    codec = _run_codec(case.model_kind, case.codec)
+    rng = np.random.default_rng(case.seed)
+    top = 4.0 if case.magnitude is None else math.ldexp(1.0, case.magnitude - codec.data_bits)
+    X = rng.uniform(-top, top, size=(case.n_rows, sum(case.features)))
+    y = (rng.integers(0, 2, size=case.n_rows).astype(float)
+         if case.model_kind == MODEL_LOGISTIC_TAYLOR else rng.uniform(-top, top, case.n_rows))
+    if case.codec == "exact":
+        X, y = np.round(X), np.round(y)
+    edges = list(accumulate(case.features, initial=0))
+    shards = [ClientShard(X[:, a:b], y if i == case.holder else None)
+              for i, (a, b) in enumerate(zip(edges, edges[1:]))]
+    # Stable for descent on rows up to `top`, so the weights stay small.
+    config = TrainingConfig(model_kind=case.model_kind, iterations=case.iterations,
+                            batch_size=case.batch_size,
+                            learning_rate=1 / (2 * (X.shape[1] + 1) * max(1.0, top) ** 2),
+                            reg_lambda=0.01, seed=case.seed, codec=codec,
+                            fe_policy=case.fe_policy)
+    return X, y, shards, config
+
+
+def _records_or_error(shards, config, weights, mirror):
+    """Run the config, compare every iteration with the mirror; its records and error."""
+    history = []
+    try:
+        run_training(TrainingPlan(shards, config), initial_weights=weights,
+                     on_iteration=history.append)
+        error = None
+    except OverflowError as err:
+        error = str(err)
+    assert len(history) == len(mirror)
+    for metrics, (gradient, new_weights) in zip(history, mirror):
+        assert metrics.gradient.tobytes() == gradient.tobytes()
+        assert metrics.weights.tobytes() == new_weights.tobytes()
+    if len(mirror) < config.iterations:
+        assert error is not None and error.startswith(f"iteration {len(mirror)}: ")
+    else:
+        assert error is None
+    return [json.dumps(iteration_record(m), sort_keys=True) for m in history], error
+
+
+def _check_whole_run(case):
+    """Both policies' runs of a case against the mirror and each other."""
+    X, y, shards, config = _whole_run(case)
+    mirror = _quantized_mirror(
+        X, y, case.model_kind, config.codec,
+        make_batch_schedule(case.n_rows, case.batch_size, case.iterations, case.seed),
+        config.learning_rate, config.reg_lambda, weights=case.weights)
+    other = "tagged" if case.fe_policy == "fresh" else "fresh"
+    runs = {policy: _records_or_error(shards, dataclasses.replace(config, fe_policy=policy),
+                                      case.weights, mirror)
+            for policy in (case.fe_policy, other)}
+    assert runs["tagged"] == runs["fresh"]
+    return mirror
+
+
+class TestWholeRuns:
+    """Whole runs of drawn geometry, model, codec, policy and magnitude against the mirror.
+
+    Every iteration's gradient and weights equal the quantized mirror's
+    bitwise, a tagged run's records and error are the fresh run's, and a
+    run stops with an OverflowError naming the iteration where the mirror
+    finds its bound at 2**126 or more. Tier-1 runs the small "whole-run"
+    profile of tests/conftest.py; a deeper run is
+
+        python -m pytest tests/test_protocol.py::TestWholeRuns \\
+            --hypothesis-profile whole-run-deep
+    """
+
+    @settings(settings.get_profile(
+        "whole-run-deep" if settings.get_current_profile_name() == "whole-run-deep"
+        else "whole-run"))
+    @example(PINNED_RUNS["one-limb"])
+    @example(PINNED_RUNS["limbs"])
+    @example(PINNED_RUNS["object"])
+    @example(PINNED_RUNS["past-2**126"])
+    @given(run_cases())
+    def test_every_iteration_equals_the_quantized_mirror(self, case):
+        _check_whole_run(case)
+
+    @pytest.mark.parametrize("path", sorted(PINNED_RUNS))
+    def test_pinned_runs_reach_their_path(self, path, monkeypatch):
+        plans, real = [], tensor.limb_plan
+
+        def recorded(*args):
+            plans.append(real(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(tensor, "limb_plan", recorded)
+        case = PINNED_RUNS[path]
+        mirror = _check_whole_run(case)
+        kinds = {"object" if plan is None else "one-limb" if plan[1] == 1 else "limbs"
+                 for plan in plans}
+        if path == "past-2**126":
+            assert mirror == [] and plans == []
+        else:
+            assert len(mirror) == case.iterations and kinds == {path}
