@@ -48,10 +48,12 @@ def _reference(c, x):
 def _block_kernel(c, x):
     """sparse_inner_kron on the slices of c's block, as fe passes them.
 
-    Past the accumulator width block_slices gives None, and the call
-    takes the per-term loop.
+    The block kernel must give the slices: a None (past the accumulator
+    width) would make the call the per-term loop, the reference itself.
     """
-    return sparse_inner_kron(c, x, slices=block_slices(c.block, x))
+    slices = block_slices(c.block, x)
+    assert slices is not None
+    return sparse_inner_kron(c, x, slices=slices)
 
 
 def _plan(block, x):
@@ -379,7 +381,8 @@ class TestAccumulatorWidth:
     def test_raises_exactly_when_reference_does(self, w, one, x):
         c = _one_slice(w, one)
         expected = _outcome(lambda: _reference(c, x))
-        assert _outcome(lambda: _block_kernel(c, x)) == expected
+        slices = block_slices(c.block, x)
+        assert _outcome(lambda: sparse_inner_kron(c, x, slices=slices)) == expected
 
         instance, keys = fe.setup([1, 1])
         cts = [fe.encrypt(keys[0], None, x[:1]), fe.encrypt(keys[1], None, x[1:])]
@@ -388,9 +391,9 @@ class TestAccumulatorWidth:
 
     def test_width_guard_still_trips(self):
         c = _one_slice(-self.top, self.top)
-        with pytest.raises(AccumulatorOverflow):
-            _block_kernel(c, [1, 1])
         assert block_slices(c.block, [1, 1]) is None
+        with pytest.raises(AccumulatorOverflow):
+            sparse_inner_kron(c, [1, 1])
 
     def test_past_the_width_no_key_makes_its_own_block_product(self):
         # C = 2**127 + 1 puts B = S·C·X² past the width, so block_slices
