@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-import json
 import math
 import numbers
 
@@ -74,26 +73,19 @@ class Header(NamedTuple):
     size: int
 
 
-class MessageBus:
-    """Ordered header record of every message of a run.
+class MessageBus(list):
+    """The run's ordered list of Headers, one per message; send appends.
 
-    Only headers are sent, so the log holds no FE object and its size
-    does not depend on S or F.
+    Only headers are sent, so the bus holds no FE object and its size
+    does not depend on S or F. An empty bus is falsy: test it for None.
     """
 
-    def __init__(self) -> None:
-        self.messages: list[Header] = []
-
-    def send(self, header: Header) -> None:
-        self.messages.append(header)
+    send = list.append
 
     def header_log(self) -> list[dict]:
+        """The headers as dicts, for display."""
         return [{"from": h.sender, "to": h.recipient, "iteration": h.iteration,
-                 "kind": h.kind, "size": h.size} for h in self.messages]
-
-    def export_jsonl(self) -> str:
-        """One JSON object per line, headers only."""
-        return "\n".join(json.dumps(h, sort_keys=True) for h in self.header_log())
+                 "kind": h.kind, "size": h.size} for h in self]
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Prints one PASS/FAIL line per acceptance criterion after the run."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 _acceptance_reports = []
 
@@ -27,14 +27,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             f"ACCEPTANCE {status}: {report.acceptance_label}")
 
 
+# The tier-1 profiles report a failing example as found, unshrunk: shrinking
+# a failing state machine or whole run takes minutes. The deep profiles shrink.
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
 # tests/test_fe_model.py's state machine: "fe-model" in tier-1, and
 # "fe-model-deep" when a run passes --hypothesis-profile fe-model-deep.
 settings.register_profile("fe-model", max_examples=60, stateful_step_count=30,
-                          deadline=None)
+                          deadline=None, phases=_NO_SHRINK)
 settings.register_profile("fe-model-deep", max_examples=400, stateful_step_count=60,
                           deadline=None)
 
 # tests/test_protocol.py::TestWholeRuns: "whole-run" in tier-1, and
 # "whole-run-deep" when a run passes --hypothesis-profile whole-run-deep.
-settings.register_profile("whole-run", max_examples=100, deadline=None)
+settings.register_profile("whole-run", max_examples=100, deadline=None,
+                          phases=_NO_SHRINK)
 settings.register_profile("whole-run-deep", max_examples=2000, deadline=None)

@@ -7,15 +7,21 @@ FE calls, the tensor kernel, quantization, function-vector builds,
 dequantizations, the plaintext oracle and bus messages by replacing the
 functions at the module attributes their callers look up. A refactor that
 calls around those attributes leaves the benchmark timing or counting
-nothing, so this test counts the calls through the same attributes.
+nothing, so this test counts the calls through the same attributes, and
+requires every name the tracer replaces to exist, including those no run
+calls today.
 """
 
+import importlib.util
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 from fedquad import cli, fe, protocol
 
 N_CLIENTS, F, T = 2, 3, 4
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 ORACLES = {
     "linear": ("centralized_gradient_linear", "mse_loss"),
@@ -70,3 +76,14 @@ def test_train_calls_every_hooked_name(monkeypatch, tmp_path):
             "decrypt": F * T,
             "sparse_inner_kron": F * T,
         }
+
+
+def test_every_name_the_tracer_replaces_is_a_callable():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{attr}" for module, attr, _ in tracer.SPAN_TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    assert callable(protocol.overflow_bound)
+    assert callable(protocol.MessageBus.send)

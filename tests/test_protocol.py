@@ -25,6 +25,7 @@ from fedquad.data import partition_dataset, synthesize
 from fedquad.fixedpoint import (
     FixedPointConfig,
     dequantize,
+    inner_product_error_bound,
     overflow_bound,
     quantize,
     quantize_vector,
@@ -217,14 +218,12 @@ class TestBudget:
 
 
 class TestMessageLog:
-    def _run(self, fe_policy="fresh"):
+    def _run(self):
         rng = random.Random(23)
         shards, weights = random_exact_instance(rng)
         bus = MessageBus()
-        # A run's one setup fixes the slot lengths at batch_size rows.
-        config = TrainingConfig(codec=exact_codec(MODEL_LINEAR), fe_policy=fe_policy,
-                                batch_size=shards[0].features.shape[0])
-        _step(weights, shards, config, bus=bus, iteration=4)
+        _step(weights, shards, TrainingConfig(codec=exact_codec(MODEL_LINEAR)), bus=bus,
+              iteration=4)
         return shards, bus
 
     def test_clients_never_hear_from_aggregator(self):
@@ -270,20 +269,12 @@ class TestMessageLog:
         for record in bus.header_log():
             assert set(record) == {"from", "to", "iteration", "kind", "size"}
 
-    def test_export_is_json_lines(self):
-        _, bus = self._run("tagged")
-        lines = bus.export_jsonl().splitlines()
-        assert len(lines) == len(bus.messages)
-        for line in lines:
-            record = json.loads(line)
-            assert record["iteration"] == 4
-
     def test_log_contains_no_plaintext_values(self):
         shards = [ClientShard(np.array([[987654.0]]), np.array([123321.0]))]
         bus = MessageBus()
         config = TrainingConfig(codec=exact_codec(MODEL_LINEAR))
         _step(np.array([555444.0]), shards, config, bus=bus)
-        log = bus.export_jsonl()
+        log = repr(bus.header_log())
         for sentinel in ("987654", "123321", "555444"):
             assert sentinel not in log
 
@@ -457,7 +448,7 @@ class TestRunTraining:
                          on_iteration=history.append, bus=bus)
             records = [json.dumps(iteration_record(m), sort_keys=True)
                        for m in history]
-            outputs.append((records, bus.export_jsonl()))
+            outputs.append((records, bus))
         assert outputs[0] == outputs[1]
 
     def test_counts_per_iteration(self):
@@ -507,7 +498,7 @@ class TestRunTraining:
             final = run_training(TrainingPlan(self._shards(), config),
                                  on_iteration=history.append, bus=bus)
             records = [json.dumps(iteration_record(m), sort_keys=True) for m in history]
-            runs.append((records, bus.export_jsonl(), final.tobytes()))
+            runs.append((records, bus, final.tobytes()))
         assert runs[0] == runs[1] == runs[2]
 
     def test_tagged_mode_tags_with_iteration(self):
@@ -864,7 +855,7 @@ class TestActorAndConfig:
                   ClientShard(np.ones((2, 1))), ClientShard(np.ones((2, 1)))]
         bus = MessageBus()
         _step(np.zeros(3), shards, TrainingConfig(batch_size=2), bus=bus)
-        names = {h.sender for h in bus.messages} | {h.recipient for h in bus.messages}
+        names = {h.sender for h in bus} | {h.recipient for h in bus}
         assert names == {"ttp", "aggregator", "client0", "client1", "client2"}
 
     def test_config_validation(self):
@@ -957,7 +948,7 @@ class TestActorAndConfig:
         shards, weights = _hand_instance()
         bus = MessageBus()
         _step(weights, shards, TrainingConfig(), bus=bus, iteration=3)
-        assert bus.messages[0] == Header("ttp", "client0", 3, "deliver_keys", 2)
+        assert bus[0] == Header("ttp", "client0", 3, "deliver_keys", 2)
         assert bus.header_log()[0] == {
             "from": "ttp", "to": "client0", "iteration": 3,
             "kind": "deliver_keys", "size": 2,
@@ -1052,16 +1043,29 @@ def _whole_run(case):
     return X, y, shards, config
 
 
-def _records_or_error(shards, config, weights, mirror):
-    """Run the config, compare every iteration with the mirror; its records and error."""
-    history = []
+def _checked_run(case, shards, config, mirror, batches, central):
+    """One policy's run of a case, checked per iteration; its records and error.
+
+    Every iteration's gradient and weights equal the mirror's bitwise, and
+    the run stops with an OverflowError naming the iteration where the
+    mirror stops. Before any probe decrypts, each fresh iteration's
+    instance reads (N+1, F, F) on fe.audit_counters, and a tagged run's
+    one instance reads T' times that after T' completed iterations; with
+    T' >= 2 mix_and_match_probe is defended. Unless central is None,
+    every iteration's weights equal its centralized descent's bitwise.
+    When the case has no magnitude, every gap is within the step's
+    certified bound: inner_product_error_bound over the step's budget,
+    scaled as gradient_error_bound scales it.
+    """
+    plan = TrainingPlan(shards, config)
+    history, artifacts = [], []
     try:
-        run_training(TrainingPlan(shards, config), initial_weights=weights,
-                     on_iteration=history.append)
+        run_training(plan, initial_weights=case.weights, on_iteration=history.append,
+                     artifacts_out=artifacts)
         error = None
     except OverflowError as err:
         error = str(err)
-    assert len(history) == len(mirror)
+    assert len(history) == len(artifacts) == len(mirror)
     for metrics, (gradient, new_weights) in zip(history, mirror):
         assert metrics.gradient.tobytes() == gradient.tobytes()
         assert metrics.weights.tobytes() == new_weights.tobytes()
@@ -1069,19 +1073,42 @@ def _records_or_error(shards, config, weights, mirror):
         assert error is not None and error.startswith(f"iteration {len(mirror)}: ")
     else:
         assert error is None
+
+    F = plan.X.shape[1]
+    once = (len(plan.columns), F, F)
+    expected = (tuple(n * len(history) for n in once) if config.fe_policy == "tagged"
+                else once)
+    assert [fe.audit_counters(a.instance) for a in artifacts] == [expected] * len(history)
+    if len(history) >= 2:
+        assert mix_and_match_probe(artifacts).defended
+
+    if central is not None:
+        assert ([m.weights.tobytes() for m in history]
+                == [w.tobytes() for w in central.weight_history])
+    if case.magnitude is None:
+        w = np.array(case.weights, dtype=float)
+        for metrics, rows in zip(history, batches):
+            budget = plan.budget(rows, w * plan.weight_factor)
+            bound = -plan.model.slice_scale * inner_product_error_bound(*budget) / len(rows)
+            assert metrics.max_abs_grad_diff_vs_oracle <= bound
+            w = metrics.weights
     return [json.dumps(iteration_record(m), sort_keys=True) for m in history], error
 
 
 def _check_whole_run(case):
     """Both policies' runs of a case against the mirror and each other."""
     X, y, shards, config = _whole_run(case)
-    mirror = _quantized_mirror(
-        X, y, case.model_kind, config.codec,
-        make_batch_schedule(case.n_rows, case.batch_size, case.iterations, case.seed),
-        config.learning_rate, config.reg_lambda, weights=case.weights)
+    batches = make_batch_schedule(case.n_rows, case.batch_size, case.iterations, case.seed)
+    mirror = _quantized_mirror(X, y, case.model_kind, config.codec, batches,
+                               config.learning_rate, config.reg_lambda, weights=case.weights)
+    central = None
+    if case.codec == "exact" and case.magnitude is None:
+        central = centralized_training(X, y, case.weights, case.model_kind, batches,
+                                       config.learning_rate, config.reg_lambda,
+                                       weight_grid_bits(case.model_kind, config.codec))
     other = "tagged" if case.fe_policy == "fresh" else "fresh"
-    runs = {policy: _records_or_error(shards, dataclasses.replace(config, fe_policy=policy),
-                                      case.weights, mirror)
+    runs = {policy: _checked_run(case, shards, dataclasses.replace(config, fe_policy=policy),
+                                 mirror, batches, central)
             for policy in (case.fe_policy, other)}
     assert runs["tagged"] == runs["fresh"]
     return mirror
@@ -1093,7 +1120,10 @@ class TestWholeRuns:
     Every iteration's gradient and weights equal the quantized mirror's
     bitwise, a tagged run's records and error are the fresh run's, and a
     run stops with an OverflowError naming the iteration where the mirror
-    finds its bound at 2**126 or more. Tier-1 runs the small "whole-run"
+    finds its bound at 2**126 or more. Every run's audit counters and
+    mix-and-match probe are checked too, and on real values in [-4, 4)
+    the certified error bound, and centralized descent under the exact
+    codec (_checked_run). Tier-1 runs the small "whole-run"
     profile of tests/conftest.py; a deeper run is
 
         python -m pytest tests/test_protocol.py::TestWholeRuns \\
